@@ -35,7 +35,6 @@ from repro.core.interface import AdmissionEngine, AdmissionOutcome
 from repro.core.slo import SLOMap
 from repro.live.events import EventLog
 from repro.live.wire import (
-    KIND_RESPONSE,
     FrameError,
     Request,
     Response,
@@ -161,6 +160,12 @@ class _ClientMetrics:
         ]
 
 
+def _expire(future: "asyncio.Future[Response]") -> None:
+    """Attempt-timeout callback: fail the attempt unless it resolved."""
+    if not future.done():
+        future.set_exception(asyncio.TimeoutError())
+
+
 class AdmissionClient:
     """One client endpoint: admission engine + connection + retries."""
 
@@ -249,8 +254,6 @@ class AdmissionClient:
             while True:
                 kind, header = await read_frame(reader)
                 response = decode_header(kind, header, Response)
-                if kind != KIND_RESPONSE:
-                    continue
                 future = self._pending.pop(response.request_id, None)
                 if future is not None and not future.done():
                     future.set_result(response)
@@ -411,9 +414,8 @@ class AdmissionClient:
                 traceparent = traceparent_of(trace_id, attempt_span_id)
             try:
                 writer = await self._ensure_conn()
-                future: "asyncio.Future[Response]" = (
-                    asyncio.get_running_loop().create_future()
-                )
+                loop = asyncio.get_running_loop()
+                future: "asyncio.Future[Response]" = loop.create_future()
                 self._pending[rpc_id] = future
                 await write_message(
                     writer,
@@ -432,7 +434,14 @@ class AdmissionClient:
                     body_len=payload_bytes,
                 )
                 timeout_ns = min(self._retry.attempt_timeout_ns, remaining)
-                response = await asyncio.wait_for(future, timeout_ns / 1e9)
+                # A timer on the pending future bounds the attempt:
+                # ``wait_for`` would wrap every call in its own
+                # timeout scope and cancellation dance for the same end.
+                timer = loop.call_later(timeout_ns / 1e9, _expire, future)
+                try:
+                    response = await future
+                finally:
+                    timer.cancel()
             except (asyncio.TimeoutError, ConnectionError, OSError) as exc:
                 self._pending.pop(rpc_id, None)
                 status = "timeout" if isinstance(exc, asyncio.TimeoutError) else "error"

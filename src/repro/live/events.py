@@ -33,12 +33,15 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Dict, List, Optional, TextIO, Tuple, Union
 
 from repro.core.clocks import ClockSource
-from repro.obs.trace import AdmissionEvent, QueueSpan, RpcSpan
+from repro.obs.trace import AdmissionEvent, QueueSpan, RpcSpan, span_record
+
+#: One compact encoder for every line (``json.dumps`` builds a fresh
+#: ``JSONEncoder`` per call whenever separators are not the default).
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
 
 #: One p_admit time series: (time_ns, value) points in time order —
 #: the same shape :mod:`repro.obs.series` produces for traced runs.
@@ -82,7 +85,7 @@ class EventLog:
     def _write(self, record: Dict[str, Any]) -> None:
         if self._fh is None:
             return  # closed: late stragglers (drained tasks) drop silently
-        self._fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+        self._fh.write(_encode_json(record) + "\n")
         self._unflushed += 1
         if self._unflushed >= self._flush_lines:
             self._flush()
@@ -117,13 +120,13 @@ class EventLog:
         """``extra`` carries trace context (``trace_id``, ``span_id``,
         ``decide_ns``) only when the process runs with tracing on, so
         untraced records keep the exact span-vocabulary field set."""
-        self._write({"type": "rpc", **asdict(span), **extra})
+        self._write({"type": "rpc", **span_record(span), **extra})
 
     def admission(self, event: AdmissionEvent) -> None:
-        self._write({"type": "admission", **asdict(event)})
+        self._write({"type": "admission", **span_record(event)})
 
     def queue(self, span: QueueSpan, **extra: Any) -> None:
-        self._write({"type": "queue", **asdict(span), **extra})
+        self._write({"type": "queue", **span_record(span), **extra})
 
     def retry(
         self,

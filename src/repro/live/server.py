@@ -36,7 +36,6 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 from repro.core.clocks import ClockSource
 from repro.live.events import EventLog
 from repro.live.wire import (
-    KIND_REQUEST,
     FrameError,
     Request,
     Response,
@@ -205,8 +204,6 @@ class LiveServer:
                     break
                 except FrameError:
                     # A malformed peer gets disconnected, not served.
-                    break
-                if kind != KIND_REQUEST:
                     break
                 verdict = self.on_request(request) if self.on_request else None
                 if verdict == FAULT_RESET:

@@ -22,8 +22,8 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
-from dataclasses import asdict, dataclass, fields
-from typing import Any, Dict, Tuple, Type, TypeVar
+from dataclasses import MISSING, dataclass, fields
+from typing import Any, Dict, Tuple, Type, TypeVar, get_type_hints
 
 _LEN = struct.Struct(">I")
 
@@ -82,34 +82,67 @@ class Response:
 
 _T = TypeVar("_T", Request, Response)
 
+#: One compact encoder for every header (``json.dumps`` builds a fresh
+#: ``JSONEncoder`` per call whenever separators are not the default).
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
 _KIND_OF: Dict[type, str] = {Request: KIND_REQUEST, Response: KIND_RESPONSE}
+
+
+def _field_table(cls: type) -> Tuple[Tuple[str, type, Any], ...]:
+    hints = get_type_hints(cls)
+    return tuple((f.name, hints[f.name], f.default) for f in fields(cls))
+
+
+#: Per message class, built once at import: ``(name, exact type,
+#: default)`` in declaration (= wire) order; ``MISSING`` marks a field
+#: with no default.  Encode and decode both walk this table.
+_FIELDS_OF: Dict[type, Tuple[Tuple[str, type, Any], ...]] = {
+    cls: _field_table(cls) for cls in _KIND_OF
+}
 
 
 def encode_frame(message: "Request | Response", body_len: int = 0) -> bytes:
     """Serialize one message (header only; the body is written separately)."""
-    header: Dict[str, Any] = asdict(message)
-    if not header.get("traceparent"):
-        # Byte-identity with tracing off: an empty context never hits
-        # the wire, so untraced frames match the pre-tracing format.
-        header.pop("traceparent", None)
+    header: Dict[str, Any] = {}
+    for name, _, default in _FIELDS_OF[type(message)]:
+        value = getattr(message, name)
+        # A defaulted field (``traceparent``) is sent only when set: an
+        # empty context never hits the wire, so untraced frames match
+        # the pre-tracing format byte for byte.
+        if default is MISSING or value != default:
+            header[name] = value
     header["kind"] = _KIND_OF[type(message)]
     header["body_len"] = body_len
-    blob = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    blob = _encode_json(header).encode("utf-8")
     if len(blob) > MAX_HEADER_BYTES:
         raise FrameError(f"header too large: {len(blob)} bytes")
     return _LEN.pack(len(blob)) + blob
 
 
 def decode_header(kind: str, header: Dict[str, Any], cls: Type[_T]) -> _T:
-    """Build a typed message from a decoded header dict."""
+    """Build a typed message from a decoded header dict.
+
+    Every field must be present (unless defaulted) and of exactly its
+    declared type — ``true`` is not an int, ``1`` is not a bool — so a
+    hostile header is a :class:`FrameError` here, never a ``TypeError``
+    somewhere downstream.  Unknown keys are ignored.
+    """
     expected = _KIND_OF[cls]
     if kind != expected:
         raise FrameError(f"expected a {expected!r} frame, got {kind!r}")
-    names = {f.name for f in fields(cls)}
-    try:
-        return cls(**{k: v for k, v in header.items() if k in names})
-    except TypeError as exc:
-        raise FrameError(f"malformed {expected!r} header: {exc}")
+    values = []
+    for name, field_type, default in _FIELDS_OF[cls]:
+        value = header.get(name, default)
+        if type(value) is not field_type:
+            got = "nothing" if value is MISSING else type(value).__name__
+            raise FrameError(
+                f"malformed {kind!r} header: {name!r} must be "
+                f"{field_type.__name__}, got {got}"
+            )
+        values.append(value)
+    return cls(*values)
 
 
 async def write_message(
@@ -117,9 +150,14 @@ async def write_message(
     message: "Request | Response",
     body_len: int = 0,
 ) -> None:
-    """Write one frame (header + zero-padded body) and drain the socket."""
-    writer.write(encode_frame(message, body_len=body_len))
-    remaining = body_len
+    """Write one frame (header + zero-padded body) and drain the socket.
+
+    The header rides in the same ``write`` as the first body chunk, so a
+    body that fits the zero chunk is one send, not two.
+    """
+    chunk = min(body_len, len(_ZERO_CHUNK))
+    writer.write(encode_frame(message, body_len=body_len) + _ZERO_CHUNK[:chunk])
+    remaining = body_len - chunk
     while remaining > 0:
         chunk = min(remaining, len(_ZERO_CHUNK))
         writer.write(_ZERO_CHUNK[:chunk])
@@ -140,13 +178,13 @@ async def read_frame(reader: asyncio.StreamReader) -> Tuple[str, Dict[str, Any]]
     blob = await reader.readexactly(header_len)
     try:
         header = json.loads(blob)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # bad bytes / absurd nesting
         raise FrameError(f"header is not JSON: {exc}")
     if not isinstance(header, dict) or "kind" not in header:
         raise FrameError("header must be a JSON object with a 'kind'")
-    body_len = int(header.get("body_len", 0))
-    if body_len < 0 or body_len > MAX_BODY_BYTES:
-        raise FrameError(f"implausible body length {body_len}")
+    body_len = header.get("body_len", 0)
+    if type(body_len) is not int or not 0 <= body_len <= MAX_BODY_BYTES:
+        raise FrameError(f"implausible body length {body_len!r}")
     remaining = body_len
     while remaining > 0:
         chunk = await reader.readexactly(min(remaining, len(_ZERO_CHUNK)))

@@ -22,13 +22,12 @@ the SLO verdict look like — without leaving the terminal.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union, cast
+from typing import Dict, List, Optional, Sequence, Tuple, Union, cast
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import SimProfiler
-from repro.obs.trace import Tracer, sim_span_id, sim_trace_id
+from repro.obs.trace import Span, Tracer, sim_span_id, sim_trace_id, span_record
 
 
 def _us(ns: int) -> float:
@@ -307,61 +306,33 @@ def write_jsonl(path: Union[str, Path], tracer: Tracer) -> Path:
     """Write every trace record as one typed JSON object per line."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    def _causal(rpc_id: int) -> Dict[str, str]:
-        """Derived trace context for a span owned by ``rpc_id``."""
-        if not rpc_id:
-            return {}
-        return {
-            "trace_id": sim_trace_id(rpc_id),
-            "parent_id": sim_span_id(rpc_id),
-        }
-
+    streams: Tuple[Tuple[str, Sequence[Span]], ...] = (
+        ("queue", tracer.queue_spans),
+        ("tx", tracer.tx_spans),
+        ("drop", tracer.drops),
+        ("admission", tracer.admission_events),
+        ("flow", tracer.flow_cwnd_samples),
+        ("flow_retransmit", tracer.flow_retransmits),
+    )
     with open(path, "w") as fh:
         for rspan in tracer.rpc_spans:
             record = {
                 "type": "rpc",
-                **asdict(rspan),
+                **span_record(rspan),
                 "trace_id": rspan.trace_id,
                 "span_id": rspan.span_id,
             }
             fh.write(json.dumps(record) + "\n")
-        for qspan in tracer.queue_spans:
-            fh.write(
-                json.dumps(
-                    {"type": "queue", **asdict(qspan), **_causal(qspan.rpc_id)}
-                )
-                + "\n"
-            )
-        for tspan in tracer.tx_spans:
-            fh.write(
-                json.dumps({"type": "tx", **asdict(tspan), **_causal(tspan.rpc_id)})
-                + "\n"
-            )
-        for drop in tracer.drops:
-            fh.write(
-                json.dumps({"type": "drop", **asdict(drop), **_causal(drop.rpc_id)})
-                + "\n"
-            )
-        for adm in tracer.admission_events:
-            fh.write(
-                json.dumps(
-                    {"type": "admission", **asdict(adm), **_causal(adm.rpc_id)}
-                )
-                + "\n"
-            )
-        for sample in tracer.flow_cwnd_samples:
-            fh.write(json.dumps({"type": "flow", **asdict(sample)}) + "\n")
-        for retx in tracer.flow_retransmits:
-            fh.write(
-                json.dumps(
-                    {
-                        "type": "flow_retransmit",
-                        **asdict(retx),
-                        **_causal(retx.rpc_id),
-                    }
-                )
-                + "\n"
-            )
+        for kind, spans in streams:
+            for span in spans:
+                record = {"type": kind, **span_record(span)}
+                # Derived trace context for a span owned by an RPC (a
+                # cwnd sample has no owner; unbound packets carry 0).
+                rpc_id = getattr(span, "rpc_id", 0)
+                if rpc_id:
+                    record["trace_id"] = sim_trace_id(rpc_id)
+                    record["parent_id"] = sim_span_id(rpc_id)
+                fh.write(json.dumps(record) + "\n")
     return path
 
 

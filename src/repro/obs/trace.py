@@ -26,8 +26,8 @@ results and digests.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union, get_args
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.packet import Packet
@@ -195,6 +195,31 @@ class FlowRetransmit:
     seq: int
     msg_id: int = 0
     rpc_id: int = 0
+
+
+Span = Union[
+    RpcSpan,
+    QueueSpan,
+    TxSpan,
+    DropEvent,
+    AdmissionEvent,
+    FlowCwndSample,
+    FlowRetransmit,
+]
+
+
+#: Field names per span class, in declaration order, built once at
+#: import — what ``dataclasses.asdict`` would rebuild (and deep-copy
+#: through) on every record.
+_FIELDS_OF: Dict[type, Tuple[str, ...]] = {
+    cls: tuple(f.name for f in fields(cls)) for cls in get_args(Span)
+}
+
+
+def span_record(span: Span) -> Dict[str, Any]:
+    """The span's fields as a flat dict, in declaration order — the one
+    flattening every JSONL writer (sim export, live event log) shares."""
+    return {name: getattr(span, name) for name in _FIELDS_OF[type(span)]}
 
 
 class Tracer:

@@ -12,7 +12,9 @@ stretch sleeps but cannot shrink them.
 """
 
 import asyncio
+import json
 import random
+import struct
 
 import pytest
 
@@ -22,6 +24,7 @@ from repro.live.client import AdmissionClient, RetryPolicy
 from repro.live.clock import WallClock
 from repro.live.events import EventLog, read_events
 from repro.live.server import FAULT_DROP, FAULT_RESET, LiveServer
+from repro.live.wire import Request, encode_frame
 
 MS = 1_000_000
 
@@ -254,6 +257,101 @@ class TestRejection:
         assert all(r.ok for r in results if r.status == "ok")
         # The reject fed the SLO budget back as a miss: AIMD throttled.
         assert p_admit < 1.0
+
+
+def raw_frame(header: dict) -> bytes:
+    blob = json.dumps(header).encode()
+    return struct.pack(">I", len(blob)) + blob
+
+
+REQUEST_HEADER = {
+    "request_id": 1, "client": "evil", "qos_requested": 0, "qos_run": 0,
+    "downgraded": False, "payload_bytes": 0, "size_mtus": 1, "attempt": 1,
+    "issued_ns": 0, "kind": "req", "body_len": 0,
+}
+
+
+class TestMalformedPeer:
+    """A peer that sends garbage is disconnected; nobody else notices."""
+
+    @pytest.mark.parametrize(
+        "mutation",
+        [
+            {"size_mtus": "x"},  # reached the dispatcher, killed it
+            {"qos_run": None},  # raised out of the connection handler
+            {"qos_run": True},
+            {"body_len": None},  # raised out of read_frame
+            {"body_len": "abc"},
+            {"kind": "resp"},  # a response sent to a server
+        ],
+        ids=lambda m: "-".join(f"{k}={v!r}" for k, v in m.items()),
+    )
+    def test_server_drops_peer_and_keeps_serving(self, tmp_path, mutation):
+        async def scenario(server, client, clock):
+            loop_errors = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: loop_errors.append(context)
+            )
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            writer.write(raw_frame({**REQUEST_HEADER, **mutation}))
+            await writer.drain()
+            eof = await asyncio.wait_for(reader.read(), timeout=1.0)
+            writer.close()
+            result = await client.call(0, payload_bytes=1024)
+            return eof, result, server.served, loop_errors
+
+        eof, result, served, loop_errors = run_stack(tmp_path, scenario)
+        assert eof == b""  # disconnected, not answered
+        assert result.status == "ok" and result.attempts == 1
+        assert served == 1
+        assert loop_errors == []
+
+    def test_client_drops_connection_on_wrong_kind_frame(self, tmp_path):
+        """A server that answers with a *request* frame: the client's
+        reader drops the connection, which fails the in-flight attempt."""
+
+        hung_up = asyncio.Event()
+
+        async def confused_server(reader, writer):
+            await reader.readexactly(4)
+            writer.write(
+                encode_frame(
+                    Request(
+                        request_id=1, client="srv", qos_requested=0, qos_run=0,
+                        downgraded=False, payload_bytes=0, size_mtus=1,
+                        attempt=1, issued_ns=0,
+                    )
+                )
+            )
+            await writer.drain()
+            await reader.read()  # stays open: the client must hang up
+            writer.close()
+            await writer.wait_closed()
+            hung_up.set()
+
+        async def _main():
+            listener = await asyncio.start_server(confused_server, "127.0.0.1", 0)
+            port = listener.sockets[0].getsockname()[1]
+            with EventLog(tmp_path / "client.jsonl") as log:
+                client = AdmissionClient(
+                    "c0", "127.0.0.1", port, slo_map(), seed=1, clock=WallClock(),
+                    log=log, retry=RetryPolicy(max_attempts=1, deadline_ns=500 * MS),
+                )
+                try:
+                    return await client.call(0, payload_bytes=0)
+                finally:
+                    await client.aclose()
+                    await asyncio.wait_for(hung_up.wait(), timeout=1.0)
+                    listener.close()
+                    await listener.wait_closed()
+
+        result = asyncio.run(_main())
+        assert result.status == "error" and result.rnl_ns is None
+        conn_events = [
+            r["event"] for r in read_events(tmp_path / "client.jsonl")
+            if r["type"] == "conn"
+        ]
+        assert conn_events == ["connect", "reset"]
 
 
 class TestShutdown:

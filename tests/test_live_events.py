@@ -82,6 +82,43 @@ class TestEventLog:
             assert record == asdict(span)
             assert set(record) == {f.name for f in fields(span)}
 
+    def test_span_lines_are_byte_stable(self, tmp_path):
+        """Literal JSONL bytes: key order (type, span fields in declaration
+        order, then trace extras) and compact separators are the format."""
+        path = tmp_path / "log.jsonl"
+        with EventLog(path) as log:
+            log.rpc(RPC)
+            log.rpc(RPC, trace_id="ab" * 16, span_id="cd" * 8, decide_ns=7, attempts=1)
+            log.queue(QUEUE)
+            log.queue(QUEUE, trace_id="ab" * 16, parent_id="cd" * 8)
+            log.admission(ADMISSION)
+            log.admission(
+                AdmissionEvent(
+                    time_ns=150, channel="c0->srv", qos=0, p_admit=1e-05,
+                    kind="increase", rpc_id=9,
+                )
+            )
+        rpc = (
+            '{"type":"rpc","rpc_id":1,"src":0,"dst":0,"qos_requested":0,"qos_run":0,'
+            '"downgraded":false,"issued_ns":100,"payload_bytes":4096,"size_mtus":1,'
+            '"completed_ns":200,"rnl_ns":100,"slo_met":true,"terminated":false'
+        )
+        queue = (
+            '{"type":"queue","node":"srv","qos":0,"enqueued_ns":100,'
+            '"dequeued_ns":150,"size_bytes":4096,"kind":0,"rpc_id":0'
+        )
+        trace = '"trace_id":"abababababababababababababababab"'
+        assert path.read_text(encoding="utf-8").splitlines() == [
+            rpc + "}",
+            rpc + "," + trace + ',"span_id":"cdcdcdcdcdcdcdcd","decide_ns":7,"attempts":1}',
+            queue + "}",
+            queue + "," + trace + ',"parent_id":"cdcdcdcdcdcdcdcd"}',
+            '{"type":"admission","time_ns":150,"channel":"c0->srv","qos":0,'
+            '"p_admit":0.5,"kind":"decrease","rpc_id":0}',
+            '{"type":"admission","time_ns":150,"channel":"c0->srv","qos":0,'
+            '"p_admit":1e-05,"kind":"increase","rpc_id":9}',
+        ]
+
     def test_close_is_idempotent_and_drops_stragglers(self, tmp_path):
         log = EventLog(tmp_path / "log.jsonl")
         log.rpc(RPC)

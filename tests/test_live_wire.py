@@ -9,7 +9,9 @@ which the connection layers treat as peer loss, not corruption).
 """
 
 import asyncio
+import dataclasses
 import json
+import random
 import struct
 
 import pytest
@@ -40,6 +42,8 @@ REQUEST = Request(
 )
 
 RESPONSE = Response(request_id=3, status="ok", queue_ns=10, service_ns=20)
+
+TRACEPARENT = "00-" + "ab" * 16 + "-" + "cd" * 8 + "-01"
 
 
 def read_from_bytes(payload: bytes):
@@ -94,6 +98,44 @@ class TestRoundTrip:
         assert decode_header(kind, header, Response) == RESPONSE
 
 
+class TestGoldenBytes:
+    """Literal wire bytes: key order, separators and the popped-when-empty
+    ``traceparent`` are part of the format, not an encoder accident."""
+
+    def test_untraced_request(self):
+        assert encode_frame(REQUEST, body_len=4096) == (
+            b"\x00\x00\x00\xad"
+            b'{"request_id":3,"client":"c0","qos_requested":0,"qos_run":1,'
+            b'"downgraded":true,"payload_bytes":4096,"size_mtus":1,"attempt":2,'
+            b'"issued_ns":123456,"kind":"req","body_len":4096}'
+        )
+
+    def test_traced_request(self):
+        traced = dataclasses.replace(REQUEST, traceparent=TRACEPARENT)
+        assert encode_frame(traced, body_len=4096) == (
+            b"\x00\x00\x00\xf5"
+            b'{"request_id":3,"client":"c0","qos_requested":0,"qos_run":1,'
+            b'"downgraded":true,"payload_bytes":4096,"size_mtus":1,"attempt":2,'
+            b'"issued_ns":123456,'
+            b'"traceparent":"00-abababababababababababababababab-cdcdcdcdcdcdcdcd-01",'
+            b'"kind":"req","body_len":4096}'
+        )
+
+    def test_response(self):
+        assert encode_frame(RESPONSE) == (
+            b"\x00\x00\x00W"
+            b'{"request_id":3,"status":"ok","queue_ns":10,"service_ns":20,'
+            b'"kind":"resp","body_len":0}'
+        )
+        traced = dataclasses.replace(RESPONSE, traceparent=TRACEPARENT)
+        assert encode_frame(traced) == (
+            b"\x00\x00\x00\x9f"
+            b'{"request_id":3,"status":"ok","queue_ns":10,"service_ns":20,'
+            b'"traceparent":"00-abababababababababababababababab-cdcdcdcdcdcdcdcd-01",'
+            b'"kind":"resp","body_len":0}'
+        )
+
+
 def frame_with_header(blob: bytes) -> bytes:
     return struct.pack(">I", len(blob)) + blob
 
@@ -110,6 +152,11 @@ class TestMalformedInput:
     def test_non_json_header_rejected(self):
         with pytest.raises(FrameError):
             read_from_bytes(frame_with_header(b"\xff\xfe not json"))
+
+    def test_pathologically_nested_header_rejected(self):
+        """The JSON scanner's RecursionError is a format violation too."""
+        with pytest.raises(FrameError):
+            read_from_bytes(frame_with_header(b"[" * 60_000))
 
     def test_non_object_header_rejected(self):
         with pytest.raises(FrameError):
@@ -128,6 +175,12 @@ class TestMalformedInput:
 
     def test_negative_body_length_rejected(self):
         blob = json.dumps({"kind": KIND_REQUEST, "body_len": -1}).encode()
+        with pytest.raises(FrameError):
+            read_from_bytes(frame_with_header(blob))
+
+    @pytest.mark.parametrize("body_len", [None, "abc", "12", [1], {}, True, 1.5])
+    def test_non_integer_body_length_rejected(self, body_len):
+        blob = json.dumps({"kind": KIND_REQUEST, "body_len": body_len}).encode()
         with pytest.raises(FrameError):
             read_from_bytes(frame_with_header(blob))
 
@@ -153,6 +206,24 @@ class TestDecodeHeader:
         with pytest.raises(FrameError):
             decode_header(kind, header, Response)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("size_mtus", "x"),
+            ("qos_run", None),
+            ("qos_run", 1.0),
+            ("request_id", True),  # a JSON bool is not an int ...
+            ("downgraded", 1),  # ... and an int is not a bool
+            ("client", 7),
+            ("traceparent", 7),
+        ],
+    )
+    def test_wrong_typed_field_rejected(self, field, value):
+        kind, header = read_from_bytes(encode_frame(REQUEST))
+        header[field] = value
+        with pytest.raises(FrameError, match=field):
+            decode_header(kind, header, Request)
+
     def test_oversize_outgoing_header_rejected(self):
         huge = Request(
             request_id=1,
@@ -167,3 +238,70 @@ class TestDecodeHeader:
         )
         with pytest.raises(FrameError):
             encode_frame(huge)
+
+
+class TestFuzz:
+    """ROADMAP fault-plane oracle 3, smallest cut: whatever bytes arrive,
+    the receive path ends in a typed message, ``FrameError`` or
+    ``IncompleteReadError`` — never another exception."""
+
+    JUNK = (None, True, False, 0, -1, 2**63, 1.5, "", "x", [], [1], {}, {"a": 1})
+
+    def mutate(self, rng: random.Random, frame: bytes) -> bytes:
+        header = json.loads(frame[4:])
+        choice = rng.randrange(7)
+        if choice == 0:  # flip the type of some fields
+            for key in rng.sample(sorted(header), rng.randint(1, 3)):
+                header[key] = rng.choice(self.JUNK)
+        elif choice == 1:  # drop keys
+            for key in rng.sample(sorted(header), rng.randint(1, 3)):
+                del header[key]
+        elif choice == 2:  # add keys
+            for i in range(rng.randint(1, 3)):
+                header[f"extra{i}"] = rng.choice(self.JUNK)
+        elif choice == 3:  # truncate anywhere, prefix included
+            return frame[: rng.randrange(len(frame))]
+        elif choice == 4:  # lie in the length prefix
+            lie = rng.choice(
+                [0, 1, len(frame) - 5, len(frame), MAX_HEADER_BYTES + 1, 2**32 - 1]
+            )
+            return struct.pack(">I", lie) + frame[4:]
+        elif choice == 5:  # nest, sometimes past the scanner's limit
+            return frame_with_header(b"[" * rng.choice([1, 50, 5_000, 60_000]))
+        else:  # corrupt header bytes
+            blob = bytearray(frame)
+            for _ in range(rng.randint(1, 4)):
+                blob[rng.randrange(4, len(blob))] = rng.randrange(256)
+            return bytes(blob)
+        return frame_with_header(json.dumps(header).encode())
+
+    def test_receive_path_outcomes_are_typed(self):
+        rng = random.Random(20220822)
+        seeds = [
+            (encode_frame(REQUEST), Request),
+            (
+                encode_frame(dataclasses.replace(REQUEST, traceparent=TRACEPARENT)),
+                Request,
+            ),
+            (encode_frame(RESPONSE), Response),
+        ]
+        outcomes = {"message": 0, "FrameError": 0, "IncompleteReadError": 0}
+
+        async def _run():
+            for _ in range(3000):
+                frame, cls = rng.choice(seeds)
+                reader = asyncio.StreamReader()
+                reader.feed_data(self.mutate(rng, frame))
+                reader.feed_eof()
+                try:
+                    kind, header = await read_frame(reader)
+                    message = decode_header(kind, header, cls)
+                except (FrameError, asyncio.IncompleteReadError) as exc:
+                    outcomes[type(exc).__name__] += 1
+                else:
+                    assert type(message) is cls
+                    outcomes["message"] += 1
+
+        asyncio.run(_run())
+        # The mutations really reach all three outcomes.
+        assert all(outcomes.values()), outcomes

@@ -41,7 +41,16 @@ from repro.obs.runtime import (
     deactivate,
     trace_enabled_by_env,
 )
-from repro.obs.trace import Tracer
+from repro.obs.trace import (
+    AdmissionEvent,
+    DropEvent,
+    FlowCwndSample,
+    FlowRetransmit,
+    QueueSpan,
+    RpcSpan,
+    Tracer,
+    TxSpan,
+)
 from repro.rpc.sizes import FixedSize
 from repro.rpc.stack import MetricsCollector, RpcStack
 from repro.rpc.workload import OpenLoopSource, steady_pattern
@@ -469,6 +478,65 @@ def test_export_writers_round_trip(tmp_path, traced_run):
     first = json.loads(lines[0])
     assert first["t_ns"] == 0 and isinstance(first["metrics"], dict)
     context.registry.series.pop()
+
+
+def test_write_jsonl_lines_are_byte_stable(tmp_path):
+    """One literal line per span type: field order, the default
+    ``", "``/``": "`` separators and the derived trace context (absent for
+    an unbound span) are what downstream tooling greps."""
+    tracer = Tracer()
+    tracer._rpc_spans[5] = RpcSpan(
+        rpc_id=5, src=1, dst=2, qos_requested=0, qos_run=1, downgraded=True,
+        issued_ns=100, payload_bytes=4096, size_mtus=1, completed_ns=900,
+        rnl_ns=800, slo_met=False,
+    )
+    tracer.queue_spans += [
+        QueueSpan(node="tor0", qos=1, enqueued_ns=110, dequeued_ns=150,
+                  size_bytes=4160, kind=0, rpc_id=5),
+        QueueSpan(node="tor0", qos=1, enqueued_ns=110, dequeued_ns=150,
+                  size_bytes=64, kind=1),
+    ]
+    tracer.tx_spans.append(
+        TxSpan(node="tor0", qos=1, start_ns=150, duration_ns=333,
+               size_bytes=4160, rpc_id=5)
+    )
+    tracer.drops.append(
+        DropEvent(node="tor0", qos=1, time_ns=160, size_bytes=4160,
+                  reason="refused", rpc_id=5)
+    )
+    tracer.admission_events.append(
+        AdmissionEvent(time_ns=900, channel="1->2", qos=0, p_admit=0.99,
+                       kind="decrease", rpc_id=5)
+    )
+    tracer.flow_cwnd_samples.append(
+        FlowCwndSample(time_ns=500, flow="1->2/qos1", cwnd=2.5, rtt_ns=400)
+    )
+    tracer.flow_retransmits.append(
+        FlowRetransmit(time_ns=700, flow="1->2/qos1", seq=3, msg_id=8, rpc_id=5)
+    )
+    trace = '"trace_id": "00000000000000000000000000000005"'
+    causal = ", " + trace + ', "parent_id": "0000000000000005"}'
+    lines = write_jsonl(tmp_path / "spans.jsonl", tracer).read_text().splitlines()
+    assert lines == [
+        '{"type": "rpc", "rpc_id": 5, "src": 1, "dst": 2, "qos_requested": 0, '
+        '"qos_run": 1, "downgraded": true, "issued_ns": 100, "payload_bytes": 4096, '
+        '"size_mtus": 1, "completed_ns": 900, "rnl_ns": 800, "slo_met": false, '
+        '"terminated": false, ' + trace + ', "span_id": "0000000000000005"}',
+        '{"type": "queue", "node": "tor0", "qos": 1, "enqueued_ns": 110, '
+        '"dequeued_ns": 150, "size_bytes": 4160, "kind": 0, "rpc_id": 5' + causal,
+        '{"type": "queue", "node": "tor0", "qos": 1, "enqueued_ns": 110, '
+        '"dequeued_ns": 150, "size_bytes": 64, "kind": 1, "rpc_id": 0}',
+        '{"type": "tx", "node": "tor0", "qos": 1, "start_ns": 150, '
+        '"duration_ns": 333, "size_bytes": 4160, "rpc_id": 5' + causal,
+        '{"type": "drop", "node": "tor0", "qos": 1, "time_ns": 160, '
+        '"size_bytes": 4160, "reason": "refused", "rpc_id": 5' + causal,
+        '{"type": "admission", "time_ns": 900, "channel": "1->2", "qos": 0, '
+        '"p_admit": 0.99, "kind": "decrease", "rpc_id": 5' + causal,
+        '{"type": "flow", "time_ns": 500, "flow": "1->2/qos1", "cwnd": 2.5, '
+        '"rtt_ns": 400}',
+        '{"type": "flow_retransmit", "time_ns": 700, "flow": "1->2/qos1", '
+        '"seq": 3, "msg_id": 8, "rpc_id": 5' + causal,
+    ]
 
 
 def test_text_reports_name_top_contributors(traced_run):
