@@ -1,0 +1,350 @@
+"""Literal goldens for the simulator's per-RPC path.
+
+issue -> admit -> send -> ack -> complete, pinned as values rather than
+as same-seed equality: a rewrite of that path must reproduce every run
+here bit for bit — the completed-RPC digest, the kernel's event count,
+how much randomness each workload source and each admission substream
+*consumed* (an unrolled ``choices`` or a skipped coin flip shows up
+here and nowhere else), and every flow's final congestion window.
+
+The first two cases are the performance ledger's two simulator shapes
+at seed 1, rebuilt from ``repro``'s public names; the rest are one
+short run per branch the path has (quota gate, custom Phase-1 mapper,
+admission off, ACKs through the fabric, each baseline flow subclass,
+the streaming collector).
+
+When a change legitimately moves simulation results (event folding,
+ACK coalescing), regenerate with
+``PYTHONPATH=src python tests/test_sim_hotpath_golden.py`` and commit
+the new table on its own.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+from typing import Any, Callable, Dict, List, Optional
+
+import pytest
+
+from repro.core.qos import Priority
+from repro.core.quota import QuotaReservation, QuotaServer
+from repro.experiments.cluster import (
+    ClusterConfig,
+    ClusterResult,
+    attach_traffic,
+    build_cluster,
+)
+from repro.rpc.sizes import ChoiceSize, FixedSize, production_mixture
+from repro.rpc.stack import MetricsCollector
+from repro.rpc.workload import BurstPattern, OpenLoopSource, steady_pattern
+from repro.sim.engine import ns_from_ms
+from repro.stats.digest import completed_rpc_digest, digest_hex
+
+_MIX = {Priority.PC: 0.6, Priority.NC: 0.2, Priority.BE: 0.2}
+
+
+def _sha(parts: List[Any]) -> str:
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+class _Run:
+    """One built cluster plus the sources its traffic function made."""
+
+    def __init__(
+        self,
+        setup: Optional[Callable[[ClusterResult], None]] = None,
+        incast: bool = False,
+        size_dist: Any = None,
+        pattern: Optional[BurstPattern] = None,
+        **cfg: Any,
+    ) -> None:
+        self.sources: List[OpenLoopSource] = []
+        size_dist = size_dist if size_dist is not None else FixedSize(32 * 1024)
+        pattern = pattern if pattern is not None else BurstPattern()
+
+        def traffic(sim: Any, stacks: List[Any], conf: ClusterConfig) -> None:
+            hosts = [s.host.host_id for s in stacks]
+            for stack in stacks[1:] if incast else stacks:
+                me = stack.host.host_id
+                self.sources.append(
+                    OpenLoopSource(
+                        sim,
+                        stack,
+                        [0] if incast else [h for h in hosts if h != me],
+                        _MIX,
+                        size_dist,
+                        pattern,
+                        line_rate_bps=conf.line_rate_bps,
+                        rng=random.Random(conf.seed * 7919 + me),
+                        stop_ns=ns_from_ms(conf.duration_ms),
+                    )
+                )
+
+        cfg.setdefault("warmup_ms", cfg["duration_ms"] / 10)
+        self.cluster = build_cluster(ClusterConfig(traffic_fn=traffic, **cfg))
+        if setup is not None:
+            setup(self.cluster)
+        attach_traffic(self.cluster)
+        self.cluster.sim.run(until=ns_from_ms(cfg["duration_ms"]))
+
+    def observed(self) -> Dict[str, Any]:
+        cluster = self.cluster
+        digest = completed_rpc_digest(cluster.metrics)
+        ports = list(cluster.net.host_ports.values()) + list(
+            cluster.net.switch_ports.values()
+        )
+        flows = [
+            (stack.host.host_id, flow)
+            for stack in cluster.stacks
+            # DeadlineEndpoint keeps its per-message flows only by id.
+            for flow in (
+                stack.endpoint.flows or stack.endpoint._flows_by_id
+            ).values()
+        ]
+        return {
+            "digest_hex": digest_hex(digest),
+            "events": cluster.sim.events_processed,
+            "issued": digest["issued"],
+            "completed": digest["completed"],
+            "downgrades": cluster.metrics.downgrades,
+            "terminated": cluster.metrics.terminated,
+            "packets_sent": sum(p.packets_sent for p in ports),
+            "retransmits": sum(f.retransmitted_packets for _, f in flows),
+            "source_rng": _sha([s.rng.getstate() for s in self.sources]),
+            "admit_rng": _sha(
+                [
+                    (stack.host.host_id, dst, ctrl._rng.getstate())
+                    for stack in cluster.stacks
+                    for dst, ctrl in sorted(stack.registry.controllers().items())
+                ]
+            ),
+            "cwnd": _sha([(h, f.dst, f.qos, f.cc.cwnd) for h, f in flows]),
+        }
+
+
+# -- branch set-ups ------------------------------------------------------
+def _with_quota(cluster: ClusterResult) -> None:
+    sim = cluster.sim
+    server = QuotaServer(lambda: sim.now, {0: 60e9, 1: 30e9})
+    server.reserve(QuotaReservation("even", 0, 20e9))
+    for stack in cluster.stacks:
+        stack.quota_server = server
+        stack.tenant_of = lambda rpc: "even" if rpc.src % 2 == 0 else "odd"
+
+
+def _with_mapper(cluster: ClusterResult) -> None:
+    # A misaligned deployment: BE rides QoS_h, PC QoS_m, NC the scavenger.
+    for stack in cluster.stacks:
+        stack.qos_mapper = lambda rpc: (int(rpc.priority) + 1) % 3
+
+
+def _with_streaming(cluster: ClusterResult) -> None:
+    cluster.metrics = MetricsCollector(streaming=True, slo_map=cluster.slo_map)
+    for stack in cluster.stacks:
+        stack.metrics = cluster.metrics
+
+
+_LEDGER = dict(
+    scheme="aequitas", num_hosts=8, seed=1, incast=True, pattern=steady_pattern(0.4)
+)
+_MIXED = ChoiceSize([(1024, 2.0), (32 * 1024, 1.0), (64 * 1024, 1.0)])
+
+CASES: Dict[str, Dict[str, Any]] = {
+    "sim_small_rpc_1k": dict(_LEDGER, size_dist=FixedSize(1024), duration_ms=2.0),
+    "sim_incast_32k": dict(_LEDGER, size_dist=FixedSize(32 * 1024), duration_ms=24.0),
+    "quota": dict(
+        scheme="aequitas", num_hosts=4, seed=3, duration_ms=1.5, setup=_with_quota
+    ),
+    "qos_mapper": dict(
+        scheme="aequitas",
+        num_hosts=4,
+        seed=4,
+        duration_ms=1.0,
+        size_dist=_MIXED,
+        setup=_with_mapper,
+    ),
+    "wfq": dict(scheme="wfq", num_hosts=4, seed=5, duration_ms=1.0),
+    # ACKs cross the fabric, and a shallow buffer under incast forces
+    # drops, so the RTO / retransmit / on_loss path runs too.
+    "ack_in_band": dict(
+        scheme="aequitas",
+        num_hosts=5,
+        seed=6,
+        duration_ms=1.5,
+        ack_bypass=False,
+        incast=True,
+        buffer_bytes=96 * 1024,
+    ),
+    "d3": dict(
+        scheme="d3",
+        num_hosts=5,
+        seed=7,
+        duration_ms=1.5,
+        incast=True,
+        size_dist=production_mixture(),
+    ),
+    "homa": dict(
+        scheme="homa",
+        num_hosts=5,
+        seed=8,
+        duration_ms=1.0,
+        incast=True,
+        size_dist=_MIXED,
+    ),
+    "qjump": dict(scheme="qjump", num_hosts=4, seed=9, duration_ms=1.0),
+    "streaming": dict(
+        scheme="aequitas",
+        num_hosts=4,
+        seed=10,
+        duration_ms=1.0,
+        size_dist=_MIXED,
+        setup=_with_streaming,
+    ),
+}
+
+# Read off the parent of the per-RPC path rewrite (commit b3b0c54).
+GOLDEN: Dict[str, Dict[str, Any]] = {
+    "sim_small_rpc_1k": {
+        "digest_hex": "cf7fbbf08fb361c89d7362cc3deb8ea40ff5ba82cbeeb8ef4b6ac9addb795c4e",
+        "events": 183996,
+        "issued": 68315,
+        "completed": 22953,
+        "downgrades": 51448,
+        "terminated": 0,
+        "packets_sent": 46212,
+        "retransmits": 0,
+        "source_rng": "066da9cb18e33f622fdf04170c3e3c7619e5468707071675c2839e2774d0c09c",
+        "admit_rng": "f7d23e7c25aeeb0fbb9204232fa4e7df12d81947426d02ce926cb8595296508b",
+        "cwnd": "ff2139c19b1b1a5d9aa3fd8b934e221a4df2c7ab2fc0062569d619bfb69f2fa6"
+    },
+    "sim_incast_32k": {
+        "digest_hex": "45a0873b5cec774d04708e9ce0dc1d6884eb3a610f59e36f2a79f797cda24c04",
+        "events": 389200,
+        "issued": 25787,
+        "completed": 9003,
+        "downgrades": 19144,
+        "terminated": 0,
+        "packets_sent": 144192,
+        "retransmits": 6,
+        "source_rng": "880cebc4bd5cf20f793b52a3474d354bda03c7a69eafb9c89d6a89d3c480d821",
+        "admit_rng": "25b9f66613a3df68cd3ae0d9f01ad45dc9eb00a31cb18c535709006a8fc958c2",
+        "cwnd": "413e0adda20fedfee565712d0dde146ebef313c39e799992fdb1215151052e8d"
+    },
+    "quota": {
+        "digest_hex": "466f86988a733dd4d884b13fbc88f209f9021187adb611f0852e7e16f7e635de",
+        "events": 74635,
+        "issued": 1819,
+        "completed": 1809,
+        "downgrades": 744,
+        "terminated": 0,
+        "packets_sent": 29024,
+        "retransmits": 0,
+        "source_rng": "7397077df0e3bcf3966929bb45746e48f84bbbfdcfcfc70c1fbec86dbdb00047",
+        "admit_rng": "b73678b0e6f386167e72590403a6d3a900732c06d189d2a60ed4b3f56c9aec27",
+        "cwnd": "4d4c557b5aa4de71688fb2a04159790f1bb2881e5952b300fd9bc5ca31fbf869"
+    },
+    "qos_mapper": {
+        "digest_hex": "40aff5833102cba169defe9617e476d6fd5a08c347d12ccda8fad5507b05b160",
+        "events": 55592,
+        "issued": 1682,
+        "completed": 1666,
+        "downgrades": 60,
+        "terminated": 0,
+        "packets_sent": 21495,
+        "retransmits": 0,
+        "source_rng": "e6e79fcd9424fdfb9c23538e73e2cfa02892af11d5d53cfbf527ef9b66f3cc8c",
+        "admit_rng": "235b83ab117d9d6da00afe2832ea2b785dbd06e5788218fcd30aa4d24ad0f9a3",
+        "cwnd": "8a568479e846c0168d20df35f2c8d34277fef75c91601bbcfa9cbf936d696426"
+    },
+    "wfq": {
+        "digest_hex": "af65d17a727ee1a6ba3cad2b459ea2e927a3544017106da9ed72c0f621e1449a",
+        "events": 51098,
+        "issued": 1255,
+        "completed": 1236,
+        "downgrades": 0,
+        "terminated": 0,
+        "packets_sent": 19870,
+        "retransmits": 0,
+        "source_rng": "a23f57d96d2ab81b115f62b65aee41535186952632ed2d7ea09fc57d546692fd",
+        "admit_rng": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "cwnd": "944ed4c52015a4910730ed7a643f44e1c3c88a97a4421dc5591f022680ff9e28"
+    },
+    "ack_in_band": {
+        "digest_hex": "a503caa8e11e913c7767869f2771e65c9442269e18b7882ce8e0523b0d21b5be",
+        "events": 38958,
+        "issued": 1806,
+        "completed": 524,
+        "downgrades": 641,
+        "terminated": 0,
+        "packets_sent": 18505,
+        "retransmits": 440,
+        "source_rng": "599f23273d1bd9c6a7b84fd3ab91be32076e96bbe3969e065891eedffbc564e5",
+        "admit_rng": "7633f9643594b155ee881b035d6b080b2f6ebb224ca0ef8c957481fd9ac84d2d",
+        "cwnd": "fd0df2b5e1e42875795f3aaad248a76b681bbeee30047b9c83df9ff7a8d0ccf4"
+    },
+    "d3": {
+        "digest_hex": "c54fc98382e4cd80ef90152d8dc69b6eef2c1cee0f0d87200b9e724d7a6ff2d2",
+        "events": 37516,
+        "issued": 856,
+        "completed": 449,
+        "downgrades": 0,
+        "terminated": 187,
+        "packets_sent": 9309,
+        "retransmits": 0,
+        "source_rng": "4891c6895927375186b61228e3eca1eec03bd6f5c7df3e8e0752f2dac060d9af",
+        "admit_rng": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "cwnd": "5277108821b086d93cd67baf42b48f8a81f7e0e3477a670fe247e72a24c571ad"
+    },
+    "homa": {
+        "digest_hex": "72e03f0bf20689be4bac4cab52155737a037f8bcd5141d56ebe1d720b8be61bc",
+        "events": 39508,
+        "issued": 1665,
+        "completed": 631,
+        "downgrades": 0,
+        "terminated": 0,
+        "packets_sent": 16762,
+        "retransmits": 6927,
+        "source_rng": "7986bc3e23a7f7292497b5d2358677f26d7528f78404482fbbb20e58b455373b",
+        "admit_rng": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "cwnd": "b097bcd6d497d6aef7639d5110e30f7f4d53a589d6e1c2b89d757f7699ef4837"
+    },
+    "qjump": {
+        "digest_hex": "f2a6835e6c93e9e52d5b15c83cb9ef223e768714bfba7f7a7cf37582f6e3b0aa",
+        "events": 76601,
+        "issued": 1236,
+        "completed": 1191,
+        "downgrades": 0,
+        "terminated": 0,
+        "packets_sent": 19241,
+        "retransmits": 0,
+        "source_rng": "8d5ed17027004f7093e155373380346ab0e5711b1757f04bb75e52e6f645c750",
+        "admit_rng": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "cwnd": "ef76558659911a8d193a73ef25df28133d9c6e576671d516ddad587012b2701f"
+    },
+    "streaming": {
+        "digest_hex": "93307bb1dbd48a9b54788944f311bb1b6952f10440ddf702e503f186816bf99f",
+        "events": 55638,
+        "issued": 1708,
+        "completed": 1662,
+        "downgrades": 82,
+        "terminated": 0,
+        "packets_sent": 21520,
+        "retransmits": 0,
+        "source_rng": "84db4e3544189e2b865ea148f4118da27bc7e1ee25c24f7c46a39e94154e3aba",
+        "admit_rng": "3a5573723a4d8e42cb4723352903a5b96ec05217e66eb70aabee8eb356eadefe",
+        "cwnd": "3593443a5d1dd1a21709d2ce69ad0dd7a795411054a61f6a10e5cd7450f78b63"
+    }
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_run_matches_golden(name: str) -> None:
+    assert _Run(**CASES[name]).observed() == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    import json
+
+    observed = {name: _Run(**case).observed() for name, case in CASES.items()}
+    print("GOLDEN: Dict[str, Dict[str, Any]] =", json.dumps(observed, indent=4))
