@@ -65,8 +65,8 @@ class RateControlledFlow(Flow):
         now = self.sim.now
         if now < self._rate_next_ns:
             return self._rate_next_ns - now
-        msg, seq = self._pending[0]
-        size = msg.packet_payload(seq) + HEADER_BYTES
+        msg = self._pending[0]
+        size = msg.packet_payload(msg.next_seq) + HEADER_BYTES
         self._rate_next_ns = max(now, self._rate_next_ns) + int(
             size * 8e9 / self.rate_bps
         )

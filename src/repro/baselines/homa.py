@@ -57,26 +57,18 @@ class HomaFlow(Flow):
     def send_message(self, msg: Message) -> None:
         """Blast the unscheduled window; queue the rest for grants."""
         msg.t0_ns = self.sim.now
-        from repro.transport.reliable import _MsgState  # local import: internal type
-
-        self._messages[msg.msg_id] = _MsgState(msg, msg.size_mtus)
+        self._messages[msg.msg_id] = msg
         endpoint: "HomaEndpoint" = self.endpoint  # type: ignore[assignment]
-        unscheduled = min(msg.size_mtus, endpoint.unscheduled_mtus)
-        for seq in range(unscheduled):
+        # The rest go one per GRANT, sequenced by the receiver's _inbound.
+        for seq in range(min(msg.size_mtus, endpoint.unscheduled_mtus)):
             self._transmit(msg, seq, retransmit=False)
-        # Remaining packets are sent one per GRANT.
-        self._next_grant_seq = getattr(self, "_next_grant_seq", {})
-        if unscheduled < msg.size_mtus:
-            self._next_grant_seq[msg.msg_id] = unscheduled
 
     def on_grant(self, msg_id: int, seq: int) -> None:
         """Transmit the granted packet of one in-progress message."""
-        state = self._messages.get(msg_id)
-        if state is None:
+        msg = self._messages.get(msg_id)
+        if msg is None or seq >= msg.size_mtus:
             return
-        if seq >= state.msg.size_mtus:
-            return
-        self._transmit(state.msg, seq, retransmit=False)
+        self._transmit(msg, seq, retransmit=False)
 
     def _packet_qos(self, msg: Message, remaining_mtus: int) -> int:
         return homa_priority(remaining_mtus)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.clocks import ClockLike, as_now_fn
-from repro.core.qos import Priority, QoSConfig, map_priority_to_qos
+from repro.core.qos import Priority, map_priority_to_qos
 from repro.core.slo import SLOMap
 from repro.sim.sanitize import check_probability, sanitize_enabled
 
@@ -37,7 +37,7 @@ DEFAULT_BETA = 0.01
 DEFAULT_FLOOR = 0.01
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdmissionDecision:
     """Outcome of admitting one RPC.
 
@@ -104,7 +104,7 @@ class AdmissionController:
         sanitize: Optional[bool] = None,
     ):
         self._slo_map = slo_map
-        self._qos_config: QoSConfig = slo_map.qos_config
+        self._lowest = slo_map.qos_config.lowest
         self._params = params
         # Fixed-seed fallback: keeps a bare AdmissionEngine(...) fully
         # deterministic; sweep runs always inject the per-point stream.
@@ -167,14 +167,20 @@ class AdmissionController:
         return self.on_rpc_issue_qos(qos_requested)
 
     def on_rpc_issue_qos(self, qos_requested: int) -> AdmissionDecision:
-        """Admission decision for an explicitly requested QoS level.
+        """Admission decision for an explicitly requested QoS level."""
+        qos_run = self.admit_qos(qos_requested)
+        return AdmissionDecision(qos_requested, qos_run, qos_run != qos_requested)
 
-        Requests for the scavenger class (or any level with no SLO) are
-        always admitted: there is nothing to protect there.
+    def admit_qos(self, qos_requested: int) -> int:
+        """The QoS level an RPC requesting ``qos_requested`` runs at.
+
+        The one admit/downgrade coin flip (lines 6-11).  Requests for
+        the scavenger class (or any level with no SLO) are always
+        admitted — there is nothing to protect there — and draw nothing.
         """
-        if not self._slo_map.has_slo(qos_requested):
-            return AdmissionDecision(qos_requested, qos_requested, downgraded=False)
-        state = self._state[qos_requested]
+        state = self._state.get(qos_requested)  # one entry per SLO level
+        if state is None:
+            return qos_requested
         if self._sanitize:
             check_probability(
                 state.p_admit,
@@ -182,10 +188,8 @@ class AdmissionController:
                 provenance={"qos": qos_requested},
             )
         if self._rng.random() <= state.p_admit:
-            return AdmissionDecision(qos_requested, qos_requested, downgraded=False)
-        return AdmissionDecision(
-            qos_requested, self._qos_config.lowest, downgraded=True
-        )
+            return qos_requested
+        return self._lowest
 
     # ------------------------------------------------------------------
     # Algorithm 1: On RPC Completion

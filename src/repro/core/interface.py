@@ -31,7 +31,7 @@ Two abstractions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Optional
+from typing import Callable, Dict, Hashable, Optional, Tuple
 
 from repro.core.admission import AdmissionParams
 from repro.core.channel import ChannelRegistry
@@ -88,6 +88,18 @@ class AdmissionEngine:
         self._slo_map = slo_map
         self.enabled = enabled
         self.quota_server = quota_server
+        # Every verdict the configured QoS plane can produce, built once
+        # and shared: outcomes are immutable, so issuing an RPC allocates
+        # none.
+        self._lowest = slo_map.qos_config.lowest
+        self._outcomes: Dict[Tuple[int, int, Optional[str]], AdmissionOutcome] = {
+            (level, qos_run, quota): AdmissionOutcome(
+                level, qos_run, qos_run != level, quota
+            )
+            for level in range(slo_map.qos_config.num_levels)
+            for qos_run in (level, self._lowest)
+            for quota in (None, *(verdict.value for verdict in QuotaVerdict))
+        }
         #: Per-destination controllers; exposed so substrates that need
         #: raw controller access (experiments, tests) keep it.
         self.channels = ChannelRegistry(
@@ -110,38 +122,23 @@ class AdmissionEngine:
         tenant: Optional[Hashable] = None,
     ) -> AdmissionOutcome:
         """Issue-time decision for one RPC bound for ``dst``."""
-        verdict: Optional[QuotaVerdict] = None
-        if self.quota_server is not None and self._slo_map.has_slo(qos_requested):
-            verdict = self.quota_server.check_admit(
-                tenant, qos_requested, payload_bytes
+        quota: Optional[str] = None
+        quota_server = self.quota_server
+        if quota_server is not None and self._slo_map.has_slo(qos_requested):
+            quota = quota_server.check_admit(tenant, qos_requested, payload_bytes).value
+        qos_run = qos_requested
+        if quota == "denied":
+            qos_run = self._lowest
+        elif quota != "reserved" and self.enabled:
+            # ("reserved" bypasses the probabilistic stage: the operator
+            # provisioned for the tenant's guarantee.)
+            qos_run = self.channels.controller(dst).admit_qos(qos_requested)
+        outcome = self._outcomes.get((qos_requested, qos_run, quota))
+        if outcome is None:  # a level outside the configured QoS plane
+            outcome = AdmissionOutcome(
+                qos_requested, qos_run, qos_run != qos_requested, quota
             )
-        if verdict is not None and verdict.value == "denied":
-            return AdmissionOutcome(
-                qos_requested,
-                self._slo_map.qos_config.lowest,
-                downgraded=True,
-                quota=verdict.value,
-            )
-        if verdict is not None and verdict.value == "reserved":
-            # Covered by the tenant's guarantee: bypass the
-            # probabilistic stage (the operator provisioned for this).
-            return AdmissionOutcome(
-                qos_requested, qos_requested, downgraded=False, quota=verdict.value
-            )
-        if self.enabled:
-            decision = self.channels.controller(dst).on_rpc_issue_qos(qos_requested)
-            return AdmissionOutcome(
-                qos_requested,
-                decision.qos_run,
-                decision.downgraded,
-                quota=verdict.value if verdict is not None else None,
-            )
-        return AdmissionOutcome(
-            qos_requested,
-            qos_run=qos_requested,
-            downgraded=False,
-            quota=verdict.value if verdict is not None else None,
-        )
+        return outcome
 
     def complete(
         self, dst: Hashable, rnl_ns: int, size_mtus: int, qos_run: int

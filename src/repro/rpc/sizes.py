@@ -20,6 +20,7 @@ from typing import Dict, Sequence, Tuple
 
 from repro.core.qos import Priority
 from repro.net.packet import MTU_BYTES
+from repro.sim.rng import WeightedChoice
 
 
 class SizeDistribution:
@@ -58,13 +59,14 @@ class ChoiceSize(SizeDistribution):
             raise ValueError("need at least one option")
         if any(size <= 0 or weight <= 0 for size, weight in options):
             raise ValueError("sizes and weights must be positive")
-        self._sizes = [size for size, _ in options]
-        self._weights = [weight for _, weight in options]
-        total = sum(self._weights)
+        self._choice = WeightedChoice(
+            [size for size, _ in options], [weight for _, weight in options]
+        )
+        total = sum(weight for _, weight in options)
         self._mean = sum(s * w for s, w in options) / total
 
     def sample(self, rng: random.Random) -> int:
-        return rng.choices(self._sizes, weights=self._weights, k=1)[0]
+        return self._choice.pick(rng)
 
     def mean_bytes(self) -> float:
         return self._mean

@@ -15,7 +15,7 @@ mapping only, every RPC runs at its requested QoS.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Optional, cast
+from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Optional
 
 from repro.core.admission import AdmissionParams
 from repro.core.interface import AdmissionEngine
@@ -44,6 +44,11 @@ _EMPTY_SUMMARY: Dict[str, float] = {
     "p90": 0.0,
     "p99": 0.0,
     "p999": 0.0,
+}
+
+#: Phase-1 alignment as plain ints (the value stamped on packets).
+_QOS_OF_PRIORITY: Dict[Priority, int] = {
+    priority: int(map_priority_to_qos(priority)) for priority in Priority
 }
 
 
@@ -134,13 +139,12 @@ class MetricsCollector:
             self.issued.append(rpc)  # simlint: ignore[SIM010]
         req = rpc.qos_requested if rpc.qos_requested is not None else 0
         qos_run = rpc.qos_run if rpc.qos_run is not None else req
-        self.issued_bytes_by_qos_requested[req] = (
-            self.issued_bytes_by_qos_requested.get(req, 0) + rpc.payload_bytes
-        )
-        self.run_bytes_by_qos[qos_run] = (
-            self.run_bytes_by_qos.get(qos_run, 0) + rpc.payload_bytes
-        )
-        self.issued_payload_bytes += rpc.payload_bytes
+        payload = rpc.payload_bytes
+        by_requested = self.issued_bytes_by_qos_requested
+        by_requested[req] = by_requested.get(req, 0) + payload
+        by_run = self.run_bytes_by_qos
+        by_run[qos_run] = by_run.get(qos_run, 0) + payload
+        self.issued_payload_bytes += payload
         if rpc.downgraded:
             self.downgrades += 1
         reg = self.registry
@@ -505,58 +509,48 @@ class RpcStack:
 
     def issue(self, dst: int, priority: Priority, payload_bytes: int) -> Rpc:
         """Issue one RPC.  Returns the live RPC object (completes later)."""
-        rpc = Rpc(
-            src=self.host.host_id,
-            dst=dst,
-            priority=priority,
-            payload_bytes=payload_bytes,
-            issued_ns=self.sim.now,
-        )
+        now = self.sim.now
+        # Rpc's positional order: src, dst, priority, payload_bytes, issued_ns.
+        rpc = Rpc(self.host.host_id, dst, priority, payload_bytes, now)
         if self.qos_mapper is not None:
             qos_requested = self.qos_mapper(rpc)
         else:
-            qos_requested = int(map_priority_to_qos(priority))
+            qos_requested = _QOS_OF_PRIORITY[priority]
         rpc.qos_requested = qos_requested
+        admission = self.admission
         tenant: Optional[Hashable] = None
-        if (
-            self.quota_server is not None
-            and self.slo_map.has_slo(qos_requested)
-        ):
+        if admission.quota_server is not None and self.slo_map.has_slo(qos_requested):
             tenant = self.tenant_of(rpc)
-        outcome = self.admission.decide(
-            dst, qos_requested, payload_bytes, tenant=tenant
-        )
-        rpc.qos_run = outcome.qos_run
-        rpc.downgraded = outcome.downgraded
-        if outcome.downgraded and self.on_downgrade is not None:
-            # Explicit downgrade notification back to the application
-            # (Algorithm 1 lines 10-11), for quota denials and
-            # probabilistic downgrades alike.
-            self.on_downgrade(rpc)
+        outcome = admission.decide(dst, qos_requested, payload_bytes, tenant)
+        qos_run = rpc.qos_run = outcome.qos_run
+        if outcome.downgraded:
+            rpc.downgraded = True
+            if self.on_downgrade is not None:
+                # Explicit downgrade notification back to the application
+                # (Algorithm 1 lines 10-11), for quota denials and
+                # probabilistic downgrades alike.
+                self.on_downgrade(rpc)
         self.metrics.record_issue(rpc)
-        if self._tracer is not None:
-            self._tracer.on_rpc_issued(rpc)
+        tracer = self._tracer
+        if tracer is not None:
+            tracer.on_rpc_issued(rpc)
         deadline = None
         if self.deadline_fn is not None:
-            deadline = self.sim.now + self.deadline_fn(rpc)
+            deadline = now + self.deadline_fn(rpc)
+        # Message's positional order: dst, payload_bytes, qos, created_ns,
+        # on_complete, deadline_ns, context.
         msg = Message(
-            dst=dst,
-            payload_bytes=payload_bytes,
-            qos=rpc.qos_run,
-            created_ns=self.sim.now,
-            on_complete=self._on_msg_complete,
-            deadline_ns=deadline,
-            context=rpc,
+            dst, payload_bytes, qos_run, now, self._on_msg_complete, deadline, rpc
         )
-        if self._tracer is not None:
+        if tracer is not None:
             # Bind the message id to the RPC id before any packet can
             # move: packet-level spans join back through this mapping.
-            self._tracer.on_rpc_message(rpc.rpc_id, msg.msg_id)
+            tracer.on_rpc_message(rpc.rpc_id, msg.msg_id)
         self.endpoint.send_message(msg)
         return rpc
 
     def _on_msg_complete(self, msg: Message) -> None:
-        rpc = cast(Rpc, msg.context)
+        rpc: Rpc = msg.context
         if msg.terminated:
             # Early termination (D3/PDQ "better never than late"): the
             # RPC never finishes; it stays incomplete in the metrics.
@@ -566,26 +560,27 @@ class RpcStack:
                 self._tracer.on_rpc_terminated(rpc)
             return
         rnl_ns = msg.rnl_ns
+        size_mtus = msg.size_mtus
         rpc.completed_ns = msg.completed_ns
         rpc.rnl_ns = rnl_ns
         qos_run = rpc.qos_run if rpc.qos_run is not None else 0
-        if self._tracer is not None:
+        tracer = self._tracer
+        if tracer is not None:
             # AIMD adjustments fired by this completion attribute to
             # this RPC — the "admission feedback" edge of the trace.
-            self._tracer.begin_rpc_completion(rpc.rpc_id)
+            tracer.begin_rpc_completion(rpc.rpc_id)
             try:
-                self.admission.complete(rpc.dst, rnl_ns, rpc.size_mtus, qos_run)
+                self.admission.complete(rpc.dst, rnl_ns, size_mtus, qos_run)
             finally:
-                self._tracer.end_rpc_completion()
+                tracer.end_rpc_completion()
         else:
-            self.admission.complete(rpc.dst, rnl_ns, rpc.size_mtus, qos_run)
+            self.admission.complete(rpc.dst, rnl_ns, size_mtus, qos_run)
         self.metrics.record_completion(rpc)
-        if self._tracer is not None:
+        if tracer is not None:
             slo_met: Optional[bool] = None
             req = rpc.qos_requested
             if req is not None and self.slo_map.has_slo(req):
-                slo_met = (
-                    qos_run == req
-                    and self.slo_map.get(req).is_met(rnl_ns, rpc.size_mtus)
+                slo_met = qos_run == req and self.slo_map.get(req).is_met(
+                    rnl_ns, size_mtus
                 )
-            self._tracer.on_rpc_completed(rpc, slo_met)
+            tracer.on_rpc_completed(rpc, slo_met)

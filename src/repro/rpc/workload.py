@@ -26,6 +26,7 @@ from repro.core.qos import Priority
 from repro.rpc.sizes import SizeDistribution
 from repro.rpc.stack import RpcStack
 from repro.sim.engine import Simulator
+from repro.sim.rng import WeightedChoice
 
 #: Per-priority traffic mix, e.g. {PC: 0.6, NC: 0.3, BE: 0.1}.
 PriorityMix = Dict[Priority, float]
@@ -109,6 +110,15 @@ class OpenLoopSource:
         self.stop_ns = stop_ns
         self.deterministic = deterministic
         self.issued = 0
+        # Resolved once: the per-RPC draw is a pick, an optional
+        # destination draw and a size sample, nothing else.
+        self._priority_choice = WeightedChoice(self.priorities, self.mix_weights)
+        self._only_dst: Optional[int] = self.dsts[0] if len(self.dsts) == 1 else None
+        self._dist_of: Dict[Priority, SizeDistribution] = (
+            size_dist
+            if isinstance(size_dist, dict)
+            else dict.fromkeys(self.priorities, size_dist)
+        )
         mean_bytes = self._mean_payload_bytes()
         burst_bps = pattern.rho * line_rate_bps
         self._rpcs_per_on_window = burst_bps * (pattern.on_ns / 1e9) / (mean_bytes * 8)
@@ -121,11 +131,6 @@ class OpenLoopSource:
                 for p, w in zip(self.priorities, self.mix_weights)
             )
         return self.size_dist.mean_bytes()
-
-    def _dist_for(self, priority: Priority) -> SizeDistribution:
-        if isinstance(self.size_dist, dict):
-            return self.size_dist[priority]
-        return self.size_dist
 
     def _on_period_start(self) -> None:
         if self.stop_ns is not None and self.sim.now >= self.stop_ns:
@@ -141,17 +146,20 @@ class OpenLoopSource:
             # place arrivals uniformly (standard conditional property).
             lam = self._rpcs_per_on_window
             count = _poisson_draw(self.rng, lam)
+            draw, post, issue_one = self.rng.random, self.sim.post, self._issue_one
             for _ in range(count):
-                offset = int(self.rng.random() * on_ns)
-                self.sim.post(offset, self._issue_one)
+                post(int(draw() * on_ns), issue_one)
         self.sim.post(self.pattern.period_ns, self._on_period_start)
 
     def _issue_one(self) -> None:
         if self.stop_ns is not None and self.sim.now >= self.stop_ns:
             return
-        priority = self.rng.choices(self.priorities, weights=self.mix_weights, k=1)[0]
-        dst = self.dsts[self.rng.randrange(len(self.dsts))] if len(self.dsts) > 1 else self.dsts[0]
-        payload = self._dist_for(priority).sample(self.rng)
+        rng = self.rng
+        priority = self._priority_choice.pick(rng)
+        dst = self._only_dst
+        if dst is None:
+            dst = self.dsts[rng.randrange(len(self.dsts))]
+        payload = self._dist_of[priority].sample(rng)
         self.stack.issue(dst, priority, payload)
         self.issued += 1
 

@@ -12,7 +12,7 @@ congestion-control backoff.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from repro.net.packet import MTU_BYTES, mtus_for_bytes
 
@@ -28,6 +28,9 @@ class Message:
         t0_ns: when the first byte reached the transport (start of RNL).
         completed_ns: when the last packet was acknowledged (end of RNL).
         on_complete: callback fired at completion with the message.
+        size_mtus: size in MTUs (the unit SLOs are normalized by).
+        next_seq / acked_packets / acked_bytes: the owning flow's send
+            and acknowledgment progress through the message.
     """
 
     __slots__ = (
@@ -42,6 +45,10 @@ class Message:
         "deadline_ns",
         "terminated",
         "context",
+        "size_mtus",
+        "next_seq",
+        "acked_packets",
+        "acked_bytes",
     )
 
     _id_counter = itertools.count(1)
@@ -54,7 +61,7 @@ class Message:
         created_ns: int = 0,
         on_complete: Optional[Callable[["Message"], None]] = None,
         deadline_ns: Optional[int] = None,
-        context: object = None,
+        context: Any = None,
     ) -> None:
         if payload_bytes <= 0:
             raise ValueError("message payload must be positive")
@@ -69,11 +76,10 @@ class Message:
         self.deadline_ns = deadline_ns
         self.terminated = False
         self.context = context
-
-    @property
-    def size_mtus(self) -> int:
-        """Message size in MTUs (the unit SLOs are normalized by)."""
-        return mtus_for_bytes(self.payload_bytes)
+        self.size_mtus = mtus_for_bytes(payload_bytes)
+        self.next_seq = 0
+        self.acked_packets = 0
+        self.acked_bytes = 0
 
     @property
     def rnl_ns(self) -> int:
@@ -84,11 +90,11 @@ class Message:
 
     def packet_payload(self, seq: int) -> int:
         """Payload carried by the seq-th packet of this message."""
-        full, rem = divmod(self.payload_bytes, MTU_BYTES)
-        if seq < full:
+        last = self.size_mtus - 1
+        if seq < last:
             return MTU_BYTES
-        if seq == full and rem:
-            return rem
+        if seq == last:
+            return self.payload_bytes - last * MTU_BYTES
         raise IndexError(f"packet {seq} out of range for {self.payload_bytes}B message")
 
 

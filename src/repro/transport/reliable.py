@@ -28,11 +28,14 @@ from dataclasses import dataclass
 from typing import Callable, Deque, Dict, Tuple
 
 from repro.net.node import Host
-from repro.net.packet import CONTROL_BYTES, Packet, PacketKind, data_packet
+from repro.net.packet import CONTROL_BYTES, HEADER_BYTES, Packet, PacketKind
 from repro.obs.runtime import active_tracer
 from repro.sim.engine import Simulator
 from repro.transport.base import CongestionControl, Message
 from repro.transport.swift import SwiftCC
+
+_DATA = PacketKind.DATA
+_ACK = PacketKind.ACK
 
 #: Factory producing a fresh CC instance per flow.
 CCFactory = Callable[[], CongestionControl]
@@ -79,14 +82,6 @@ class _Outstanding:
     retransmits: int = 0
 
 
-@dataclass(slots=True)
-class _MsgState:
-    msg: Message
-    total_packets: int
-    acked_packets: int = 0
-    acked_bytes: int = 0
-
-
 class Flow:
     """One (src, dst, qos) reliable stream."""
 
@@ -113,9 +108,11 @@ class Flow:
         # off, and all hooks are read-only w.r.t. simulation state.
         self._tracer = active_tracer()
         self._flow_label = f"{self.src}->{dst}/qos{qos}"
-        self._pending: Deque[Tuple[Message, int]] = deque()  # (msg, next seq)
-        self._messages: Dict[int, _MsgState] = {}
+        # Send/ACK progress lives on the Message (next_seq, acked_*).
+        self._pending: Deque[Message] = deque()
+        self._messages: Dict[int, Message] = {}
         self._outstanding: Dict[Tuple[int, int], _Outstanding] = {}
+        self._host_send = endpoint.host.send
         self._next_allowed_send_ns = 0
         self._timer_armed = False
         self._kick_scheduled = False
@@ -130,9 +127,12 @@ class Flow:
     def send_message(self, msg: Message) -> None:
         """Accept a message; stamps t0 (start of RNL)."""
         msg.t0_ns = self.sim.now
-        self._messages[msg.msg_id] = _MsgState(msg, msg.size_mtus)
-        self._pending.append((msg, 0))
-        self._maybe_send()
+        self._messages[msg.msg_id] = msg
+        self._pending.append(msg)
+        # A full window (the common case under backlog) sends nothing.
+        cwnd = self.cc.cwnd
+        if cwnd < 1.0 or len(self._outstanding) < int(cwnd):
+            self._maybe_send()
 
     @property
     def inflight(self) -> int:
@@ -143,35 +143,37 @@ class Flow:
         """Messages accepted but not yet fully transmitted."""
         return len(self._pending)
 
-    def _window(self) -> int:
-        return max(1, int(self.cc.cwnd))
-
     def _maybe_send(self) -> None:
-        sent = 0
+        pending = self._pending
+        outstanding = self._outstanding
+        cc = self.cc
+        budget = self.config.max_burst
         now = self.sim.now
-        while self._pending and sent < self.config.max_burst:
-            if self.inflight >= self._window():
-                return
-            if self.cc.cwnd < 1.0:
-                if self.inflight > 0:
+        while pending and budget > 0:
+            cwnd = cc.cwnd
+            if cwnd < 1.0:
+                if outstanding:
                     return
                 if now < self._next_allowed_send_ns:
                     self._schedule_kick(self._next_allowed_send_ns - now)
                     return
+            elif len(outstanding) >= int(cwnd):
+                return
             gate = self._extra_gate_ns()
             if gate > 0:
                 self._schedule_kick(gate)
                 return
-            msg, seq = self._pending[0]
+            msg = pending[0]
+            seq = msg.next_seq
             self._transmit(msg, seq, retransmit=False)
-            if seq + 1 >= msg.size_mtus:
-                self._pending.popleft()
-            else:
-                self._pending[0] = (msg, seq + 1)
-            sent += 1
-            if self.cc.cwnd < 1.0:
-                gap = self.cc.pacing_gap_ns(self.config.base_rtt_ns)
-                self._next_allowed_send_ns = self.sim.now + gap
+            msg.next_seq = seq + 1
+            if msg.next_seq >= msg.size_mtus:
+                pending.popleft()
+            budget -= 1
+            if cwnd < 1.0:
+                self._next_allowed_send_ns = now + cc.pacing_gap_ns(
+                    self.config.base_rtt_ns
+                )
                 return
 
     def _extra_gate_ns(self) -> int:
@@ -193,33 +195,39 @@ class Flow:
     def _transmit(self, msg: Message, seq: int, retransmit: bool) -> None:
         payload = msg.packet_payload(seq)
         remaining = msg.size_mtus - seq
-        pkt = data_packet(
-            src=self.src,
-            dst=self.dst,
-            payload_bytes=payload,
-            qos=self._packet_qos(msg, remaining),
-            flow_id=self.flow_id,
-            seq=seq,
-            msg_id=msg.msg_id,
-            remaining_mtus=remaining,
-            deadline_ns=msg.deadline_ns,
+        msg_id = msg.msg_id
+        now = self.sim.now
+        # Packet's positional order: src, dst, size_bytes, qos, flow_id,
+        # seq, kind, remaining_mtus, deadline_ns, msg_id.
+        pkt = Packet(
+            self.src,
+            self.dst,
+            payload + HEADER_BYTES,
+            self._packet_qos(msg, remaining),
+            self.flow_id,
+            seq,
+            _DATA,
+            remaining,
+            msg.deadline_ns,
+            msg_id,
         )
-        pkt.sent_time_ns = self.sim.now
-        key = (msg.msg_id, seq)
+        pkt.sent_time_ns = now
+        key = (msg_id, seq)
         entry = self._outstanding.get(key)
         if entry is None:
-            self._outstanding[key] = _Outstanding(msg, seq, payload, self.sim.now)
+            self._outstanding[key] = _Outstanding(msg, seq, payload, now)
         else:
-            entry.sent_ns = self.sim.now
+            entry.sent_ns = now
             entry.retransmits += 1
             self.retransmitted_packets += 1
             if self._tracer is not None:
                 self._tracer.on_flow_retransmit(
-                    self._flow_label, seq, self.sim.now, msg_id=msg.msg_id
+                    self._flow_label, seq, now, msg_id=msg_id
                 )
         self.sent_packets += 1
-        self.endpoint.host.send(pkt)
-        self._arm_timer()
+        self._host_send(pkt)
+        if not self._timer_armed:
+            self._arm_timer()
 
     def _schedule_kick(self, delay_ns: int) -> None:
         if self._kick_scheduled:
@@ -235,8 +243,7 @@ class Flow:
     # ACK handling
     # ------------------------------------------------------------------
     def on_ack(self, msg_id: int, seq: int) -> None:
-        key = (msg_id, seq)
-        entry = self._outstanding.pop(key, None)
+        entry = self._outstanding.pop((msg_id, seq), None)
         if entry is None:
             return  # duplicate / stale ACK
         now = self.sim.now
@@ -244,16 +251,19 @@ class Flow:
         self.cc.on_ack(rtt, now)
         if self._tracer is not None:
             self._tracer.on_flow_ack(self._flow_label, self.cc.cwnd, rtt, now)
-        self.acked_payload_bytes += entry.payload
-        self.endpoint.record_acked_payload(self.qos, entry.payload)
-        state = self._messages.get(msg_id)
-        if state is not None:
-            state.acked_packets += 1
-            state.acked_bytes += entry.payload
-            if state.acked_packets >= state.total_packets:
+        payload = entry.payload
+        self.acked_payload_bytes += payload
+        by_qos = self.endpoint.acked_payload_by_qos
+        by_qos[self.qos] = by_qos.get(self.qos, 0) + payload
+        msg = self._messages.get(msg_id)
+        if msg is not None:
+            msg.acked_packets += 1
+            msg.acked_bytes += payload
+            if msg.acked_packets >= msg.size_mtus:
                 del self._messages[msg_id]
-                self._complete(state.msg)
-        self._maybe_send()
+                self._complete(msg)
+        if self._pending:
+            self._maybe_send()
 
     def _complete(self, msg: Message) -> None:
         msg.completed_ns = self.sim.now
@@ -263,10 +273,10 @@ class Flow:
 
     def remaining_payload_bytes(self, msg_id: int) -> int:
         """Unacknowledged payload of an in-progress message (0 if done)."""
-        state = self._messages.get(msg_id)
-        if state is None:
+        msg = self._messages.get(msg_id)
+        if msg is None:
             return 0
-        return max(0, state.msg.payload_bytes - state.acked_bytes)
+        return max(0, msg.payload_bytes - msg.acked_bytes)
 
     def cancel_message(self, msg_id: int) -> bool:
         """Terminate a message: drop its queued and in-flight packets.
@@ -276,15 +286,12 @@ class Flow:
         ``msg.terminated`` set so the RPC stack records the loss.
         Returns False when the message is unknown (e.g. completed).
         """
-        state = self._messages.pop(msg_id, None)
-        if state is None:
+        msg = self._messages.pop(msg_id, None)
+        if msg is None:
             return False
-        self._pending = deque(
-            (m, s) for m, s in self._pending if m.msg_id != msg_id
-        )
+        self._pending = deque(m for m in self._pending if m is not msg)
         for key in [k for k in self._outstanding if k[0] == msg_id]:
             del self._outstanding[key]
-        msg = state.msg
         msg.terminated = True
         self.endpoint.on_message_complete(msg)
         if msg.on_complete is not None:
@@ -334,6 +341,8 @@ class TransportEndpoint:
         self.on_message_complete: Callable[[Message], None] = lambda msg: None
         self.acked_payload_by_qos: Dict[int, int] = {}
         self.received_data_packets = 0
+        self._ack_delay_ns = max(1, config.base_rtt_ns // 2)
+        self._post = sim.post
         host.handler = self.receive
 
     def register_peer(self, endpoint: "TransportEndpoint") -> None:
@@ -356,17 +365,15 @@ class TransportEndpoint:
         """Entry point for the RPC stack: route the message to its flow."""
         self.flow_to(msg.dst, msg.qos).send_message(msg)
 
-    def record_acked_payload(self, qos: int, payload: int) -> None:
-        self.acked_payload_by_qos[qos] = self.acked_payload_by_qos.get(qos, 0) + payload
-
     # ------------------------------------------------------------------
     # Receive path
     # ------------------------------------------------------------------
     def receive(self, pkt: Packet) -> None:
-        if pkt.kind == PacketKind.DATA:
+        kind = pkt.kind
+        if kind == _DATA:
             self.received_data_packets += 1
             self._ack(pkt)
-        elif pkt.kind == PacketKind.ACK:
+        elif kind == _ACK:
             flow = self._flows_by_id.get(pkt.flow_id)
             if flow is not None:
                 flow.on_ack(pkt.msg_id, pkt.seq)
@@ -385,12 +392,7 @@ class TransportEndpoint:
                 )
             flow = peer._flows_by_id.get(pkt.flow_id)
             if flow is not None:
-                self.sim.post(
-                    max(1, self.config.base_rtt_ns // 2),
-                    flow.on_ack,
-                    pkt.msg_id,
-                    pkt.seq,
-                )
+                self._post(self._ack_delay_ns, flow.on_ack, pkt.msg_id, pkt.seq)
             return
         ack = Packet(
             src=self.host.host_id,
@@ -399,7 +401,7 @@ class TransportEndpoint:
             qos=self.config.ack_qos,
             flow_id=pkt.flow_id,
             seq=pkt.seq,
-            kind=PacketKind.ACK,
+            kind=_ACK,
             msg_id=pkt.msg_id,
         )
         self.host.send(ack)

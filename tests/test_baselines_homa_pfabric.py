@@ -63,6 +63,33 @@ def test_homa_large_message_uses_grants():
     assert eps[1].grants_sent == 20  # one per scheduled packet
 
 
+def test_homa_flow_holds_no_state_for_completed_messages():
+    """Regression: the sender used to record every multi-packet message
+    in a table nothing read or pruned.  After N completions the flow's
+    attributes must look as they did before the first message."""
+    sim, eps = make_homa_cluster()
+    flow = eps[0].flow_to(1, 0)
+
+    def sizes():
+        return {
+            name: len(value)
+            for name, value in vars(flow).items()
+            if hasattr(value, "__len__") and not isinstance(value, str)
+        }
+
+    before = sizes()
+    done = []
+    for mtus in (1, DEFAULT_UNSCHEDULED_MTUS, DEFAULT_UNSCHEDULED_MTUS + 5) * 4:
+        eps[0].send_message(
+            Message(dst=1, payload_bytes=mtus * MTU_BYTES, qos=0,
+                    on_complete=done.append)
+        )
+    sim.run(until=ns_from_ms(5))
+    assert len(done) == 12
+    assert not flow._messages and not flow._outstanding and not flow._pending
+    assert sizes() == before
+
+
 def test_homa_grants_favor_smallest_remaining():
     """SRPT: a late-arriving small message finishes before a big one."""
     sim, eps = make_homa_cluster()

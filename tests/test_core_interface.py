@@ -9,6 +9,8 @@ the clock-normalization seam (:func:`as_now_fn`), the ``enabled=False``
 passthrough, and the quota-gate branches.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core.admission import AdmissionParams
@@ -159,6 +161,28 @@ class TestDisabledEngine:
             assert not outcome.downgraded
             engine.complete("dst", 500 * MS, 1, 0)  # feedback is a no-op
         assert engine.p_admit("dst", 0) == pytest.approx(1.0)
+
+
+class TestSharedVerdictsAreImmutable:
+    """``decide`` hands every caller the same outcome objects, and the
+    controller's decisions may be kept by applications: neither may be
+    writable."""
+
+    def test_outcome_and_decision_reject_assignment(self):
+        engine = AdmissionEngine(two_level_slo_map(), seed=9)
+        outcome = engine.decide("dst", 0)
+        decision = engine.channels.controller("dst").on_rpc_issue_qos(0)
+        for verdict in (outcome, decision):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                verdict.qos_run = 1
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                verdict.downgraded = True
+
+    def test_equal_verdicts_are_one_object(self):
+        engine = AdmissionEngine(two_level_slo_map(), seed=9, enabled=False)
+        assert engine.decide("a", 0) is engine.decide("b", 0)
+        # A level outside the configured plane still gets an answer.
+        assert engine.decide("a", 7).qos_run == 7
 
 
 # ----------------------------------------------------------------------

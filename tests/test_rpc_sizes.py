@@ -15,6 +15,7 @@ from repro.rpc.sizes import (
     production_mixture,
     production_size_dist,
 )
+from repro.sim.rng import WeightedChoice
 
 
 def test_fixed_size():
@@ -43,6 +44,36 @@ def test_choice_size_respects_weights():
     samples = [d.sample(rng) for _ in range(5000)]
     frac_small = samples.count(100) / len(samples)
     assert frac_small == pytest.approx(0.9, abs=0.03)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        [0.6, 0.2, 0.2],  # normalised
+        [9, 1, 4, 2],  # unnormalised ints
+        [2.5, 1.0, 0.0, 0.0],  # zero-weight tail
+    ],
+)
+def test_weighted_choice_is_stream_identical_to_random_choices(weights):
+    """``pick`` must be ``rng.choices(..., k=1)[0]`` on the running
+    interpreter: the same element and the same generator state after
+    every draw, so swapping one for the other moves no seeded run."""
+    population = list(range(len(weights)))
+    choice = WeightedChoice(population, weights)
+    for seed in range(5):
+        ours, stdlib = random.Random(seed), random.Random(seed)
+        for _ in range(10_000):
+            assert choice.pick(ours) == stdlib.choices(population, weights, k=1)[0]
+        assert ours.getstate() == stdlib.getstate()
+
+
+def test_weighted_choice_validation():
+    with pytest.raises(ValueError):
+        WeightedChoice([], [])
+    with pytest.raises(ValueError):
+        WeightedChoice([1, 2], [1.0])
+    with pytest.raises(ValueError):
+        WeightedChoice([1, 2], [0.0, 0.0])
 
 
 def test_choice_size_validation():

@@ -48,79 +48,72 @@ def _sha(parts: List[Any]) -> str:
     return hashlib.sha256(repr(parts).encode()).hexdigest()
 
 
-class _Run:
-    """One built cluster plus the sources its traffic function made."""
+def _observe(
+    setup: Optional[Callable[[ClusterResult], None]] = None,
+    incast: bool = False,
+    size_dist: Any = None,
+    pattern: Optional[BurstPattern] = None,
+    **cfg: Any,
+) -> Dict[str, Any]:
+    """Build one cluster, run it to its horizon, and read off the pins."""
+    sources: List[OpenLoopSource] = []
+    size_dist = size_dist if size_dist is not None else FixedSize(32 * 1024)
+    pattern = pattern if pattern is not None else BurstPattern()
 
-    def __init__(
-        self,
-        setup: Optional[Callable[[ClusterResult], None]] = None,
-        incast: bool = False,
-        size_dist: Any = None,
-        pattern: Optional[BurstPattern] = None,
-        **cfg: Any,
-    ) -> None:
-        self.sources: List[OpenLoopSource] = []
-        size_dist = size_dist if size_dist is not None else FixedSize(32 * 1024)
-        pattern = pattern if pattern is not None else BurstPattern()
-
-        def traffic(sim: Any, stacks: List[Any], conf: ClusterConfig) -> None:
-            hosts = [s.host.host_id for s in stacks]
-            for stack in stacks[1:] if incast else stacks:
-                me = stack.host.host_id
-                self.sources.append(
-                    OpenLoopSource(
-                        sim,
-                        stack,
-                        [0] if incast else [h for h in hosts if h != me],
-                        _MIX,
-                        size_dist,
-                        pattern,
-                        line_rate_bps=conf.line_rate_bps,
-                        rng=random.Random(conf.seed * 7919 + me),
-                        stop_ns=ns_from_ms(conf.duration_ms),
-                    )
+    def traffic(sim: Any, stacks: List[Any], conf: ClusterConfig) -> None:
+        hosts = [s.host.host_id for s in stacks]
+        for stack in stacks[1:] if incast else stacks:
+            me = stack.host.host_id
+            sources.append(
+                OpenLoopSource(
+                    sim,
+                    stack,
+                    [0] if incast else [h for h in hosts if h != me],
+                    _MIX,
+                    size_dist,
+                    pattern,
+                    line_rate_bps=conf.line_rate_bps,
+                    rng=random.Random(conf.seed * 7919 + me),
+                    stop_ns=ns_from_ms(conf.duration_ms),
                 )
+            )
 
-        cfg.setdefault("warmup_ms", cfg["duration_ms"] / 10)
-        self.cluster = build_cluster(ClusterConfig(traffic_fn=traffic, **cfg))
-        if setup is not None:
-            setup(self.cluster)
-        attach_traffic(self.cluster)
-        self.cluster.sim.run(until=ns_from_ms(cfg["duration_ms"]))
+    cfg.setdefault("warmup_ms", cfg["duration_ms"] / 10)
+    cluster = build_cluster(ClusterConfig(traffic_fn=traffic, **cfg))
+    if setup is not None:
+        setup(cluster)
+    attach_traffic(cluster)
+    cluster.sim.run(until=ns_from_ms(cfg["duration_ms"]))
 
-    def observed(self) -> Dict[str, Any]:
-        cluster = self.cluster
-        digest = completed_rpc_digest(cluster.metrics)
-        ports = list(cluster.net.host_ports.values()) + list(
-            cluster.net.switch_ports.values()
-        )
-        flows = [
-            (stack.host.host_id, flow)
-            for stack in cluster.stacks
-            # DeadlineEndpoint keeps its per-message flows only by id.
-            for flow in (
-                stack.endpoint.flows or stack.endpoint._flows_by_id
-            ).values()
-        ]
-        return {
-            "digest_hex": digest_hex(digest),
-            "events": cluster.sim.events_processed,
-            "issued": digest["issued"],
-            "completed": digest["completed"],
-            "downgrades": cluster.metrics.downgrades,
-            "terminated": cluster.metrics.terminated,
-            "packets_sent": sum(p.packets_sent for p in ports),
-            "retransmits": sum(f.retransmitted_packets for _, f in flows),
-            "source_rng": _sha([s.rng.getstate() for s in self.sources]),
-            "admit_rng": _sha(
-                [
-                    (stack.host.host_id, dst, ctrl._rng.getstate())
-                    for stack in cluster.stacks
-                    for dst, ctrl in sorted(stack.registry.controllers().items())
-                ]
-            ),
-            "cwnd": _sha([(h, f.dst, f.qos, f.cc.cwnd) for h, f in flows]),
-        }
+    digest = completed_rpc_digest(cluster.metrics)
+    ports = list(cluster.net.host_ports.values()) + list(
+        cluster.net.switch_ports.values()
+    )
+    flows = [
+        (stack.host.host_id, flow)
+        for stack in cluster.stacks
+        # DeadlineEndpoint keeps its per-message flows only by id.
+        for flow in (stack.endpoint.flows or stack.endpoint._flows_by_id).values()
+    ]
+    return {
+        "digest_hex": digest_hex(digest),
+        "events": cluster.sim.events_processed,
+        "issued": digest["issued"],
+        "completed": digest["completed"],
+        "downgrades": cluster.metrics.downgrades,
+        "terminated": cluster.metrics.terminated,
+        "packets_sent": sum(p.packets_sent for p in ports),
+        "retransmits": sum(f.retransmitted_packets for _, f in flows),
+        "source_rng": _sha([s.rng.getstate() for s in sources]),
+        "admit_rng": _sha(
+            [
+                (stack.host.host_id, dst, ctrl._rng.getstate())
+                for stack in cluster.stacks
+                for dst, ctrl in sorted(stack.registry.controllers().items())
+            ]
+        ),
+        "cwnd": _sha([(h, f.dst, f.qos, f.cc.cwnd) for h, f in flows]),
+    }
 
 
 # -- branch set-ups ------------------------------------------------------
@@ -340,11 +333,11 @@ GOLDEN: Dict[str, Dict[str, Any]] = {
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_run_matches_golden(name: str) -> None:
-    assert _Run(**CASES[name]).observed() == GOLDEN[name]
+    assert _observe(**CASES[name]) == GOLDEN[name]
 
 
 if __name__ == "__main__":
     import json
 
-    observed = {name: _Run(**case).observed() for name, case in CASES.items()}
+    observed = {name: _observe(**case) for name, case in CASES.items()}
     print("GOLDEN: Dict[str, Dict[str, Any]] =", json.dumps(observed, indent=4))

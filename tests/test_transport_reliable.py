@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net.packet import MTU_BYTES
+from repro.net.packet import MTU_BYTES, mtus_for_bytes
 from repro.net.topology import build_star, wfq_factory
 from repro.sim.engine import Simulator, ns_from_ms, ns_from_us
 from repro.transport.base import FixedWindowCC, Message
@@ -50,6 +50,13 @@ def test_message_sizes():
     assert msg.packet_payload(7) == MTU_BYTES
     with pytest.raises(IndexError):
         msg.packet_payload(8)
+
+
+@pytest.mark.parametrize("payload", [1, 4095, 4096, 4097, 32768])
+def test_message_size_mtus_matches_mtus_for_bytes(payload):
+    msg = Message(dst=1, payload_bytes=payload, qos=0)
+    assert msg.size_mtus == mtus_for_bytes(payload)
+    assert sum(msg.packet_payload(s) for s in range(msg.size_mtus)) == payload
 
 
 def test_partial_final_packet():
