@@ -1,6 +1,58 @@
 """Tests for the command-line figure runner."""
 
+import hashlib
+
 from repro.cli import _EXPERIMENTS, main
+
+#: ``python -m repro list``, byte for byte.
+_LIST_GOLDEN = """\
+fig08  theoretical 2-QoS worst-case delay
+fig09  fluid 3-QoS delay, weights 8:4:1 and 50:4:1
+fig10  packet simulator vs theory
+fig11  achieved RNL tracks the SLO (3-node)
+fig12  cluster tails w/ vs w/o Aequitas
+fig13  outstanding RPCs per switch port
+fig14  baseline tail vs QoS_h-share
+fig15  admitted QoS-mix vs input mix
+fig16  admitted traffic vs burstiness (C/rho)
+fig17  fairness across unequal channels
+fig18  in-quota channel protection (max-min)
+fig19  Aequitas vs strict priority queuing
+fig20  mixed 32/64 KB RPC sizes
+fig21  production sizes under extreme overload
+fig22  comparison vs pFabric/QJump/D3/PDQ/Homa
+fig23  simulated testbed deployment
+fig24  Phase-1 rollout across a cluster ensemble
+fig28  alpha/beta sensitivity (Appendix C)
+nqos   five-QoS-level generalization
+"""
+
+#: SHA-256 of ``python -m repro <figure> [--quick]`` minus its timing line.
+_TABLE_GOLDEN = {
+    ("fig08",): "f01bbb2957f00f53af82940a96886b1ffa1b45ee18de76bcc3a50c6bfad2e062",
+    ("fig08", "--quick"): "fbb35fda4acd6f2d8efc554685e9f00ec6491b17b6b97685183ea600c3430bbb",
+    ("fig09",): "fdda6cd9b95e2eb9df0a3164093e38758b325c5917ac5d086867b50e23e2306d",
+}
+
+
+def test_list_output_matches_golden(capsys):
+    assert main(["list"]) == 0
+    assert capsys.readouterr().out == _LIST_GOLDEN
+
+
+def test_figure_tables_match_golden(capsys):
+    for argv, sha in _TABLE_GOLDEN.items():
+        assert main(list(argv)) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2].startswith("[") and lines[-2].endswith("s]")
+        text = "\n".join(lines[:-2])
+        assert hashlib.sha256(text.encode()).hexdigest() == sha, argv
+
+
+def test_cli_table_and_runner_registry_name_the_same_figures():
+    from repro.runner.registry import FIGURE_MODULES
+
+    assert set(_EXPERIMENTS) == set(FIGURE_MODULES)
 
 
 def test_list_prints_all_experiments(capsys):
