@@ -1,6 +1,13 @@
 """Aequitas (SIGCOMM 2022) reproduction.
 
-Top-level convenience re-exports; the subpackages are the real API:
+This init re-exports the admission core's seven names and nothing
+else; the subpackages are the real API, and each name is imported from
+the module that defines it (``repro.stats.summary.percentile``,
+``repro.experiments.cluster.build_cluster``).  The package inits of
+``net``, ``baselines``, ``analysis``, ``experiments`` and ``stats``
+import nothing, and ``live``/``obs``/``runner`` re-export only their
+light core, so an entry point loads what it runs — DESIGN.md, "Cold
+start":
 
 * :mod:`repro.core` — QoS model, SLOs, Algorithm-1 admission control,
   quota server, downgrade-feedback policy;

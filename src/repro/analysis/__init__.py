@@ -1,62 +1,5 @@
 """Analysis: delay bounds, fluid GPS, admissible region, convergence,
-run reports."""
-
-from repro.analysis.admissible import (
-    delay_vs_share_profile,
-    guaranteed_admitted_share,
-    inversion_free,
-    is_admissible_mix,
-    max_admissible_high_share,
-)
-from repro.analysis.delay_bounds import (
-    TrafficModel,
-    delay_h,
-    delay_h_infinite_phi,
-    delay_l,
-    priority_inversion_share,
-    sweep,
-)
-from repro.analysis.convergence import (
-    QosConvergence,
-    SteadyState,
-    detect,
-    detect_tracks,
-    per_qos_convergence,
-)
-from repro.analysis.fluid import FluidResult, simulate_fluid, sweep_three_qos
-from repro.analysis.report import (
-    DiffResult,
-    DiffThresholds,
-    diff_summaries,
-    render_html,
-    render_text,
-    summarize,
-)
-
-__all__ = [
-    "DiffResult",
-    "DiffThresholds",
-    "FluidResult",
-    "QosConvergence",
-    "SteadyState",
-    "TrafficModel",
-    "delay_h",
-    "delay_h_infinite_phi",
-    "delay_l",
-    "delay_vs_share_profile",
-    "detect",
-    "detect_tracks",
-    "diff_summaries",
-    "guaranteed_admitted_share",
-    "inversion_free",
-    "is_admissible_mix",
-    "max_admissible_high_share",
-    "per_qos_convergence",
-    "priority_inversion_share",
-    "render_html",
-    "render_text",
-    "simulate_fluid",
-    "summarize",
-    "sweep",
-    "sweep_three_qos",
-]
+attribution, run reports.  Import from the defining module
+(``repro.analysis.delay_bounds``, ``repro.analysis.report``, ...); this
+init imports nothing, so a caller of one closed form does not load the
+report renderer."""

@@ -1,65 +1,4 @@
-"""Baseline systems compared against Aequitas (Sections 6.7 and 6.10)."""
-
-from repro.baselines.d3 import (
-    BE_DEADLINE_NS,
-    D3_DEADLINES_NS,
-    d3_arbiter_map,
-    d3_deadline_fn,
-    d3_scheduler_factory,
-)
-from repro.baselines.deadline import DeadlineEndpoint, PortArbiter, RateControlledFlow
-from repro.baselines.homa import (
-    HOMA_PRIORITY_LEVELS,
-    HomaEndpoint,
-    HomaFlow,
-    homa_priority,
-    homa_scheduler_factory,
-)
-from repro.baselines.pdq import (
-    PDQ_DEADLINES_NS,
-    pdq_arbiter_map,
-    pdq_deadline_fn,
-    pdq_scheduler_factory,
-)
-from repro.baselines.pfabric import (
-    pfabric_scheduler_factory,
-    pfabric_transport_config,
-)
-from repro.baselines.qjump import (
-    QJumpEndpoint,
-    QJumpFlow,
-    TokenBucket,
-    qjump_level_rates,
-    qjump_scheduler_factory,
-    qjump_transport_config,
-)
-from repro.baselines.spq import spq_factory
-
-__all__ = [
-    "BE_DEADLINE_NS",
-    "D3_DEADLINES_NS",
-    "DeadlineEndpoint",
-    "HOMA_PRIORITY_LEVELS",
-    "HomaEndpoint",
-    "HomaFlow",
-    "PDQ_DEADLINES_NS",
-    "PortArbiter",
-    "QJumpEndpoint",
-    "QJumpFlow",
-    "RateControlledFlow",
-    "TokenBucket",
-    "d3_arbiter_map",
-    "d3_deadline_fn",
-    "d3_scheduler_factory",
-    "homa_priority",
-    "homa_scheduler_factory",
-    "pdq_arbiter_map",
-    "pdq_deadline_fn",
-    "pdq_scheduler_factory",
-    "pfabric_scheduler_factory",
-    "pfabric_transport_config",
-    "qjump_level_rates",
-    "qjump_scheduler_factory",
-    "qjump_transport_config",
-    "spq_factory",
-]
+"""Baseline systems compared against Aequitas (Sections 6.7 and 6.10):
+pFabric, QJump, D3, PDQ, Homa and strict priority queuing, one module
+each over the shared deadline machinery in
+:mod:`repro.baselines.deadline`.  Import from the defining module."""

@@ -34,149 +34,113 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
-from repro.runner import (
-    UnknownExperimentError,
-    UnknownProfileError,
-    run_experiment,
-)
-from repro.experiments import (
-    fig08,
-    fig09,
-    fig10,
-    fig11,
-    fig12,
-    fig13,
-    fig14,
-    fig15,
-    fig16,
-    fig17,
-    fig18,
-    fig19,
-    fig20,
-    fig21,
-    fig22,
-    fig23,
-    fig24,
-    fig28_29,
-    nqos,
-)
-
-#: name -> (description, full-run thunk, quick-run thunk); every thunk
-#: returns a result object with a ``table()`` method.
-_EXPERIMENTS: Dict[str, Tuple[str, Callable[[], Any], Callable[[], Any]]] = {
+#: name -> (description, full-run kwargs, quick-run kwargs) for the
+#: figure driver's ``run`` (fig09: ``run_both_panels``, which takes
+#: none).  Data only, so importing the CLI loads no figure module; the
+#: name resolves to its driver through ``repro.runner.registry`` (same
+#: keys, test-enforced) on dispatch.
+_EXPERIMENTS: Dict[str, Tuple[str, Dict[str, Any], Dict[str, Any]]] = {
     "fig08": (
         "theoretical 2-QoS worst-case delay",
-        lambda: fig08.run(),
-        lambda: fig08.run(points=21),
+        {},
+        {"points": 21},
     ),
     "fig09": (
         "fluid 3-QoS delay, weights 8:4:1 and 50:4:1",
-        lambda: _both_tables(fig09.run_both_panels()),
-        lambda: _both_tables(fig09.run_both_panels()),
+        {},
+        {},
     ),
     "fig10": (
         "packet simulator vs theory",
-        lambda: fig10.run(),
-        lambda: fig10.run(shares=[0.1, 0.4, 0.7, 0.85]),
+        {},
+        {"shares": [0.1, 0.4, 0.7, 0.85]},
     ),
     "fig11": (
         "achieved RNL tracks the SLO (3-node)",
-        lambda: fig11.run(),
-        lambda: fig11.run(slos_us=(15.0, 40.0)),
+        {},
+        {"slos_us": (15.0, 40.0)},
     ),
     "fig12": (
         "cluster tails w/ vs w/o Aequitas",
-        lambda: fig12.run(),
-        lambda: fig12.run(num_hosts=6, duration_ms=24.0, warmup_ms=12.0),
+        {},
+        {"num_hosts": 6, "duration_ms": 24.0, "warmup_ms": 12.0},
     ),
     "fig13": (
         "outstanding RPCs per switch port",
-        lambda: fig13.run(),
-        lambda: fig13.run(num_hosts=6, duration_ms=24.0, warmup_ms=12.0),
+        {},
+        {"num_hosts": 6, "duration_ms": 24.0, "warmup_ms": 12.0},
     ),
     "fig14": (
         "baseline tail vs QoS_h-share",
-        lambda: fig14.run(),
-        lambda: fig14.run(shares=(0.1, 0.3, 0.5), num_hosts=6),
+        {},
+        {"shares": (0.1, 0.3, 0.5), "num_hosts": 6},
     ),
     "fig15": (
         "admitted QoS-mix vs input mix",
-        lambda: fig15.run(),
-        lambda: fig15.run(num_hosts=6, duration_ms=24.0, warmup_ms=12.0),
+        {},
+        {"num_hosts": 6, "duration_ms": 24.0, "warmup_ms": 12.0},
     ),
     "fig16": (
         "admitted traffic vs burstiness (C/rho)",
-        lambda: fig16.run(),
-        lambda: fig16.run(rhos=(1.4, 1.8, 2.2), num_hosts=6),
+        {},
+        {"rhos": (1.4, 1.8, 2.2), "num_hosts": 6},
     ),
     "fig17": (
         "fairness across unequal channels",
-        lambda: fig17.run(duration_ms=100.0),
-        lambda: fig17.run(duration_ms=50.0),
+        {"duration_ms": 100.0},
+        {"duration_ms": 50.0},
     ),
     "fig18": (
         "in-quota channel protection (max-min)",
-        lambda: fig18.run(),
-        lambda: fig18.run(duration_ms=40.0),
+        {},
+        {"duration_ms": 40.0},
     ),
     "fig19": (
         "Aequitas vs strict priority queuing",
-        lambda: fig19.run(),
-        lambda: fig19.run(shares=(0.5, 0.8), num_hosts=6, duration_ms=20.0,
-                          warmup_ms=10.0),
+        {},
+        {"shares": (0.5, 0.8), "num_hosts": 6, "duration_ms": 20.0,
+         "warmup_ms": 10.0},
     ),
     "fig20": (
         "mixed 32/64 KB RPC sizes",
-        lambda: fig20.run(),
-        lambda: fig20.run(num_hosts=6, duration_ms=20.0, warmup_ms=10.0),
+        {},
+        {"num_hosts": 6, "duration_ms": 20.0, "warmup_ms": 10.0},
     ),
     "fig21": (
         "production sizes under extreme overload",
-        lambda: fig21.run(burst_rho=2.5),
-        lambda: fig21.run(num_hosts=6, duration_ms=20.0, warmup_ms=10.0,
-                          burst_rho=2.5),
+        {"burst_rho": 2.5},
+        {"num_hosts": 6, "duration_ms": 20.0, "warmup_ms": 10.0,
+         "burst_rho": 2.5},
     ),
     "fig22": (
         "comparison vs pFabric/QJump/D3/PDQ/Homa",
-        lambda: fig22.run(),
-        lambda: fig22.run(num_hosts=5, duration_ms=10.0, warmup_ms=4.0),
+        {},
+        {"num_hosts": 5, "duration_ms": 10.0, "warmup_ms": 4.0},
     ),
     "fig23": (
         "simulated testbed deployment",
-        lambda: fig23.run(),
-        lambda: fig23.run(num_hosts=6, duration_ms=20.0, warmup_ms=10.0),
+        {},
+        {"num_hosts": 6, "duration_ms": 20.0, "warmup_ms": 10.0},
     ),
     "fig24": (
         "Phase-1 rollout across a cluster ensemble",
-        lambda: fig24.run(),
-        lambda: fig24.run(num_clusters=3, num_hosts=5, duration_ms=8.0,
-                          warmup_ms=3.0),
+        {},
+        {"num_clusters": 3, "num_hosts": 5, "duration_ms": 8.0,
+         "warmup_ms": 3.0},
     ),
     "fig28": (
         "alpha/beta sensitivity (Appendix C)",
-        lambda: fig28_29.run(),
-        lambda: fig28_29.run(duration_ms=40.0),
+        {},
+        {"duration_ms": 40.0},
     ),
     "nqos": (
         "five-QoS-level generalization",
-        lambda: nqos.run(),
-        lambda: nqos.run(duration_ms=15.0, warmup_ms=7.0),
+        {},
+        {"duration_ms": 15.0, "warmup_ms": 7.0},
     ),
 }
-
-
-class _TablePair:
-    def __init__(self, text: str):
-        self._text = text
-
-    def table(self) -> str:
-        return self._text
-
-
-def _both_tables(pair: Tuple[fig09.Fig9Result, fig09.Fig9Result]) -> _TablePair:
-    return _TablePair(pair[0].table() + "\n\n" + pair[1].table())
 
 
 def _run_main(argv: Sequence[str]) -> int:
@@ -220,7 +184,7 @@ def _run_main(argv: Sequence[str]) -> int:
     parser.add_argument(
         "--cache-dir",
         default=None,
-        help="point cache directory (default: <results-dir>/.cache)",
+        help="point cache directory (default: <results-dir>/_cache)",
     )
     parser.add_argument(
         "--no-cache",
@@ -231,7 +195,7 @@ def _run_main(argv: Sequence[str]) -> int:
         "--trace",
         action="store_true",
         help="record RPC-lifecycle traces per sweep point (writes Chrome "
-        "trace + span JSONL under <results-dir>/<run-id>/traces/; "
+        "trace + span JSONL under <results-dir>/<figure>/<run-id>-traces/; "
         "disables the point cache for the run)",
     )
     args = parser.parse_args(argv)
@@ -239,6 +203,13 @@ def _run_main(argv: Sequence[str]) -> int:
     if args.workers < 1:
         print("--workers must be >= 1", file=sys.stderr)
         return 2
+
+    from repro.runner import (
+        UnknownExperimentError,
+        UnknownProfileError,
+        run_experiment,
+    )
+
     try:
         report = run_experiment(
             args.experiment,
@@ -328,6 +299,7 @@ def _trace_main(argv: Sequence[str]) -> int:
         write_metrics_series,
     )
     from repro.obs.scenarios import run_traced_figure
+    from repro.runner.registry import UnknownExperimentError
 
     try:
         traced = run_traced_figure(
@@ -740,14 +712,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("use 'list' to see what is available", file=sys.stderr)
         return 2
 
+    from repro.runner.registry import driver_for
+
     for name in names:
         desc, full, quick = _EXPERIMENTS[name]
+        driver = driver_for(name)
         print(f"== {name}: {desc} ==")
         # perf_counter, not time(): monotonic, so a wall-clock step
         # (NTP, suspend) can never print a negative figure duration.
         start = time.perf_counter()
-        result = (quick if args.quick else full)()
-        print(result.table())
+        if name == "fig09":  # one table per panel
+            panels = driver.run_both_panels()
+        else:
+            panels = (driver.run(**(quick if args.quick else full)),)
+        print("\n\n".join(panel.table() for panel in panels))
         print(f"[{time.perf_counter() - start:.1f}s]\n")
     return 0
 

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-import numpy as np
-
 from repro.experiments.fig17 import FairnessResult, run_two_channels
 from repro.runner.point import Point, Row
 
@@ -28,10 +26,14 @@ class SensitivityCase:
 
     def p1_channel_a(self) -> float:
         """1st-percentile of Channel A's admit probability (post-warmup)."""
+        import numpy as np
+
         warm = self.result.channel_a.p_admit[len(self.result.channel_a.p_admit) // 3:]
         return float(np.percentile([v for _, v in warm], 1.0))
 
     def stability_std(self) -> float:
+        import numpy as np
+
         warm = self.result.channel_a.p_admit[len(self.result.channel_a.p_admit) // 3:]
         return float(np.std([v for _, v in warm]))
 

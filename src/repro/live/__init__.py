@@ -28,36 +28,34 @@ processes exchanging length-prefixed messages over real sockets:
 See ``docs/live.md`` for the architecture and the clock-domain caveats
 (wall clock versus sim time, why live runs are not bit-identical and
 what the convergence tolerance gate checks instead).
+
+This init re-exports only what an embedding application needs to make
+and serve calls — the client, the clock, the server and the telemetry
+plane.  The process orchestration, the simulator reference and the
+convergence gate (``runtime``, ``simref``, ``convergence``) pull in
+``multiprocessing``, the sim kernels and :mod:`repro.analysis`; their
+consumers (``python -m repro live``, the tests) import those modules
+directly, so loading the admission client loads none of them.
 """
 
 from repro.live.client import AdmissionClient, CallResult, RetryPolicy
 from repro.live.clock import WallClock
-from repro.live.convergence import CompareResult, compare_tracks
-from repro.live.runtime import LiveRunResult, run_live
 from repro.live.server import LiveServer
-from repro.live.simref import run_sim_reference
 from repro.live.telemetry import (
     LiveTelemetry,
     TelemetryConfig,
     TelemetryEndpoint,
     scrape_openmetrics,
 )
-from repro.live.workload import LiveWorkload
 
 __all__ = [
     "AdmissionClient",
     "CallResult",
-    "CompareResult",
-    "LiveRunResult",
     "LiveServer",
     "LiveTelemetry",
-    "LiveWorkload",
     "RetryPolicy",
     "TelemetryConfig",
     "TelemetryEndpoint",
     "WallClock",
-    "compare_tracks",
-    "run_live",
-    "run_sim_reference",
     "scrape_openmetrics",
 ]

@@ -1,47 +1,6 @@
-"""Network substrate: packets, schedulers, ports, switches, topologies."""
-
-from repro.net.link import DEFAULT_LINE_RATE_BPS, DEFAULT_PROP_DELAY_NS, Port
-from repro.net.node import Host, Node, Switch
-from repro.net.packet import (
-    CONTROL_BYTES,
-    HEADER_BYTES,
-    MTU_BYTES,
-    Packet,
-    PacketKind,
-    data_packet,
-    mtus_for_bytes,
-)
-from repro.net.queues import (
-    DwrrScheduler,
-    FifoScheduler,
-    PFabricScheduler,
-    Scheduler,
-    StrictPriorityScheduler,
-    WfqScheduler,
-)
-from repro.net.topology import Network, build_star, build_two_tier, wfq_factory
-
-__all__ = [
-    "CONTROL_BYTES",
-    "DEFAULT_LINE_RATE_BPS",
-    "DEFAULT_PROP_DELAY_NS",
-    "DwrrScheduler",
-    "FifoScheduler",
-    "HEADER_BYTES",
-    "Host",
-    "MTU_BYTES",
-    "Network",
-    "Node",
-    "Packet",
-    "PacketKind",
-    "PFabricScheduler",
-    "Port",
-    "Scheduler",
-    "StrictPriorityScheduler",
-    "Switch",
-    "WfqScheduler",
-    "build_star",
-    "build_two_tier",
-    "data_packet",
-    "mtus_for_bytes",
-]
+"""Network substrate: packets (:mod:`repro.net.packet`), schedulers
+(:mod:`repro.net.queues`), ports and links (:mod:`repro.net.link`),
+hosts and switches (:mod:`repro.net.node`), topologies
+(:mod:`repro.net.topology`).  Import from the defining module; this init
+imports nothing, so the live client's one ``mtus_for_bytes`` does not
+load the schedulers."""

@@ -15,7 +15,6 @@ The orchestration contract that makes parallelism safe:
 from __future__ import annotations
 
 import inspect
-import multiprocessing
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -202,6 +201,8 @@ def run_experiment(
         if workers == 1:
             outcomes = map(_execute_point, todo)
         else:
+            import multiprocessing
+
             ctx = multiprocessing.get_context("spawn")
             pool = ctx.Pool(processes=min(workers, len(todo)))
             try:

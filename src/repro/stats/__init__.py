@@ -1,19 +1,4 @@
-"""Statistics helpers: summaries, time-series samplers, convergence."""
-
-from repro.stats.convergence import convergence_time_ns, relative_gap, steady_value
-from repro.stats.sampler import PeriodicSampler, RateMeter
-from repro.stats.summary import cdf_points, mean, p99, p999, percentile, summarize
-
-__all__ = [
-    "PeriodicSampler",
-    "RateMeter",
-    "cdf_points",
-    "convergence_time_ns",
-    "mean",
-    "p99",
-    "p999",
-    "percentile",
-    "relative_gap",
-    "steady_value",
-    "summarize",
-]
+"""Statistics helpers: summaries (:mod:`repro.stats.summary`),
+time-series samplers (:mod:`repro.stats.sampler`), convergence
+(:mod:`repro.stats.convergence`), determinism digests
+(:mod:`repro.stats.digest`).  Import from the defining module."""

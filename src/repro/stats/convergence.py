@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 
 def steady_value(trace: Sequence[Tuple[int, float]], tail_fraction: float = 0.25) -> float:
     """Mean of the last ``tail_fraction`` of the trace (the settled value)."""
     if not trace:
         raise ValueError("empty trace")
+    import numpy as np  # in the function: see stats.summary
+
     values = [v for _, v in trace]
     start = int(len(values) * (1.0 - tail_fraction))
     tail = values[start:] or values[-1:]
@@ -28,6 +28,8 @@ def smooth(trace: Sequence[Tuple[int, float]], window: int = 5) -> List[Tuple[in
     """Centered moving average — flattens AIMD sawtooth before banding."""
     if window <= 1 or len(trace) <= window:
         return list(trace)
+    import numpy as np
+
     values = [v for _, v in trace]
     half = window // 2
     out = []
@@ -55,11 +57,9 @@ def convergence_time_ns(
         return None
     trace = smooth(trace, smooth_window)
     target = steady_value(trace, tail_fraction)
-    band = max(abs(target) * tolerance, 1e-9 if target == 0 else abs(target) * tolerance)
-    if target == 0:
-        band = tolerance
+    band = tolerance if target == 0 else abs(target) * tolerance
     inside = [abs(v - target) <= band for _, v in trace]
-    # Walk backwards to find the last excursion outside the band.
+    # Keep the index of the last excursion outside the band.
     last_outside = -1
     for i, ok in enumerate(inside):
         if not ok:

@@ -1,16 +1,22 @@
-"""Percentile/CDF helpers used by experiments and reports."""
+"""Percentile/CDF helpers used by experiments and reports.
+
+numpy is imported inside the functions that call it: loading it costs
+more than loading the rest of ``repro``, and sweeps, the live client and
+the CLI import this module without ever taking a percentile (DESIGN.md,
+"Cold start").
+"""
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
 
 
 def percentile(samples: Sequence[float], pctl: float) -> float:
     """Tail percentile (e.g. 99.9) of a sample set; NaN when empty."""
     if len(samples) == 0:
         return float("nan")
+    import numpy as np
+
     return float(np.percentile(np.asarray(samples, dtype=float), pctl))
 
 
@@ -26,6 +32,8 @@ def cdf_points(samples: Sequence[float]) -> List[Tuple[float, float]]:
     """Empirical CDF as (value, cumulative fraction) pairs."""
     if len(samples) == 0:
         return []
+    import numpy as np
+
     arr = np.sort(np.asarray(samples, dtype=float))
     n = len(arr)
     return [(float(v), (i + 1) / n) for i, v in enumerate(arr)]
@@ -34,6 +42,8 @@ def cdf_points(samples: Sequence[float]) -> List[Tuple[float, float]]:
 def mean(samples: Sequence[float]) -> float:
     if len(samples) == 0:
         return float("nan")
+    import numpy as np
+
     return float(np.mean(np.asarray(samples, dtype=float)))
 
 
@@ -42,6 +52,8 @@ def summarize(samples: Sequence[float]) -> Dict[str, float]:
     if len(samples) == 0:
         nan = float("nan")
         return {"count": 0, "mean": nan, "p50": nan, "p99": nan, "p999": nan, "max": nan}
+    import numpy as np
+
     arr = np.asarray(samples, dtype=float)
     return {
         "count": int(arr.size),

@@ -84,7 +84,20 @@ def test_quick_run_fig09(capsys):
 def test_every_experiment_registered_with_description():
     for name, (desc, full, quick) in _EXPERIMENTS.items():
         assert desc
-        assert callable(full) and callable(quick)
+        assert isinstance(full, dict) and isinstance(quick, dict)
+
+
+def test_table_kwargs_bind_to_each_drivers_run():
+    """The table is data now: a misspelt keyword must fail here, not
+    when somebody first types the figure's name."""
+    import inspect
+
+    from repro.runner.registry import driver_for
+
+    for name, (_, full, quick) in _EXPERIMENTS.items():
+        signature = inspect.signature(driver_for(name).run)
+        signature.bind(**full)
+        signature.bind(**quick)
 
 
 def test_registry_covers_every_figure_module():

@@ -5,6 +5,10 @@ analytic (no packet simulation), so whole sweeps run in milliseconds
 and the worker-pool / cache / resume behaviors stay cheap to exercise.
 """
 
+import re
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -182,3 +186,32 @@ def test_cli_run_fig08_fast_end_to_end(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "shape checks passed" in out
     assert "run digest" in out
+
+
+def test_run_help_names_the_directories_a_run_creates(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "400")  # one help string per line, unwrapped
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    help_text = capsys.readouterr().out
+    (cache_dir,) = re.findall(r"point cache directory \(default: (\S+)\)", help_text)
+    (trace_dir,) = re.findall(r"span JSONL under (\S+);", help_text)
+
+    # Where files land is the subject, not the traced companion's
+    # physics: shrink it from 6 hosts x 6 ms (~20 s) to a blink.
+    from repro.obs import scenarios
+
+    tiny = replace(scenarios._BASE, num_hosts=3, duration_ms=0.4, warmup_ms=0.1)
+    monkeypatch.setattr(scenarios, "_BASE", tiny)
+
+    root = tmp_path / "results"
+    run_experiment("fig08", "fast", results_dir=root)
+    traced = run_experiment("fig08", "fast", results_dir=root, trace=True)
+
+    def stated(template):
+        path = template.replace("<results-dir>", str(root))
+        path = path.replace("<figure>", "fig08").replace("<run-id>", traced.run_id)
+        assert "<" not in path, template
+        return Path(path)
+
+    assert stated(cache_dir).is_dir()
+    assert any(stated(trace_dir).glob("point-*.trace.json"))
