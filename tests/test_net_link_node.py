@@ -1,6 +1,8 @@
 """Unit tests for ports, links, switches, and hosts."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.net.link import Port
 from repro.net.node import Host, Node, Switch
@@ -173,3 +175,68 @@ def test_wfq_port_respects_weights_end_to_end():
     for _, pkt in sink.received:
         counts[pkt.qos] += 1
     assert counts[0] / counts[1] == pytest.approx(4.0, rel=0.1)
+
+
+# ----------------------------------------------------------------------
+# Port timing oracle
+# ----------------------------------------------------------------------
+# (gap since the previous arrival, wire size).  A zero gap is a
+# same-nanosecond arrival; gaps come in 500 ns steps and three of the
+# sizes serialize in multiples of that at 1 Gbps, so arrivals often land
+# exactly on a line-free instant.
+_arrivals = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=24).map(lambda steps: steps * 500),
+        st.sampled_from((64, 500, 1000, 1500)),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    arrivals=_arrivals,
+    prop=st.sampled_from((0, 1, 100, 5_000)),
+    buffer_bytes=st.sampled_from((2_000, 6_000, 10**9)),
+)
+# Arrivals exactly when the line frees, with and without a queue behind.
+@example(arrivals=[(0, 1000), (8000, 1000), (8000, 500), (0, 500)], prop=100,
+         buffer_bytes=10**9)
+@example(arrivals=[(0, 1000), (0, 1000), (8000, 1000), (8000, 64)], prop=0,
+         buffer_bytes=2_000)
+def test_fifo_port_timing_is_the_lindley_recursion(arrivals, prop, buffer_bytes):
+    """Whatever events the port uses internally, a FIFO port is a
+    single-server queue: ``depart_k = max(arrive_k, depart_{k-1}) +
+    tx(size_k)`` over the packets it accepted, delivery one propagation
+    delay later — so the line never idles with backlog — and after the
+    drain its counters say exactly what was accepted."""
+    sim = Simulator()
+    port, sink = make_port(sim, rate=1e9, prop=prop, buffer_bytes=buffer_bytes)
+    starts = []
+    port.on_transmit.append(lambda pkt, now: starts.append((now, pkt.uid)))
+    accepted = []  # (arrival time, packet) in arrival order
+
+    def offer(pkt):
+        if port.send(pkt):
+            accepted.append((sim.now, pkt))
+
+    at = 0
+    for gap, size in arrivals:
+        at += gap
+        sim.schedule_at(at, offer, Packet(0, 1, size))
+    sim.run()
+
+    expect_starts, expect_deliveries = [], []
+    line_free = 0
+    for arrived, pkt in accepted:
+        start = max(arrived, line_free)
+        line_free = start + port.serialization_ns(pkt.size_bytes)
+        expect_starts.append((start, pkt.uid))
+        expect_deliveries.append((line_free + prop, pkt.uid))
+    assert starts == expect_starts
+    assert [(t, pkt.uid) for t, pkt in sink.received] == expect_deliveries
+    assert port.packets_sent == len(accepted)
+    assert port.bytes_sent == sum(pkt.size_bytes for _, pkt in accepted)
+    assert port.packets_dropped == len(arrivals) - len(accepted)
+    assert port.queue_depth() == (0, 0)
