@@ -145,10 +145,6 @@ class Port:
         self._post(self.prop_delay_ns, deliver, pkt)
         self._start_next()
 
-    @property
-    def utilization_bytes(self) -> int:
-        return self.bytes_sent
-
     def queue_depth(self) -> Tuple[int, int]:
         """(packets, bytes) currently waiting in the scheduler."""
         return self.scheduler.packets_queued, self.scheduler.bytes_queued

@@ -112,28 +112,3 @@ class Packet:
             f"flow={self.flow_id} seq={self.seq} {self.size_bytes}B)"
         )
 
-
-def data_packet(
-    src: int,
-    dst: int,
-    payload_bytes: int,
-    qos: int,
-    flow_id: int,
-    seq: int,
-    msg_id: int,
-    remaining_mtus: int = 0,
-    deadline_ns: Optional[int] = None,
-) -> Packet:
-    """Build a DATA packet; wire size = payload + header overhead."""
-    return Packet(
-        src=src,
-        dst=dst,
-        size_bytes=payload_bytes + HEADER_BYTES,
-        qos=qos,
-        flow_id=flow_id,
-        seq=seq,
-        kind=PacketKind.DATA,
-        remaining_mtus=remaining_mtus,
-        deadline_ns=deadline_ns,
-        msg_id=msg_id,
-    )

@@ -17,17 +17,14 @@ False on a drop so the caller (the port) can count it.
 Storage layout
 --------------
 
-The per-class FIFOs are preallocated power-of-two **ring buffers** over
-parallel arrays (struct-of-arrays), not linked containers: class ``c``'s
-backlog lives in ``_bufs[c][(head + i) & mask]`` for ``i`` in
-``range(_counts[c])``.  WFQ's SCFQ tags ride in flat arrays sharing the
-exact same ring geometry (``_tag_finish[c]`` / ``_tag_serial[c]`` are
-indexed by the same head), so enqueue/dequeue touch a handful of list
-slots and integer counters — no tuple or node allocation per packet.
-Rings grow by doubling on demand and never shrink, so a warmed-up run
-allocates nothing on the packet path.  Service decisions are
-bit-identical to the historical deque-of-tuples layout: only the storage
-changed, never the order.
+Every FIFO is a :class:`collections.deque`: one for the shared FIFO, one
+per class for the classed schedulers.  WFQ queues each packet beside its
+SCFQ finish tag, as ``(tag, packet)``, and picks the next packet by
+scanning the (at most ``num_classes``) class heads for the smallest
+``(tag, class)`` — with a handful of classes that scan is cheaper than
+maintaining a heap of heads, and there is no stale entry to detect.
+The service order of every scheduler is pinned as a value by
+``tests/test_net_queues_golden.py``.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ import itertools
 import math
 from collections import deque
 from heapq import heappop as _heappop, heappush as _heappush
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.net.packet import MTU_BYTES, Packet
 from repro.sim.sanitize import SanitizerError, sanitize_enabled
@@ -45,10 +42,6 @@ from repro.sim.sanitize import SanitizerError, sanitize_enabled
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.trace import Tracer
     from repro.sim.engine import Simulator
-
-#: Initial per-class ring capacity (a power of two; rings double on
-#: demand, so this only sets the warm-up allocation granularity).
-_RING_INIT = 16
 
 
 class SchedulerStats:
@@ -58,12 +51,6 @@ class SchedulerStats:
         self.enqueued = [0] * num_classes
         self.dequeued = [0] * num_classes
         self.dropped = [0] * num_classes
-        self.max_bytes_per_class = [0] * num_classes
-
-    def record_enqueue(self, qos: int, class_bytes: int) -> None:
-        self.enqueued[qos] += 1
-        if class_bytes > self.max_bytes_per_class[qos]:
-            self.max_bytes_per_class[qos] = class_bytes
 
     @property
     def total_dropped(self) -> int:
@@ -154,71 +141,36 @@ class Scheduler:
 
 
 class FifoScheduler(Scheduler):
-    """Single shared FIFO; QoS is ignored (the no-QoS baseline).
-
-    The FIFO is one preallocated ring buffer (see the module docstring's
-    storage-layout notes).
-    """
+    """Single shared FIFO; QoS is ignored (the no-QoS baseline)."""
 
     def __init__(
         self, buffer_bytes: int, num_classes: int = 1, sanitize: Optional[bool] = None
     ):
         super().__init__(num_classes, buffer_bytes, sanitize)
-        self._buf: List[Optional[Packet]] = [None] * _RING_INIT
-        self._head = 0
-        self._count = 0
-        self._mask = _RING_INIT - 1
+        self._queue: Deque[Packet] = deque()
         # Per-class byte occupancy: the shared FIFO still attributes
-        # bytes to the (clamped) QoS class so ``max_bytes_per_class``
-        # means the same thing it does for classed schedulers.
+        # bytes to the (clamped) QoS class, for the sanitizer's byte
+        # conservation check.
         self._class_bytes = [0] * num_classes
-
-    def class_backlog_bytes(self, qos: int) -> int:
-        """Bytes currently queued that belong to one class."""
-        return self._class_bytes[qos]
-
-    def _grow(self) -> None:
-        buf = self._buf
-        head = self._head
-        mask = self._mask
-        count = self._count
-        cap = len(buf) * 2
-        unrolled: List[Optional[Packet]] = [
-            buf[(head + i) & mask] for i in range(count)
-        ]
-        unrolled.extend([None] * (cap - count))
-        self._buf = unrolled
-        self._head = 0
-        self._mask = cap - 1
 
     def enqueue(self, pkt: Packet) -> bool:
         qos = min(pkt.qos, self.num_classes - 1)
         if self.bytes_queued + pkt.size_bytes > self.buffer_bytes:
             self.stats.dropped[qos] += 1
             return False
-        count = self._count
-        if count > self._mask:
-            self._grow()
-        self._buf[(self._head + count) & self._mask] = pkt
-        self._count = count + 1
+        self._queue.append(pkt)
         self.bytes_queued += pkt.size_bytes
         self._class_bytes[qos] += pkt.size_bytes
         self.packets_queued += 1
-        self.stats.record_enqueue(qos, self._class_bytes[qos])
+        self.stats.enqueued[qos] += 1
         if self._sanitize:
             self._sanitize_check(pkt)
         return True
 
     def dequeue(self) -> Optional[Packet]:
-        if not self._count:
+        if not self._queue:
             return None
-        head = self._head
-        buf = self._buf
-        pkt = buf[head]
-        assert pkt is not None
-        buf[head] = None
-        self._head = (head + 1) & self._mask
-        self._count -= 1
+        pkt = self._queue.popleft()
         qos = min(pkt.qos, self.num_classes - 1)
         self.bytes_queued -= pkt.size_bytes
         self._class_bytes[qos] -= pkt.size_bytes
@@ -230,10 +182,10 @@ class FifoScheduler(Scheduler):
 
     def _sanitize_check(self, pkt: Optional[Packet]) -> None:
         super()._sanitize_check(pkt)
-        if self.packets_queued != self._count:
+        if self.packets_queued != len(self._queue):
             raise self._conservation_error(
                 f"packets_queued={self.packets_queued} != "
-                f"ring occupancy {self._count}",
+                f"FIFO occupancy {len(self._queue)}",
                 pkt,
             )
         if sum(self._class_bytes) != self.bytes_queued:
@@ -247,88 +199,34 @@ class FifoScheduler(Scheduler):
 class _ClassedScheduler(Scheduler):
     """Shared plumbing for schedulers with one FIFO per QoS class.
 
-    Each class FIFO is a preallocated power-of-two ring: ``_bufs[c]``
-    holds the packets, ``_heads[c]``/``_counts[c]``/``_masks[c]`` the
-    ring geometry.  Subclasses that keep per-packet side data in
-    parallel arrays (WFQ's tag rings) override :meth:`_grow_ring` to
-    resize them in lockstep.
+    ``_queues[c]`` holds class ``c``'s packets in arrival order (WFQ
+    stores ``(finish tag, packet)`` pairs in it instead).
     """
 
     def __init__(
         self, num_classes: int, buffer_bytes: int, sanitize: Optional[bool] = None
     ):
         super().__init__(num_classes, buffer_bytes, sanitize)
-        self._bufs: List[List[Optional[Packet]]] = [
-            [None] * _RING_INIT for _ in range(num_classes)
-        ]
-        self._heads = [0] * num_classes
-        self._counts = [0] * num_classes
-        self._masks = [_RING_INIT - 1] * num_classes
+        self._queues: List[Deque[Any]] = [deque() for _ in range(num_classes)]
         self._class_bytes = [0] * num_classes
 
-    def class_backlog_bytes(self, qos: int) -> int:
-        """Bytes currently queued in one class (used by tests/metrics)."""
-        return self._class_bytes[qos]
-
-    # ------------------------------------------------------------------
-    # ring primitives
-    # ------------------------------------------------------------------
-    def _grow_ring(self, qos: int) -> None:
-        """Double class ``qos``'s ring, unrolling it to start at 0."""
-        buf = self._bufs[qos]
-        head = self._heads[qos]
-        mask = self._masks[qos]
-        count = self._counts[qos]
-        cap = len(buf) * 2
-        unrolled: List[Optional[Packet]] = [
-            buf[(head + i) & mask] for i in range(count)
-        ]
-        unrolled.extend([None] * (cap - count))
-        self._bufs[qos] = unrolled
-        self._heads[qos] = 0
-        self._masks[qos] = cap - 1
-
-    def _ring_push(self, qos: int, pkt: Packet) -> None:
-        count = self._counts[qos]
-        if count > self._masks[qos]:
-            self._grow_ring(qos)
-        self._bufs[qos][(self._heads[qos] + count) & self._masks[qos]] = pkt
-        self._counts[qos] = count + 1
-
-    def _ring_pop(self, qos: int) -> Packet:
-        head = self._heads[qos]
-        buf = self._bufs[qos]
-        pkt = buf[head]
-        assert pkt is not None
-        buf[head] = None
-        self._heads[qos] = (head + 1) & self._masks[qos]
-        self._counts[qos] -= 1
-        return pkt
-
-    def _ring_peek(self, qos: int) -> Packet:
-        pkt = self._bufs[qos][self._heads[qos]]
-        assert pkt is not None
-        return pkt
-
-    # ------------------------------------------------------------------
-    # accounting
-    # ------------------------------------------------------------------
     def _admit(self, pkt: Packet) -> bool:
-        self._check_class(pkt.qos)
+        qos = pkt.qos
+        self._check_class(qos)
         if self.bytes_queued + pkt.size_bytes > self.buffer_bytes:
-            self.stats.dropped[pkt.qos] += 1
+            self.stats.dropped[qos] += 1
             return False
-        self._ring_push(pkt.qos, pkt)
+        self._queues[qos].append(pkt)
         self.bytes_queued += pkt.size_bytes
-        self._class_bytes[pkt.qos] += pkt.size_bytes
+        self._class_bytes[qos] += pkt.size_bytes
         self.packets_queued += 1
-        self.stats.record_enqueue(pkt.qos, self._class_bytes[pkt.qos])
+        self.stats.enqueued[qos] += 1
         if self._sanitize:
             self._sanitize_check(pkt)
         return True
 
     def _remove(self, qos: int) -> Packet:
-        pkt = self._ring_pop(qos)
+        pkt: Packet = self._queues[qos].popleft()
         self.bytes_queued -= pkt.size_bytes
         self._class_bytes[qos] -= pkt.size_bytes
         self.packets_queued -= 1
@@ -338,11 +236,11 @@ class _ClassedScheduler(Scheduler):
         return pkt
 
     def _sanitize_check(self, pkt: Optional[Packet]) -> None:
-        """Per-class conservation: enq[c] == deq[c] + ring occupancy."""
+        """Per-class conservation: enq[c] == deq[c] + FIFO occupancy."""
         enq = self.stats.enqueued
         deq = self.stats.dequeued
         for qos in range(self.num_classes):
-            backlog = self._counts[qos]
+            backlog = len(self._queues[qos])
             if enq[qos] != deq[qos] + backlog:
                 raise self._conservation_error(
                     f"class {qos} conservation broken: enqueued={enq[qos]} != "
@@ -360,7 +258,7 @@ class _ClassedScheduler(Scheduler):
                 f"bytes_queued={self.bytes_queued}",
                 pkt,
             )
-        if self.packets_queued != sum(self._counts):
+        if self.packets_queued != sum(len(q) for q in self._queues):
             raise self._conservation_error(
                 f"packets_queued={self.packets_queued} != sum of class backlogs",
                 pkt,
@@ -373,11 +271,6 @@ class WfqScheduler(_ClassedScheduler):
     ``weights[i]`` is the WFQ weight phi_i of QoS class i (index 0 is
     the highest class by convention, but SCFQ itself only cares about
     the weight values).
-
-    Tags are struct-of-arrays: ``_tag_finish[c]`` / ``_tag_serial[c]``
-    are flat arrays sharing class ``c``'s packet-ring geometry, so the
-    head packet's tag is ``_tag_finish[c][_heads[c]]`` — the enqueue
-    path writes three parallel slots instead of allocating a tuple.
     """
 
     def __init__(
@@ -392,48 +285,15 @@ class WfqScheduler(_ClassedScheduler):
         self.weights = tuple(float(w) for w in weights)
         self._virtual_time = 0.0
         self._last_finish = [0.0] * len(weights)
-        # Head-of-class heap keyed ``(finish_tag, qos, serial)``.  The
-        # serial is a unique per-packet sequence number: stale entries
-        # are detected by serial equality, never by comparing float
-        # finish tags (after a virtual-time reset a fresh packet can
-        # coincidentally reproduce a stale entry's tag).  Ordering is
-        # unchanged — ties still resolve on (tag, qos).
-        self._head_tags: List[Tuple[float, int, int]] = []
-        # Per-class tag rings, parallel to the packet rings (same head/
-        # count/mask).  The -1 serial filler never matches a live serial.
-        self._tag_finish: List[List[float]] = [
-            [0.0] * _RING_INIT for _ in weights
-        ]
-        self._tag_serial: List[List[int]] = [[-1] * _RING_INIT for _ in weights]
-        self._next_serial = 0
         # Stats counter lists are stable objects; bind them once so the
         # per-packet path skips the stats attribute walk.
         self._stats_enqueued = self.stats.enqueued
         self._stats_dequeued = self.stats.dequeued
         self._stats_dropped = self.stats.dropped
-        self._stats_max_bytes = self.stats.max_bytes_per_class
-
-    def _grow_ring(self, qos: int) -> None:
-        # Unroll the tag rings with the *old* geometry before the base
-        # class rewrites head/mask.
-        head = self._heads[qos]
-        mask = self._masks[qos]
-        count = self._counts[qos]
-        finish = self._tag_finish[qos]
-        serial = self._tag_serial[qos]
-        cap = (mask + 1) * 2
-        self._tag_finish[qos] = [
-            finish[(head + i) & mask] for i in range(count)
-        ] + [0.0] * (cap - count)
-        self._tag_serial[qos] = [
-            serial[(head + i) & mask] for i in range(count)
-        ] + [-1] * (cap - count)
-        super()._grow_ring(qos)
 
     def enqueue(self, pkt: Packet) -> bool:
-        # _admit() and the stats update are inlined: this method runs
-        # once per packet on every WFQ egress port, the hottest
-        # scheduler path in the simulator.
+        # _admit() is inlined: this method runs once per packet on every
+        # WFQ egress port, the hottest scheduler path in the simulator.
         qos = pkt.qos
         if not 0 <= qos < self.num_classes:
             raise ValueError(f"packet QoS {qos} out of range for {self.num_classes} classes")
@@ -441,107 +301,77 @@ class WfqScheduler(_ClassedScheduler):
         if self.bytes_queued + size > self.buffer_bytes:
             self._stats_dropped[qos] += 1
             return False
-        count = self._counts[qos]
-        if count > self._masks[qos]:
-            self._grow_ring(qos)
-        mask = self._masks[qos]
-        idx = (self._heads[qos] + count) & mask
-        self._bufs[qos][idx] = pkt
-        self._counts[qos] = count + 1
         self.bytes_queued += size
-        class_bytes = self._class_bytes[qos] + size
-        self._class_bytes[qos] = class_bytes
+        self._class_bytes[qos] += size
         self.packets_queued += 1
         self._stats_enqueued[qos] += 1
-        max_bytes = self._stats_max_bytes
-        if class_bytes > max_bytes[qos]:
-            max_bytes[qos] = class_bytes
         vt = self._virtual_time
         last = self._last_finish[qos]
-        start = vt if vt > last else last
-        finish = start + size / self.weights[qos]
+        finish = (vt if vt > last else last) + size / self.weights[qos]
         self._last_finish[qos] = finish
-        serial = self._next_serial
-        self._next_serial = serial + 1
-        self._tag_finish[qos][idx] = finish
-        self._tag_serial[qos][idx] = serial
-        if count == 0:
-            _heappush(self._head_tags, (finish, qos, serial))
+        self._queues[qos].append((finish, pkt))
         if self._sanitize:
             self._sanitize_check(pkt)
         return True
 
     def dequeue(self) -> Optional[Packet]:
-        heads = self._head_tags
-        tag_finish = self._tag_finish
-        tag_serial = self._tag_serial
-        ring_heads = self._heads
-        counts = self._counts
-        while heads:
-            tag, qos, serial = _heappop(heads)
-            count = counts[qos]
-            head = ring_heads[qos]
-            if not count or tag_serial[qos][head] != serial:
-                # Stale heap entry (head already served); skip it.
-                continue
-            # Inlined _ring_pop() + _remove().
-            buf = self._bufs[qos]
-            pkt = buf[head]
-            assert pkt is not None
-            buf[head] = None
-            head = (head + 1) & self._masks[qos]
-            ring_heads[qos] = head
-            counts[qos] = count - 1
-            size = pkt.size_bytes
-            self.bytes_queued -= size
-            self._class_bytes[qos] -= size
-            self.packets_queued -= 1
-            self._stats_dequeued[qos] += 1
-            if self._sanitize and tag < self._virtual_time:
-                # SCFQ invariant: every pending finish tag is >= V (tags
-                # are minted at max(V, last_finish) + size/weight and V
-                # only advances to served tags), so service order is
-                # virtual-time monotone within a busy period.
+        # Smallest (finish tag, class) among the class heads: the scan
+        # runs in class order and only a strictly smaller tag wins.
+        best: Optional[Deque[Tuple[float, Packet]]] = None
+        tag = 0.0
+        for queue in self._queues:
+            if queue:
+                head = queue[0][0]
+                if best is None or head < tag:
+                    best = queue
+                    tag = head
+        if best is None:
+            if self._sanitize and self.packets_queued:
+                # Work conservation: nothing to serve while packets are
+                # accounted as queued — a lost-packet bug would
+                # otherwise wedge the port silently with backlog.
                 raise SanitizerError(
-                    "wfq-virtual-time",
-                    "finish tag served behind the virtual clock",
+                    "wfq-work-conservation",
+                    "no class head to serve with packets queued",
                     {
-                        "packet": repr(pkt),
-                        "finish_tag": tag,
-                        "virtual_time": self._virtual_time,
-                        "qos": qos,
-                        "serial": serial,
+                        "packets_queued": self.packets_queued,
+                        "class_backlogs": [len(q) for q in self._queues],
                     },
                 )
-            if tag > self._virtual_time:
-                self._virtual_time = tag
-            if counts[qos]:
-                _heappush(
-                    heads, (tag_finish[qos][head], qos, tag_serial[qos][head])
-                )
-            elif self.packets_queued == 0:
-                # System empties: reset virtual time so tags don't grow
-                # without bound over long runs.  Serials keep counting —
-                # their uniqueness across resets is what makes the stale
-                # check exact.
-                self._virtual_time = 0.0
-                self._last_finish = [0.0] * self.num_classes
-            if self._sanitize:
-                self._sanitize_check(pkt)
-            return pkt
-        if self._sanitize and self.packets_queued:
-            # Work conservation: the head-tag heap ran dry while packets
-            # sit in class rings — a lost head-tag bug would otherwise
-            # wedge the port silently with backlog.
+            return None
+        # Inlined _remove().
+        pkt = best.popleft()[1]
+        qos = pkt.qos
+        size = pkt.size_bytes
+        self.bytes_queued -= size
+        self._class_bytes[qos] -= size
+        self.packets_queued -= 1
+        self._stats_dequeued[qos] += 1
+        if self._sanitize and tag < self._virtual_time:
+            # SCFQ invariant: every pending finish tag is >= V (tags
+            # are minted at max(V, last_finish) + size/weight and V
+            # only advances to served tags), so service order is
+            # virtual-time monotone within a busy period.
             raise SanitizerError(
-                "wfq-work-conservation",
-                "head-tag heap empty with packets queued",
+                "wfq-virtual-time",
+                "finish tag served behind the virtual clock",
                 {
-                    "packets_queued": self.packets_queued,
-                    "class_backlogs": list(self._counts),
+                    "packet": repr(pkt),
+                    "finish_tag": tag,
+                    "virtual_time": self._virtual_time,
+                    "qos": qos,
                 },
             )
-        return None
+        if self.packets_queued == 0:
+            # System empties: reset virtual time so tags don't grow
+            # without bound over long runs.
+            self._virtual_time = 0.0
+            self._last_finish = [0.0] * self.num_classes
+        elif tag > self._virtual_time:
+            self._virtual_time = tag
+        if self._sanitize:
+            self._sanitize_check(pkt)
+        return pkt
 
 
 class StrictPriorityScheduler(_ClassedScheduler):
@@ -556,9 +386,8 @@ class StrictPriorityScheduler(_ClassedScheduler):
         return self._admit(pkt)
 
     def dequeue(self) -> Optional[Packet]:
-        counts = self._counts
-        for qos in range(self.num_classes):
-            if counts[qos]:
+        for qos, queue in enumerate(self._queues):
+            if queue:
                 return self._remove(qos)
         return None
 
@@ -605,19 +434,19 @@ class DwrrScheduler(_ClassedScheduler):
         active = self._active
         deficits = self._deficit
         quanta = self._quanta
-        counts = self._counts
+        queues = self._queues
         idle_visits = 0
         while active:
             qos = active[0]
-            if not counts[qos]:
+            if not queues[qos]:
                 active.popleft()
                 self._in_active[qos] = False
                 continue
-            head_size = self._ring_peek(qos).size_bytes
+            head_size = queues[qos][0].size_bytes
             if deficits[qos] >= head_size:
                 deficits[qos] -= head_size
                 pkt = self._remove(qos)
-                if not counts[qos]:
+                if not queues[qos]:
                     active.popleft()
                     self._in_active[qos] = False
                     deficits[qos] = 0.0
@@ -636,8 +465,7 @@ class DwrrScheduler(_ClassedScheduler):
                     max(
                         0,
                         math.ceil(
-                            (self._ring_peek(q).size_bytes - deficits[q])
-                            / quanta[q]
+                            (queues[q][0].size_bytes - deficits[q]) / quanta[q]
                         )
                         - 1,
                     )
@@ -699,7 +527,7 @@ class PFabricScheduler(Scheduler):
         self._present.add(pkt.uid)
         self.bytes_queued += pkt.size_bytes
         self.packets_queued += 1
-        self.stats.record_enqueue(qos, self.bytes_queued)
+        self.stats.enqueued[qos] += 1
         if len(self._maxheap) > 4 * self.packets_queued + 64:
             self._compact_maxheap()
         if self._sanitize:

@@ -309,20 +309,6 @@ class Simulator:
         timed = None if self.profiler is None else self.profiler.timed
         self._run_core(until, max_events, timed)
 
-    def _run_profiled(
-        self, until: Optional[int] = None, max_events: Optional[int] = None
-    ) -> None:
-        """The :meth:`run` loop with per-event wall-clock attribution.
-
-        Kept as a named entry point for API compatibility; it shares
-        :meth:`_run_core` with the plain loop, so the two paths cannot
-        drift semantically — the profiler only *observes* each
-        callback's duration.
-        """
-        profiler = self.profiler
-        assert profiler is not None
-        self._run_core(until, max_events, profiler.timed)
-
     def _run_core(
         self,
         until: Optional[int],
@@ -331,12 +317,11 @@ class Simulator:
     ) -> None:
         """One run loop for the plain and profiled paths.
 
-        Historically ``run`` and ``_run_profiled`` were separate inlined
-        copies whose cancellation/horizon handling could drift (and
-        subtly did); a single core is the contract's reference
-        implementation.  ``timed`` is ``None`` on the plain path — the
-        per-event branch is one identity test on a local, measured in
-        the noise next to the callback dispatch itself.
+        Two separately inlined loops once drifted in their
+        cancellation/horizon handling; a single core is the contract's
+        reference implementation.  ``timed`` is ``None`` on the plain
+        path — the per-event branch is one identity test on a local,
+        measured in the noise next to the callback dispatch itself.
         """
         self._stopped = False
         heap = self._heap

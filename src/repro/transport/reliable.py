@@ -71,17 +71,6 @@ class TransportConfig:
             raise ValueError("RTT and RTO must be positive")
 
 
-@dataclass(slots=True)
-class _Outstanding:
-    """Book-keeping for one in-flight packet."""
-
-    msg: Message
-    seq: int
-    payload: int
-    sent_ns: int
-    retransmits: int = 0
-
-
 class Flow:
     """One (src, dst, qos) reliable stream."""
 
@@ -108,11 +97,20 @@ class Flow:
         # off, and all hooks are read-only w.r.t. simulation state.
         self._tracer = active_tracer()
         self._flow_label = f"{self.src}->{dst}/qos{qos}"
-        # Send/ACK progress lives on the Message (next_seq, acked_*).
+        # Send/ACK progress lives on the Message (next_seq, acked_*);
+        # the in-flight record of a packet is the Packet itself, keyed
+        # (msg_id, seq) — a retransmission replaces it in place.
         self._pending: Deque[Message] = deque()
         self._messages: Dict[int, Message] = {}
-        self._outstanding: Dict[Tuple[int, int], _Outstanding] = {}
-        self._host_send = endpoint.host.send
+        self._outstanding: Dict[Tuple[int, int], Packet] = {}
+        nic = endpoint.host.nic
+        if nic is None:
+            raise RuntimeError(f"{endpoint.host.name} has no NIC attached")
+        self._nic_send = nic.send
+        # The subclass hooks cost a call per packet; decide once whether
+        # this flow's class overrides them at all.
+        self._gated = type(self)._extra_gate_ns is not Flow._extra_gate_ns
+        self._dynamic_qos = type(self)._packet_qos is not Flow._packet_qos
         self._next_allowed_send_ns = 0
         self._timer_armed = False
         self._kick_scheduled = False
@@ -159,10 +157,11 @@ class Flow:
                     return
             elif len(outstanding) >= int(cwnd):
                 return
-            gate = self._extra_gate_ns()
-            if gate > 0:
-                self._schedule_kick(gate)
-                return
+            if self._gated:
+                gate = self._extra_gate_ns()
+                if gate > 0:
+                    self._schedule_kick(gate)
+                    return
             msg = pending[0]
             seq = msg.next_seq
             self._transmit(msg, seq, retransmit=False)
@@ -193,7 +192,6 @@ class Flow:
         return self.qos
 
     def _transmit(self, msg: Message, seq: int, retransmit: bool) -> None:
-        payload = msg.packet_payload(seq)
         remaining = msg.size_mtus - seq
         msg_id = msg.msg_id
         now = self.sim.now
@@ -202,8 +200,8 @@ class Flow:
         pkt = Packet(
             self.src,
             self.dst,
-            payload + HEADER_BYTES,
-            self._packet_qos(msg, remaining),
+            msg.packet_payload(seq) + HEADER_BYTES,
+            self._packet_qos(msg, remaining) if self._dynamic_qos else self.qos,
             self.flow_id,
             seq,
             _DATA,
@@ -212,20 +210,17 @@ class Flow:
             msg_id,
         )
         pkt.sent_time_ns = now
+        outstanding = self._outstanding
         key = (msg_id, seq)
-        entry = self._outstanding.get(key)
-        if entry is None:
-            self._outstanding[key] = _Outstanding(msg, seq, payload, now)
-        else:
-            entry.sent_ns = now
-            entry.retransmits += 1
+        if key in outstanding:
             self.retransmitted_packets += 1
             if self._tracer is not None:
                 self._tracer.on_flow_retransmit(
                     self._flow_label, seq, now, msg_id=msg_id
                 )
+        outstanding[key] = pkt
         self.sent_packets += 1
-        self._host_send(pkt)
+        self._nic_send(pkt)
         if not self._timer_armed:
             self._arm_timer()
 
@@ -243,18 +238,16 @@ class Flow:
     # ACK handling
     # ------------------------------------------------------------------
     def on_ack(self, msg_id: int, seq: int) -> None:
-        entry = self._outstanding.pop((msg_id, seq), None)
-        if entry is None:
+        pkt = self._outstanding.pop((msg_id, seq), None)
+        if pkt is None:
             return  # duplicate / stale ACK
         now = self.sim.now
-        rtt = now - entry.sent_ns
+        rtt = now - pkt.sent_time_ns
         self.cc.on_ack(rtt, now)
         if self._tracer is not None:
             self._tracer.on_flow_ack(self._flow_label, self.cc.cwnd, rtt, now)
-        payload = entry.payload
+        payload = pkt.size_bytes - HEADER_BYTES
         self.acked_payload_bytes += payload
-        by_qos = self.endpoint.acked_payload_by_qos
-        by_qos[self.qos] = by_qos.get(self.qos, 0) + payload
         msg = self._messages.get(msg_id)
         if msg is not None:
             msg.acked_packets += 1
@@ -314,14 +307,16 @@ class Flow:
             return
         now = self.sim.now
         expired = [
-            entry
-            for entry in list(self._outstanding.values())
-            if now - entry.sent_ns >= self.config.rto_ns
+            pkt
+            for pkt in self._outstanding.values()
+            if now - pkt.sent_time_ns >= self.config.rto_ns
         ]
         if expired:
             self.cc.on_loss(now)
-            for entry in expired:
-                self._transmit(entry.msg, entry.seq, retransmit=True)
+            for pkt in expired:
+                # An outstanding packet's message is always still known:
+                # completion and cancellation both clear its packets.
+                self._transmit(self._messages[pkt.msg_id], pkt.seq, retransmit=True)
         self._arm_timer()
         self._maybe_send()
 
@@ -339,7 +334,6 @@ class TransportEndpoint:
         self._flows_by_id: Dict[int, Flow] = {}
         self.peers: Dict[int, "TransportEndpoint"] = {}
         self.on_message_complete: Callable[[Message], None] = lambda msg: None
-        self.acked_payload_by_qos: Dict[int, int] = {}
         self.received_data_packets = 0
         self._ack_delay_ns = max(1, config.base_rtt_ns // 2)
         self._post = sim.post
@@ -409,6 +403,14 @@ class TransportEndpoint:
     # ------------------------------------------------------------------
     # Metrics
     # ------------------------------------------------------------------
+    @property
+    def acked_payload_by_qos(self) -> Dict[int, int]:
+        """Acknowledged payload bytes of this endpoint's flows, per QoS."""
+        totals: Dict[int, int] = {}
+        for flow in self.flows.values():
+            totals[flow.qos] = totals.get(flow.qos, 0) + flow.acked_payload_bytes
+        return totals
+
     def total_backlog_messages(self) -> int:
         """Messages accepted by this endpoint's flows but not yet sent."""
         return sum(flow.backlog_messages for flow in self.flows.values())

@@ -65,20 +65,24 @@ class SwiftCC(CongestionControl):
         p = self.params
         self._last_rtt_ns = rtt_ns
         self.acks += acked_packets
+        cwnd = self.cwnd
         if rtt_ns < p.target_delay_ns:
-            if self.cwnd >= 1.0:
-                self.cwnd += p.additive_increase * acked_packets / self.cwnd
+            if cwnd >= 1.0:
+                cwnd += p.additive_increase * acked_packets / cwnd
             else:
-                self.cwnd += p.additive_increase * acked_packets
+                cwnd += p.additive_increase * acked_packets
         else:
             # Decrease at most once per RTT, scaled by overshoot.
             if now_ns - self._last_decrease_ns >= rtt_ns:
                 overshoot = (rtt_ns - p.target_delay_ns) / rtt_ns
-                factor = max(1.0 - p.beta * overshoot, 1.0 - p.max_mdf)
-                self.cwnd *= factor
+                cwnd *= max(1.0 - p.beta * overshoot, 1.0 - p.max_mdf)
                 self._last_decrease_ns = now_ns
                 self.decreases += 1
-        self.cwnd = min(max(self.cwnd, p.min_cwnd), p.max_cwnd)
+        if cwnd < p.min_cwnd:
+            cwnd = p.min_cwnd
+        if cwnd > p.max_cwnd:
+            cwnd = p.max_cwnd
+        self.cwnd = cwnd
 
     def on_loss(self, now_ns: int) -> None:
         """Retransmission timeout: halve the window (once per RTT)."""

@@ -4,11 +4,9 @@ import pytest
 
 from repro.net.packet import (
     CONTROL_BYTES,
-    HEADER_BYTES,
     MTU_BYTES,
     Packet,
     PacketKind,
-    data_packet,
     mtus_for_bytes,
 )
 
@@ -28,15 +26,6 @@ def test_mtus_for_bytes_rejects_nonpositive():
         mtus_for_bytes(-5)
 
 
-def test_data_packet_includes_header_overhead():
-    pkt = data_packet(src=1, dst=2, payload_bytes=MTU_BYTES, qos=0,
-                      flow_id=3, seq=4, msg_id=5)
-    assert pkt.size_bytes == MTU_BYTES + HEADER_BYTES
-    assert pkt.kind == PacketKind.DATA
-    assert (pkt.src, pkt.dst, pkt.qos) == (1, 2, 0)
-    assert (pkt.flow_id, pkt.seq, pkt.msg_id) == (3, 4, 5)
-
-
 def test_packet_uids_unique():
     uids = {Packet(0, 1, 64).uid for _ in range(100)}
     assert len(uids) == 100
@@ -47,10 +36,3 @@ def test_packet_defaults():
     assert pkt.deadline_ns is None
     assert pkt.remaining_mtus == 0
     assert pkt.sent_time_ns == 0
-
-
-def test_data_packet_carries_srpt_and_deadline_hints():
-    pkt = data_packet(src=0, dst=1, payload_bytes=100, qos=1, flow_id=1,
-                      seq=0, msg_id=9, remaining_mtus=7, deadline_ns=12345)
-    assert pkt.remaining_mtus == 7
-    assert pkt.deadline_ns == 12345

