@@ -6,6 +6,16 @@ to the downstream node.  Transmission is non-preemptive: once a packet
 starts serializing it finishes.  The port keeps itself busy as long as
 the scheduler has backlog (work conservation), which is the property the
 paper's WFQ analysis assumes.
+
+The port is *busy-until*: starting a transmission records when the line
+frees (``busy_until_ns``) and tells the downstream node when the packet
+will arrive (``tx + propagation`` from now) — one event per hop.
+``busy`` means "a packet is serializing right now", i.e. the clock has
+not reached ``busy_until_ns``; no event marks the line going idle.  Only
+when something is queued behind the packet in service does the port post
+itself a wake at the line-free instant — when a transmission starts with
+backlog, or on the first ``send`` that finds the line mid-packet — so a
+backlogged hop costs two events per packet and an uncontended hop one.
 """
 
 from __future__ import annotations
@@ -38,6 +48,7 @@ class Port:
 
     ``on_transmit`` hooks (if any) observe every packet as it begins
     serialization — experiments use them to meter per-QoS goodput.
+    ``packets_sent``/``bytes_sent`` count at that same instant.
     """
 
     def __init__(
@@ -58,7 +69,11 @@ class Port:
         self.prop_delay_ns = prop_delay_ns
         self.name = name
         self.peer: Optional["Node"] = None
-        self.busy = False
+        #: When the packet in service (if any) leaves the line.
+        self.busy_until_ns = 0
+        # True while a _start_next event is posted for busy_until_ns;
+        # invariant: scheduler backlog implies a pending wake.
+        self._wake_pending = False
         self.bytes_sent = 0
         self.packets_sent = 0
         self.packets_dropped = 0
@@ -75,7 +90,7 @@ class Port:
         self._post = sim.post
         self._sched_enqueue = scheduler.enqueue
         self._sched_dequeue = scheduler.dequeue
-        self._deliver: Optional[Callable[[Packet], None]] = None
+        self._arrive: Optional[Callable[[Packet, int], None]] = None
         # Observability hook, resolved once at construction: None when
         # tracing is off, so every traced path below is a single
         # pointer test (the zero-overhead-off contract).
@@ -86,7 +101,12 @@ class Port:
     def connect(self, peer: "Node") -> None:
         """Attach the downstream node this port feeds."""
         self.peer = peer
-        self._deliver = peer.receive
+        self._arrive = peer.arrive
+
+    @property
+    def busy(self) -> bool:
+        """Whether a packet is serializing right now."""
+        return self.sim.now < self.busy_until_ns
 
     def serialization_ns(self, size_bytes: int) -> int:
         """Time to clock ``size_bytes`` onto the wire at line rate."""
@@ -94,7 +114,7 @@ class Port:
 
     def send(self, pkt: Packet) -> bool:
         """Enqueue a packet for transmission.  Returns False on drop."""
-        if self.peer is None:
+        if self._arrive is None:
             raise RuntimeError(f"{self.name} is not connected")
         if not self._sched_enqueue(pkt):
             self.packets_dropped += 1
@@ -103,16 +123,25 @@ class Port:
             return False
         if self._tracer is not None:
             self._tracer.on_enqueue(self.name, pkt, self.sim.now)
-        if not self.busy:
-            self._start_next()
+        if not self._wake_pending:
+            now = self.sim.now
+            free_at = self.busy_until_ns
+            if now >= free_at:
+                self._start_next(now)
+            else:
+                # First arrival to find the line mid-packet.
+                self._wake_pending = True
+                self._post(free_at - now, self._start_next, free_at)
         return True
 
-    def _start_next(self) -> None:
+    def _start_next(self, now: int) -> None:
+        """Start serializing the scheduler's next packet; the line is
+        free at ``now``, the current time (a wake carries it as its
+        argument so the clock is not read again)."""
         pkt = self._sched_dequeue()
         if pkt is None:
-            self.busy = False
+            self._wake_pending = False
             return
-        self.busy = True
         size = pkt.size_bytes
         cache = self._ser_cache
         tx_ns = cache.get(size)
@@ -125,25 +154,25 @@ class Port:
                 cache.clear()
             cache[size] = tx_ns
         if self.on_transmit:
-            now = self.sim.now
             for hook in self.on_transmit:
                 hook(pkt, now)
         if self._tracer is not None:
-            now = self.sim.now
             self._tracer.on_dequeue(self.name, pkt, now)
             self._tracer.on_transmit(self.name, pkt, now, tx_ns)
-        self._post(tx_ns, self._finish_transmit, pkt)
-
-    def _finish_transmit(self, pkt: Packet) -> None:
-        self.bytes_sent += pkt.size_bytes
+        self.bytes_sent += size
         self.packets_sent += 1
-        deliver = self._deliver
-        if deliver is None:  # pragma: no cover - send() guards connectivity
+        free_at = now + tx_ns
+        self.busy_until_ns = free_at
+        arrive = self._arrive
+        if arrive is None:  # pragma: no cover - send() guards connectivity
             raise RuntimeError(f"{self.name} lost its peer mid-transmission")
-        # Deliver after the wire's propagation delay, then immediately
-        # look for more backlog (work conservation).
-        self._post(self.prop_delay_ns, deliver, pkt)
-        self._start_next()
+        arrive(pkt, tx_ns + self.prop_delay_ns)
+        if self.scheduler.packets_queued:
+            # Work conservation: come back the instant the line frees.
+            self._wake_pending = True
+            self._post(tx_ns, self._start_next, free_at)
+        else:
+            self._wake_pending = False
 
     def queue_depth(self) -> Tuple[int, int]:
         """(packets, bytes) currently waiting in the scheduler."""

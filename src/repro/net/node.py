@@ -5,6 +5,10 @@ for the packet's destination host and enqueues it there; all queueing
 discipline lives in the port's scheduler.  A :class:`Host` owns one
 uplink port (its NIC) and dispatches received packets to a handler
 installed by the transport layer.
+
+A port announces a packet to its downstream node when serialization
+*starts*, with the delay until it arrives (:meth:`Node.arrive`); by
+default that schedules :meth:`Node.receive` at the arrival time.
 """
 
 from __future__ import annotations
@@ -22,6 +26,11 @@ class Node:
     def __init__(self, sim: Simulator, name: str) -> None:
         self.sim = sim
         self.name = name
+        self._post = sim.post
+
+    def arrive(self, pkt: Packet, delay_ns: int) -> None:
+        """``pkt`` reaches this node ``delay_ns`` from now."""
+        self._post(delay_ns, self.receive, pkt)
 
     def receive(self, pkt: Packet) -> None:
         raise NotImplementedError
@@ -68,6 +77,13 @@ class Host(Node):
 
     The transport layer registers itself via :attr:`handler`.  Host ids
     are the integers the topology assigns; packets address hosts by id.
+
+    A transport for which nothing observes a packet's arrival itself may
+    also install :attr:`on_arrival`: called as ``on_arrival(pkt,
+    delay_ns)`` when the packet *starts* its last hop, it returns True
+    to take the arrival over (posting whatever follows from it at the
+    right time), in which case no ``receive`` event is scheduled and
+    ``packets_received`` counts the packet one flight time early.
     """
 
     def __init__(self, sim: Simulator, host_id: int, name: Optional[str] = None) -> None:
@@ -75,6 +91,7 @@ class Host(Node):
         self.host_id = host_id
         self.nic: Optional[Port] = None
         self.handler: Optional[Callable[[Packet], None]] = None
+        self.on_arrival: Optional[Callable[[Packet, int], bool]] = None
         self.packets_received = 0
 
     def attach_nic(self, port: Port) -> None:
@@ -85,6 +102,14 @@ class Host(Node):
         if self.nic is None:
             raise RuntimeError(f"{self.name} has no NIC attached")
         return self.nic.send(pkt)
+
+    def arrive(self, pkt: Packet, delay_ns: int) -> None:
+        """Offer the arrival to :attr:`on_arrival`, else schedule it."""
+        on_arrival = self.on_arrival
+        if on_arrival is not None and on_arrival(pkt, delay_ns):
+            self.packets_received += 1
+        else:
+            self._post(delay_ns, self.receive, pkt)
 
     def receive(self, pkt: Packet) -> None:
         self.packets_received += 1

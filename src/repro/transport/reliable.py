@@ -52,9 +52,10 @@ class TransportConfig:
         ack_qos: QoS level ACKs ride on (highest by default — ACKs are
             tiny and latency-critical).
         ack_bypass: when True, ACKs are delivered by a scheduled callback
-            after ``base_rtt_ns // 2`` instead of traversing the reverse
-            network path.  Halves the event count for large experiments;
-            the forward data path is simulated identically.
+            ``base_rtt_ns // 2`` after the data packet arrives instead of
+            traversing the reverse network path.  Halves the event count
+            for large experiments; the forward data path is simulated
+            identically.
         max_burst: cap on back-to-back sends in one kick (keeps single
             events short).
     """
@@ -338,6 +339,11 @@ class TransportEndpoint:
         self._ack_delay_ns = max(1, config.base_rtt_ns // 2)
         self._post = sim.post
         host.handler = self.receive
+        if config.ack_bypass and type(self).receive is TransportEndpoint.receive:
+            # With bypassed ACKs and the stock receive(), nothing
+            # observes a data packet between its arrival and its ACK's
+            # return: take the arrival over and post one timer for both.
+            host.on_arrival = self._ack_on_arrival
 
     def register_peer(self, endpoint: "TransportEndpoint") -> None:
         """Make another endpoint reachable for ACK-bypass delivery."""
@@ -377,7 +383,15 @@ class TransportEndpoint:
     def handle_control(self, pkt: Packet) -> None:
         """Hook for baseline transports (grants, rate feedback)."""
 
-    def _ack(self, pkt: Packet) -> None:
+    def _ack_on_arrival(self, pkt: Packet, delay_ns: int) -> bool:
+        """:attr:`Host.on_arrival`: a data packet due in ``delay_ns``."""
+        if pkt.kind != _DATA:
+            return False
+        self.received_data_packets += 1
+        self._ack(pkt, delay_ns)
+        return True
+
+    def _ack(self, pkt: Packet, arrival_delay_ns: int = 0) -> None:
         if self.config.ack_bypass:
             peer = self.peers.get(pkt.src)
             if peer is None:
@@ -386,7 +400,12 @@ class TransportEndpoint:
                 )
             flow = peer._flows_by_id.get(pkt.flow_id)
             if flow is not None:
-                self._post(self._ack_delay_ns, flow.on_ack, pkt.msg_id, pkt.seq)
+                self._post(
+                    arrival_delay_ns + self._ack_delay_ns,
+                    flow.on_ack,
+                    pkt.msg_id,
+                    pkt.seq,
+                )
             return
         ack = Packet(
             src=self.host.host_id,
