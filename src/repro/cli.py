@@ -32,6 +32,7 @@ EXPERIMENTS.md for the paper-versus-measured record.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from typing import Any, Dict, Optional, Sequence, Tuple
@@ -663,8 +664,28 @@ def _live_main(argv: Sequence[str]) -> int:
     return 0
 
 
+#: Exit status when the reader of stdout went away: the shell's own
+#: 128 + SIGPIPE, and never 1, which means "failed" / "threshold breached".
+EXIT_STDOUT_CLOSED = 141
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
+    try:
+        status = _dispatch(argv)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # ``repro report --diff A B | head -1``: nobody is reading any
+        # more.  Point stdout at the null device so the interpreter's
+        # exit-time flush cannot raise the same error again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_STDOUT_CLOSED
+
+
+def _dispatch(argv: Optional[Sequence[str]]) -> int:
     if argv is None:
         argv = sys.argv[1:]
     if argv and argv[0] == "run":

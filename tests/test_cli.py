@@ -1,8 +1,16 @@
 """Tests for the command-line figure runner."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from repro.cli import _EXPERIMENTS, main
+import pytest
+
+from repro.cli import _EXPERIMENTS, EXIT_STDOUT_CLOSED, main
+
+_ROOT = Path(__file__).resolve().parents[1]
 
 #: ``python -m repro list``, byte for byte.
 _LIST_GOLDEN = """\
@@ -179,6 +187,55 @@ def test_report_diff_exit_codes(tmp_path, capsys):
         "report", "--diff", golden, regressed, "--max-slo-miss-delta", "0.5",
     ]) == 0
     capsys.readouterr()
+
+
+def _spawn_cli(args, stdout):
+    env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", *args],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env=env,
+        cwd=_ROOT,
+    )
+
+
+_GOLDEN_SUMMARY = "ci/fig08-fast.golden.json"
+_PIPED_COMMANDS = {
+    "list": ["list"],
+    "report-diff": ["report", "--diff", _GOLDEN_SUMMARY, _GOLDEN_SUMMARY],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_PIPED_COMMANDS))
+def test_closed_stdout_is_not_a_traceback_nor_a_breach(command):
+    """``repro ... | head -1``: once the reader is gone the CLI stops
+    quietly, with a status that is neither success nor 1 ("threshold
+    breached").  The read end is closed before the child can write, so
+    every write meets the closed pipe whatever the scheduling."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = _spawn_cli(_PIPED_COMMANDS[command], stdout=write_end)
+    finally:
+        os.close(write_end)
+    _, stderr = child.communicate(timeout=60)
+    assert child.returncode == EXIT_STDOUT_CLOSED, stderr.decode()
+    assert stderr == b""
+
+
+@pytest.mark.parametrize("command", sorted(_PIPED_COMMANDS))
+def test_reader_leaving_after_one_line(command):
+    """The same through a real pipe, as ``head -1`` does it: read one
+    line, close.  Whether the child had already written everything is a
+    race, so both outcomes are legal — a traceback never is."""
+    child = _spawn_cli(_PIPED_COMMANDS[command], stdout=subprocess.PIPE)
+    first = child.stdout.readline()
+    child.stdout.close()
+    stderr = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) in (0, EXIT_STDOUT_CLOSED)
+    assert first and stderr == b""
 
 
 def test_report_diff_needs_two_runs(tmp_path, capsys):
