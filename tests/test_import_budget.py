@@ -71,7 +71,7 @@ from pathlib import Path
 from benchmarks.ledger.workloads import load
 with tempfile.TemporaryDirectory() as scratch:
     unit = load("sim_incast_32k").run_unit(1, Path(scratch))
-assert unit.exact["events"] == 389200, unit.exact
+assert unit.exact["events"] == 261306, unit.exact
 """,
         ["numpy"],
     ),

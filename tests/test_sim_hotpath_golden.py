@@ -196,11 +196,13 @@ CASES: Dict[str, Dict[str, Any]] = {
     ),
 }
 
-# Read off the parent of the per-RPC path rewrite (commit b3b0c54).
+# Regenerated when the port went busy-until and the last-hop arrival
+# folded into the bypassed ACK (only same-nanosecond ties reorder: issued,
+# terminated, source_rng and admit_rng are those of commit b3b0c54).
 GOLDEN: Dict[str, Dict[str, Any]] = {
     "sim_small_rpc_1k": {
-        "digest_hex": "cf7fbbf08fb361c89d7362cc3deb8ea40ff5ba82cbeeb8ef4b6ac9addb795c4e",
-        "events": 183996,
+        "digest_hex": "a4bcbed361a8ba957330c16fd6605325e1fabc861245b4e5ec64cf70e261d8ac",
+        "events": 138817,
         "issued": 68315,
         "completed": 22953,
         "downgrades": 51448,
@@ -209,81 +211,81 @@ GOLDEN: Dict[str, Dict[str, Any]] = {
         "retransmits": 0,
         "source_rng": "066da9cb18e33f622fdf04170c3e3c7619e5468707071675c2839e2774d0c09c",
         "admit_rng": "f7d23e7c25aeeb0fbb9204232fa4e7df12d81947426d02ce926cb8595296508b",
-        "cwnd": "ff2139c19b1b1a5d9aa3fd8b934e221a4df2c7ab2fc0062569d619bfb69f2fa6"
+        "cwnd": "605bb5b30eab58ea03c42d04a4cf74e36538ea086ef6f3c97b7ecfaa6aec7a96"
     },
     "sim_incast_32k": {
-        "digest_hex": "45a0873b5cec774d04708e9ce0dc1d6884eb3a610f59e36f2a79f797cda24c04",
-        "events": 389200,
+        "digest_hex": "9ac7551d3f280ba99a09c1288972308a2dd40deee165ccf00746c0e7d2549838",
+        "events": 261306,
         "issued": 25787,
         "completed": 9003,
         "downgrades": 19144,
         "terminated": 0,
-        "packets_sent": 144192,
+        "packets_sent": 144198,
         "retransmits": 6,
         "source_rng": "880cebc4bd5cf20f793b52a3474d354bda03c7a69eafb9c89d6a89d3c480d821",
         "admit_rng": "25b9f66613a3df68cd3ae0d9f01ad45dc9eb00a31cb18c535709006a8fc958c2",
-        "cwnd": "413e0adda20fedfee565712d0dde146ebef313c39e799992fdb1215151052e8d"
+        "cwnd": "041810b99369541df18eef68df352cebd62c1a3f98e872311016d3805fd6c0a7"
     },
     "quota": {
-        "digest_hex": "466f86988a733dd4d884b13fbc88f209f9021187adb611f0852e7e16f7e635de",
-        "events": 74635,
+        "digest_hex": "7d95410bf847ba099b2156d66aa49140bcc5512871c6f1186e2ba5d8863da0de",
+        "events": 57393,
         "issued": 1819,
         "completed": 1809,
         "downgrades": 744,
         "terminated": 0,
-        "packets_sent": 29024,
+        "packets_sent": 29029,
         "retransmits": 0,
         "source_rng": "7397077df0e3bcf3966929bb45746e48f84bbbfdcfcfc70c1fbec86dbdb00047",
         "admit_rng": "b73678b0e6f386167e72590403a6d3a900732c06d189d2a60ed4b3f56c9aec27",
-        "cwnd": "4d4c557b5aa4de71688fb2a04159790f1bb2881e5952b300fd9bc5ca31fbf869"
+        "cwnd": "b8dd59b49b14719933c172811b70224e3ddfbdb936c3e50f8d346325033d1240"
     },
     "qos_mapper": {
-        "digest_hex": "40aff5833102cba169defe9617e476d6fd5a08c347d12ccda8fad5507b05b160",
-        "events": 55592,
+        "digest_hex": "e5c3cb8a5370df0894899a3559887a1157ea5caee7dd2dffebee2316b34524c0",
+        "events": 43152,
         "issued": 1682,
         "completed": 1666,
         "downgrades": 60,
         "terminated": 0,
-        "packets_sent": 21495,
+        "packets_sent": 21497,
         "retransmits": 0,
         "source_rng": "e6e79fcd9424fdfb9c23538e73e2cfa02892af11d5d53cfbf527ef9b66f3cc8c",
         "admit_rng": "235b83ab117d9d6da00afe2832ea2b785dbd06e5788218fcd30aa4d24ad0f9a3",
         "cwnd": "8a568479e846c0168d20df35f2c8d34277fef75c91601bbcfa9cbf936d696426"
     },
     "wfq": {
-        "digest_hex": "af65d17a727ee1a6ba3cad2b459ea2e927a3544017106da9ed72c0f621e1449a",
-        "events": 51098,
+        "digest_hex": "96a1ce5feda4c2fae27c01e08fa358aa16f812600522dbd0a29915a91279b4ef",
+        "events": 39132,
         "issued": 1255,
-        "completed": 1236,
+        "completed": 1237,
         "downgrades": 0,
         "terminated": 0,
-        "packets_sent": 19870,
+        "packets_sent": 19869,
         "retransmits": 0,
         "source_rng": "a23f57d96d2ab81b115f62b65aee41535186952632ed2d7ea09fc57d546692fd",
         "admit_rng": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
-        "cwnd": "944ed4c52015a4910730ed7a643f44e1c3c88a97a4421dc5591f022680ff9e28"
+        "cwnd": "fbc83e612f62c5cd3da548915f3bb5f52d68ab85c1096df5648a5334e7541bc1"
     },
     "ack_in_band": {
-        "digest_hex": "a503caa8e11e913c7767869f2771e65c9442269e18b7882ce8e0523b0d21b5be",
-        "events": 38958,
+        "digest_hex": "8be9d6d6766f3698a00234c0ef474ac8aaa4133c28f277faa5521a0213d48c1f",
+        "events": 26799,
         "issued": 1806,
-        "completed": 524,
-        "downgrades": 641,
+        "completed": 529,
+        "downgrades": 597,
         "terminated": 0,
-        "packets_sent": 18505,
-        "retransmits": 440,
+        "packets_sent": 18528,
+        "retransmits": 488,
         "source_rng": "599f23273d1bd9c6a7b84fd3ab91be32076e96bbe3969e065891eedffbc564e5",
         "admit_rng": "7633f9643594b155ee881b035d6b080b2f6ebb224ca0ef8c957481fd9ac84d2d",
-        "cwnd": "fd0df2b5e1e42875795f3aaad248a76b681bbeee30047b9c83df9ff7a8d0ccf4"
+        "cwnd": "24490faebc0d8f2f5a1be996c6f35e61ccb6d06c955591414c4a0ff13b7b4cf1"
     },
     "d3": {
         "digest_hex": "c54fc98382e4cd80ef90152d8dc69b6eef2c1cee0f0d87200b9e724d7a6ff2d2",
-        "events": 37516,
+        "events": 30785,
         "issued": 856,
         "completed": 449,
         "downgrades": 0,
         "terminated": 187,
-        "packets_sent": 9309,
+        "packets_sent": 9311,
         "retransmits": 0,
         "source_rng": "4891c6895927375186b61228e3eca1eec03bd6f5c7df3e8e0752f2dac060d9af",
         "admit_rng": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
@@ -291,12 +293,12 @@ GOLDEN: Dict[str, Dict[str, Any]] = {
     },
     "homa": {
         "digest_hex": "72e03f0bf20689be4bac4cab52155737a037f8bcd5141d56ebe1d720b8be61bc",
-        "events": 39508,
+        "events": 37701,
         "issued": 1665,
         "completed": 631,
         "downgrades": 0,
         "terminated": 0,
-        "packets_sent": 16762,
+        "packets_sent": 16767,
         "retransmits": 6927,
         "source_rng": "7986bc3e23a7f7292497b5d2358677f26d7528f78404482fbbb20e58b455373b",
         "admit_rng": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
@@ -304,25 +306,25 @@ GOLDEN: Dict[str, Dict[str, Any]] = {
     },
     "qjump": {
         "digest_hex": "f2a6835e6c93e9e52d5b15c83cb9ef223e768714bfba7f7a7cf37582f6e3b0aa",
-        "events": 76601,
+        "events": 63303,
         "issued": 1236,
         "completed": 1191,
         "downgrades": 0,
         "terminated": 0,
-        "packets_sent": 19241,
+        "packets_sent": 19249,
         "retransmits": 0,
         "source_rng": "8d5ed17027004f7093e155373380346ab0e5711b1757f04bb75e52e6f645c750",
         "admit_rng": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
         "cwnd": "ef76558659911a8d193a73ef25df28133d9c6e576671d516ddad587012b2701f"
     },
     "streaming": {
-        "digest_hex": "93307bb1dbd48a9b54788944f311bb1b6952f10440ddf702e503f186816bf99f",
-        "events": 55638,
+        "digest_hex": "17a2f5cde1e6462770077c0f323bb2fc5d8f23230bb773622156e89f448faf6a",
+        "events": 42792,
         "issued": 1708,
         "completed": 1662,
         "downgrades": 82,
         "terminated": 0,
-        "packets_sent": 21520,
+        "packets_sent": 21526,
         "retransmits": 0,
         "source_rng": "84db4e3544189e2b865ea148f4118da27bc7e1ee25c24f7c46a39e94154e3aba",
         "admit_rng": "3a5573723a4d8e42cb4723352903a5b96ec05217e66eb70aabee8eb356eadefe",
