@@ -5,6 +5,7 @@ analytic (no packet simulation), so whole sweeps run in milliseconds
 and the worker-pool / cache / resume behaviors stay cheap to exercise.
 """
 
+import hashlib
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -33,6 +34,46 @@ def test_point_seed_is_deterministic_and_identity_sensitive():
     assert a.seed != c.seed
     assert a.seed != d.seed
     assert 1 <= a.seed < 2**31
+
+
+#: Point identity of the three fast sweeps `sweep_fast_trio` runs, as
+#: values: every seed, the first cache key and a sha256 over all cache
+#: keys (newline-joined, code version ``"golden"``).  However a Point
+#: derives or caches its identity, these do not move — a moved seed
+#: would silently change every row of the figure.
+_IDENTITY_GOLDEN = {
+    "fig08": (
+        [757223115, 564200927, 753549118, 328480750, 1205114824, 1645717208,
+         1097422768, 577736707, 1352059763, 904019751, 891278317],
+        "993da8da4929f18ec09f7f0a5c71d2c6ad24751f648644b1ab874a4b2e033e34",
+        "9e2d296823f3a327839f4a38e5d2643c9da456a7e485dee9c87b7bc175549e55",
+    ),
+    "fig09": (
+        [222189754, 707103835, 1793269255, 1974503648, 1432963175, 893554017,
+         267262711, 624137847, 714364083, 1253217159, 1974494687, 891856652,
+         1408835868, 1946066021, 1665935075, 1108624856, 1236599055, 1571815988],
+        "40e6a6bc8a72bc9f79a4875814aeca3fb476511ba2f6e23b22d0e75ea9d61279",
+        "06d57c71b24834b885684fd6a8f74e034c2c8e53779cc8d7b2b6019f7a95f9e0",
+    ),
+    "fig10": (
+        [1722146483, 973678089, 1084335038, 1292142638],
+        "542d8e932e5fb5f51cd2a6c877f4448b081084abb56fed2242e84e31af67e317",
+        "67853197f9524783a16498a628ed5c0c6999bbdc7bef5c2234c6f50dd817e127",
+    ),
+}
+
+
+@pytest.mark.parametrize("figure", sorted(_IDENTITY_GOLDEN))
+def test_point_identity_golden(figure):
+    seeds, first_key, keys_sha = _IDENTITY_GOLDEN[figure]
+    points = driver_for(figure).sweep("fast")
+    assert [p.seed for p in points] == seeds
+    keys = [p.cache_key("golden") for p in points]
+    assert keys[0] == first_key
+    assert hashlib.sha256("\n".join(keys).encode()).hexdigest() == keys_sha
+    # Asking twice gives the same answer (identity is a value, not a draw).
+    assert [p.seed for p in points] == seeds
+    assert [p.cache_key("golden") for p in points] == keys
 
 
 def test_point_params_must_be_json_serializable():
