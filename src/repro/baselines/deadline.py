@@ -113,7 +113,9 @@ class PortArbiter:
         """Admit a new message into the allocation (and arm its deadline)."""
         self.flows[msg.msg_id] = _FlowRecord(msg, flow, self.sim.now)
         if msg.deadline_ns is not None:
-            self.sim.schedule_at(msg.deadline_ns, self._deadline_check, msg.msg_id)
+            self.sim.post(
+                msg.deadline_ns - self.sim.now, self._deadline_check, msg.msg_id
+            )
         self.recompute()
 
     def deregister(self, msg_id: int) -> None:

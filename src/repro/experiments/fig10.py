@@ -83,9 +83,14 @@ def _run_single_share(
             if share <= 0:
                 continue
             count = int(burst_bps * share * on_ns / 1e9 / (pkt_bytes * 8))
-            for i in range(count):
-                t = base + int(i * on_ns / max(count, 1))
-                sim.schedule_at(t, _inject, port, qos, pkt_bytes, sim)
+            # The whole arrival schedule is known before the clock
+            # starts: one pre-sorted run per (period, class) block keeps
+            # it out of the heap (DESIGN.md §11).  The clock reads 0
+            # here, so the absolute arrival times are the delays.
+            args = (port, qos, pkt_bytes, sim)
+            sim.post_run(
+                _inject, [(base + int(i * on_ns / count), args) for i in range(count)]
+            )
     sim.run()
     # Serialization of a single packet is the fluid model's granularity
     # floor; subtract it so a delay-free class reports ~0.

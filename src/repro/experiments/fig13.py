@@ -106,9 +106,9 @@ def _run_with_tracking(
         if sim.now >= warmup_ns:
             samples_hm.extend(outstanding_hm.values())
             samples_l.extend(outstanding_l.values())
-        sim.schedule(interval, sample)
+        sim.post(interval, sample)
 
-    sim.schedule(interval, sample)
+    sim.post(interval, sample)
     attach_traffic(result)
     sim.run(until=ns_from_ms(duration_ms))
     return OutstandingTrace(high_medium=samples_hm, low=samples_l)

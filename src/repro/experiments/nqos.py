@@ -103,9 +103,9 @@ def run(
             # the Priority argument is a dead placeholder in this
             # N-QoS setting.
             stack.issue(dst, Priority.BE, size.sample(rng))
-            sim.schedule(max(1, int(rng.expovariate(1.0) * gap_ns)), issue_one)
+            sim.post(max(1, int(rng.expovariate(1.0) * gap_ns)), issue_one)
 
-        sim.schedule(1, issue_one)
+        sim.post(1, issue_one)
 
     # Per-host load 0.9: mean gap between 32 KB RPCs.
     gap_ns = int(32 * 1024 * 8 / (0.9 * 100e9) * 1e9)

@@ -204,7 +204,7 @@ _RNG_CONSTRUCTORS = frozenset(
     }
 )
 
-_SCHEDULING_METHODS = frozenset({"schedule", "schedule_at", "post"})
+_SCHEDULING_METHODS = frozenset({"schedule", "schedule_at", "post", "post_run"})
 
 #: Method-name shapes that mark a per-event hot path for SIM010.  The
 #: leading-underscore-stripped name either starts with one of the

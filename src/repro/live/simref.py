@@ -64,7 +64,7 @@ class _RefServer:
         for queue in self._queues:
             if queue:
                 service_ns, done = queue.popleft()
-                self._sim.schedule(service_ns, self._finish, done)
+                self._sim.post(service_ns, self._finish, done)
                 return
         self._busy = False
 
@@ -129,9 +129,16 @@ def run_sim_reference(workload: LiveWorkload) -> Dict[str, Track]:
                     outcome.qos_run,
                 )
 
+    # The clock reads 0, so each client's arrival times are the delays
+    # of one pre-sorted run (kernel contract rule 7).
     for index in range(workload.clients):
-        for arrival_ns, qos in arrival_schedule(workload, index):
-            sim.schedule_at(arrival_ns, issue, index, qos)
+        sim.post_run(
+            issue,
+            [
+                (arrival_ns, (index, qos))
+                for arrival_ns, qos in arrival_schedule(workload, index)
+            ],
+        )
 
     sim.run(until=workload.duration_ns)
     return tracks

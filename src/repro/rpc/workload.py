@@ -122,7 +122,7 @@ class OpenLoopSource:
         mean_bytes = self._mean_payload_bytes()
         burst_bps = pattern.rho * line_rate_bps
         self._rpcs_per_on_window = burst_bps * (pattern.on_ns / 1e9) / (mean_bytes * 8)
-        self.sim.schedule_at(start_ns, self._on_period_start)
+        self.sim.post(start_ns - sim.now, self._on_period_start)
 
     def _mean_payload_bytes(self) -> float:
         if isinstance(self.size_dist, dict):
@@ -136,19 +136,19 @@ class OpenLoopSource:
         if self.stop_ns is not None and self.sim.now >= self.stop_ns:
             return
         on_ns = self.pattern.on_ns
+        # The whole on-window goes in as one pre-sorted run: the kernel
+        # holds one heap slot for it, not one per arrival.
         if self.deterministic:
             count = max(1, int(round(self._rpcs_per_on_window)))
-            for i in range(count):
-                offset = int(i * on_ns / count)
-                self.sim.post(offset, self._issue_one)
+            offsets = [(int(i * on_ns / count), ()) for i in range(count)]
         else:
             # Poisson arrivals in the on-window: draw the count, then
             # place arrivals uniformly (standard conditional property).
             lam = self._rpcs_per_on_window
             count = _poisson_draw(self.rng, lam)
-            draw, post, issue_one = self.rng.random, self.sim.post, self._issue_one
-            for _ in range(count):
-                post(int(draw() * on_ns), issue_one)
+            draw = self.rng.random
+            offsets = [(int(draw() * on_ns), ()) for _ in range(count)]
+        self.sim.post_run(self._issue_one, offsets)
         self.sim.post(self.pattern.period_ns, self._on_period_start)
 
     def _issue_one(self) -> None:

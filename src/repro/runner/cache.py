@@ -56,16 +56,23 @@ class ResultCache:
         return self.root / point.experiment / key[:2] / f"{key}.json"
 
     def get(self, point: Point, code_ver: str) -> Optional[Dict[str, Any]]:
-        """The cached row for this point, or None on miss/corruption."""
+        """The cached row for this point, or None on miss/corruption.
+
+        Corruption includes an entry that parses as JSON but is not an
+        entry — anything other than a dict holding a dict ``row`` — so
+        the caller recomputes and overwrites it.
+        """
         path = self._path(point, code_ver)
         try:
             with open(path) as fh:
                 entry = json.load(fh)
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError):  # unreadable, not JSON, not text
+            entry = None
+        row = entry.get("row") if isinstance(entry, dict) else None
+        if not isinstance(row, dict):
             self.misses += 1
             return None
         self.hits += 1
-        row: Dict[str, Any] = entry["row"]
         return row
 
     def put(self, point: Point, code_ver: str, row: Dict[str, Any]) -> None:

@@ -31,36 +31,45 @@ def canonical_json(value: Any) -> str:
 
 @dataclass(frozen=True)
 class Point:
-    """One sweep coordinate of one experiment."""
+    """One sweep coordinate of one experiment.
+
+    A point's identity is fixed at construction: the canonical encoding
+    of ``params`` (serialised once, which also validates them) and the
+    seed hashed from it.  ``params`` is part of that identity — treat it
+    as read-only.
+    """
 
     experiment: str
     params: Dict[str, Any] = field(default_factory=dict)
     replicate: int = 0
+    #: Deterministic seed from ``(experiment, params, replicate)``.
+    seed: int = field(init=False, repr=False, compare=False)
+    _canonical: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         try:
-            canonical_json(self.params)
+            canonical = canonical_json(self.params)
         except (TypeError, ValueError) as exc:
             raise TypeError(
                 f"{self.experiment}: point params must be JSON-serializable "
                 f"({exc})"
             ) from exc
+        blob = f"{self.experiment}|{canonical}|{self.replicate}"
+        digest = hashlib.sha256(blob.encode()).digest()
+        # Frozen: derived fields go in through object.__setattr__.
+        object.__setattr__(self, "_canonical", canonical)
+        # Positive 31-bit seed: every RNG in the tree accepts it.
+        object.__setattr__(
+            self, "seed", (int.from_bytes(digest[:8], "big") % ((1 << 31) - 1)) + 1
+        )
 
     def canonical_params(self) -> str:
-        return canonical_json(self.params)
-
-    @property
-    def seed(self) -> int:
-        """Deterministic seed from ``(experiment, params, replicate)``."""
-        blob = f"{self.experiment}|{self.canonical_params()}|{self.replicate}"
-        digest = hashlib.sha256(blob.encode()).digest()
-        # Positive 31-bit seed: every RNG in the tree accepts it.
-        return (int.from_bytes(digest[:8], "big") % ((1 << 31) - 1)) + 1
+        return self._canonical
 
     def cache_key(self, code_ver: str) -> str:
         """Cache identity: params + seed + the code that interprets them."""
         blob = (
-            f"{self.experiment}|{self.canonical_params()}|"
+            f"{self.experiment}|{self._canonical}|"
             f"{self.replicate}|{self.seed}|{code_ver}"
         )
         return hashlib.sha256(blob.encode()).hexdigest()

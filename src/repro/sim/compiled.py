@@ -125,6 +125,9 @@ class CompiledSimulator(Simulator):
         core = self._core
         core.post_at(core.now + delay_ns, fn, *args)
 
+    #: Contract rule 7 as written: no run storage in the C core.
+    post_run = Simulator._post_run_loop
+
     def schedule_at(self, time_ns: int, fn: Callable[..., None], *args: Any) -> Event:
         """See :meth:`Simulator.schedule_at` (contract rule 5)."""
         now = self._core.now

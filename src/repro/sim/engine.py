@@ -51,12 +51,22 @@ documented semantics — the characterization tests in
 6. **Counters.**  ``events_processed`` counts fired events only, and is
    folded in on every exit path — including an exception escaping a
    callback — so interrupted runs stay accountable.
+7. **Runs.**  ``post_run(fn, entries)`` *is* ``for delay_ns, args in
+   entries: post(delay_ns, fn, *args)``: entry *i* holds the sequence
+   number that loop would have drawn (``seq0 + i``, reserved at the
+   call), so firing order, ties against every other event,
+   ``events_processed`` and the clock are those of the loop.  A kernel
+   may keep the run sorted by ``(time, seq)`` outside its queue and hold
+   only the run's earliest unfired entry there (one queue slot per run,
+   the next entry queued before the current one fires); what fires is
+   the caller's ``fn``, never a trampoline.  A negative delay anywhere
+   in the run rejects the whole run: nothing queued, no ``seq`` drawn.
 """
 
 from __future__ import annotations
 
 from heapq import heappop as _heappop, heappush as _heappush
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.sim.sanitize import SanitizerError, sanitize_enabled
 
@@ -173,11 +183,13 @@ class Simulator:
             profiler = active_profiler()
         self.profiler = profiler
         self._now: int = 0
-        # Heap entries are either ``(time, seq, Event)`` (cancellable,
-        # from :meth:`schedule`) or ``(time, seq, fn, args)`` (the
-        # fire-and-forget fast path of :meth:`post`).  ``seq`` is unique
-        # so ordering never compares the third element and the two entry
-        # shapes can share one heap.
+        # Heap entries are ``(time, seq, Event)`` (cancellable, from
+        # :meth:`schedule`), ``(time, seq, fn, args)`` (the fire-and-
+        # forget fast path of :meth:`post`) or ``(time, seq, fn, args,
+        # rest)`` (the head of a :meth:`post_run`; ``rest`` holds the
+        # run's later entries, latest first).  ``seq`` is unique so
+        # ordering never compares the third element and the three entry
+        # shapes can share one heap, told apart by length.
         self._heap: List[Tuple[Any, ...]] = []
         self._seq: int = 0
         self._events_processed: int = 0
@@ -238,6 +250,46 @@ class Simulator:
         self._seq = seq + 1
         _heappush(self._heap, (self._now + delay_ns, seq, fn, args))
 
+    def post_run(
+        self, fn: Callable[..., None], entries: Iterable[Tuple[int, Tuple[Any, ...]]]
+    ) -> None:
+        """Post a whole schedule of ``fn`` calls known in advance.
+
+        ``entries`` yields ``(delay_ns, args)`` pairs; the call is by
+        definition ``for delay_ns, args in entries: post(delay_ns, fn,
+        *args)`` (kernel contract rule 7) — same sequence numbers, same
+        firing order, same counters.  What differs is the cost: the run
+        is sorted once and only its earliest unfired entry occupies the
+        heap, so an arrival schedule of thousands of entries (fig10's
+        injector, an open-loop source's on-window, a replayed log) does
+        not deepen every other event's sift.
+        """
+        now = self._now
+        seq = self._seq
+        rest: List[Tuple[Any, ...]] = []
+        for delay_ns, args in entries:
+            if delay_ns < 0:
+                raise ValueError(f"cannot schedule into the past (delay={delay_ns}ns)")
+            rest.append((now + delay_ns, seq, fn, args, rest))
+            seq += 1
+        if rest:
+            self._seq = seq
+            # (time, seq) is unique, so the sort never compares ``fn``.
+            rest.sort(reverse=True)
+            _heappush(self._heap, rest.pop())
+
+    def _post_run_loop(
+        self, fn: Callable[..., None], entries: Iterable[Tuple[int, Tuple[Any, ...]]]
+    ) -> None:
+        """Rule 7's definition, run as written: the :meth:`post_run` of
+        the kernels that keep no run storage."""
+        run = list(entries)
+        for delay_ns, _ in run:
+            if delay_ns < 0:
+                raise ValueError(f"cannot schedule into the past (delay={delay_ns}ns)")
+        for delay_ns, args in run:
+            self.post(delay_ns, fn, *args)
+
     def schedule_at(self, time_ns: int, fn: Callable[..., None], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute simulation time ``time_ns``.
 
@@ -280,6 +332,10 @@ class Simulator:
             item = _heappop(heap)
             if len(item) == 4:
                 fn, args = item[2], item[3]
+            elif len(item) == 5:
+                fn, args = item[2], item[3]
+                if item[4]:
+                    _heappush(heap, item[4].pop())
             else:
                 event = item[2]
                 if event.cancelled:
@@ -347,6 +403,12 @@ class Simulator:
                     return
                 if len(item) == 4:
                     fn, args = item[2], item[3]
+                elif len(item) == 5:
+                    # Head of a run: queue its successor before firing,
+                    # so the heap is whole on every exit path.
+                    fn, args = item[2], item[3]
+                    if item[4]:
+                        _heappush(heap, item[4].pop())
                 else:
                     event = item[2]
                     if event.cancelled:

@@ -131,6 +131,9 @@ class ArraySimulator(Simulator):
             (((self._now + delay_ns) << SEQ_BITS | seq) << SLOT_BITS) | slot,
         )
 
+    #: Contract rule 7 as written: no run storage in this kernel.
+    post_run = Simulator._post_run_loop
+
     # ------------------------------------------------------------------
     # kernel paths (contract rules 2-4)
     # ------------------------------------------------------------------

@@ -30,7 +30,7 @@ class PeriodicSampler:
         self.probe = probe
         self.samples: List[Tuple[int, float]] = []
         self._stopped = False
-        sim.schedule_at(start_ns, self._tick)
+        sim.post(start_ns - sim.now, self._tick)
 
     def stop(self) -> None:
         self._stopped = True

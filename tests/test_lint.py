@@ -263,6 +263,23 @@ def test_sim004_requires_scheduling_in_body():
     assert rules_in(keys) == ["SIM004"]
 
 
+def test_post_run_counts_as_scheduling():
+    # A pre-sorted run queues events like any other scheduling call.
+    unordered = (
+        "def f(sim, hosts):\n"
+        "    for h in set(hosts):\n"
+        "        sim.post_run(h.start, [(0, ()), (5, ())])\n"
+    )
+    assert rules_in(unordered) == ["SIM004"]
+    assert rules_in(unordered.replace("set(hosts)", "sorted(set(hosts))")) == []
+    after_stop = (
+        "def finish(sim, cleanup):\n"
+        "    sim.stop()\n"
+        "    sim.post_run(cleanup, [(0, ())])\n"
+    )
+    assert rules_in(after_stop) == ["SIM007"]
+
+
 def test_sim006_flags_substream_at_module_scope():
     source = "from repro.sim.rng import substream\n\nR = substream(0, 'x')\n"
     assert rules_in(source) == ["SIM006"]

@@ -76,6 +76,20 @@ def test_point_identity_golden(figure):
     assert [p.cache_key("golden") for p in points] == keys
 
 
+def test_point_serialises_its_params_once(monkeypatch):
+    from repro.runner import point as point_module
+
+    calls = []
+    real = point_module.canonical_json
+    monkeypatch.setattr(
+        point_module, "canonical_json", lambda v: calls.append(v) or real(v)
+    )
+    p = Point("fig08", {"share": 0.5})
+    for _ in range(3):
+        p.seed, p.cache_key("v"), p.canonical_params(), p.label()
+    assert len(calls) == 1
+
+
 def test_point_params_must_be_json_serializable():
     with pytest.raises(TypeError):
         Point("fig08", {"bad": object()})
@@ -93,6 +107,44 @@ def test_cache_hit_miss_and_invalidation(tmp_path):
     assert cache.get(point, "deadbeef") is None  # code change misses
     assert cache.hits == 1
     assert cache.misses == 3
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"{}", b"null", b"[1]", b'{"row": 3}', b'{"row": null}', b'{"row', b"\xff\xfe"],
+    ids=["no-row", "null", "list", "row-not-a-dict", "row-null", "torn", "not-text"],
+)
+def test_cache_entry_of_the_wrong_shape_is_a_miss(tmp_path, content):
+    """Valid JSON that is not an entry is corruption too: a miss, then
+    recomputed and overwritten — never an exception out of a sweep, and
+    never a non-row handed back as a hit."""
+    cache = ResultCache(tmp_path)
+    ver = code_version()
+    point = Point("fig08", {"share": 0.5})
+    cache.put(point, ver, {"delay": 1.0})
+    (path,) = tmp_path.rglob("*.json")
+    path.write_bytes(content)
+    assert cache.get(point, ver) is None
+    assert (cache.hits, cache.misses) == (0, 1)
+    cache.put(point, ver, {"delay": 1.0})
+    assert cache.get(point, ver) == {"delay": 1.0}
+
+
+def test_sweep_recomputes_and_overwrites_a_wrong_shaped_entry(tmp_path):
+    kwargs = dict(
+        profile="fast",
+        results_dir=tmp_path / "results",
+        cache_dir=tmp_path / "cache",
+    )
+    first = run_experiment("fig08", **kwargs)
+    entries = sorted((tmp_path / "cache").rglob("*.json"))
+    entries[0].write_text("{}")
+    entries[1].write_text('{"row": 3}')
+    second = run_experiment("fig08", **kwargs)
+    assert (second.computed, second.cached) == (2, len(entries) - 2)
+    assert second.rows == first.rows
+    third = run_experiment("fig08", **kwargs)
+    assert third.computed == 0
 
 
 def test_store_roundtrip_and_missing_run(tmp_path):

@@ -8,6 +8,8 @@ them.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.engine import (
     NS_PER_MS,
@@ -435,3 +437,255 @@ def test_exception_in_callback_still_counts_fired_events(make_sim):
     assert sim.now == 2  # clock had advanced to the raising event
     sim.run()  # the run can be resumed past the failure
     assert sim.events_processed == 2
+
+
+# ----------------------------------------------------------------------
+# Pre-sorted runs (kernel contract rule 7)
+# ----------------------------------------------------------------------
+def _naive_post_run(sim, fn, entries):
+    """Rule 7's definition, spelled out independently of the kernels."""
+    entries = list(entries)
+    if any(delay < 0 for delay, _ in entries):
+        raise ValueError("negative delay in run")
+    for delay, args in entries:
+        sim.post(delay, fn, *args)
+
+
+def _seq_of(sim):
+    core = getattr(sim, "_core", None)  # the compiled kernel counts in C
+    return sim._seq if core is None else core.seq
+
+
+def test_post_run_fires_in_time_then_entry_order(make_sim):
+    sim = make_sim()
+    fired = []
+    sim.post(20, fired.append, "before")
+    sim.post_run(fired.append, [(30, ("c",)), (20, ("a",)), (0, ("z",)), (20, ("b",))])
+    sim.post(20, fired.append, "after")
+    assert sim.peek_time() == 0
+    sim.run()
+    assert fired == ["z", "before", "a", "b", "after", "c"]
+    assert sim.events_processed == 6
+    assert sim.now == 30
+
+
+def test_post_run_delays_are_relative_to_the_posting_instant(make_sim):
+    sim = make_sim()
+    fired = []
+
+    def burst():
+        sim.post_run(lambda i: fired.append((sim.now, i)), ((5 * i, (i,)) for i in range(3)))
+
+    sim.post(100, burst)
+    sim.run()
+    assert fired == [(100, 0), (105, 1), (110, 2)]
+
+
+def test_post_run_of_nothing_is_a_no_op(make_sim):
+    sim = make_sim()
+    seq = _seq_of(sim)
+    sim.post_run(print, [])
+    assert sim.peek_time() is None
+    assert _seq_of(sim) == seq
+    assert sim.step() is False
+
+
+@pytest.mark.parametrize("bad_at", [0, 2, 4])
+def test_post_run_negative_delay_rejects_the_whole_run(make_sim, bad_at):
+    """Nothing queued and no sequence number consumed: a later event
+    ties exactly as if the rejected call had never been made."""
+    sim = make_sim()
+    delays = [3, 0, 7, 7, 1]
+    delays[bad_at] = -1
+    seq = _seq_of(sim)
+    with pytest.raises(ValueError):
+        sim.post_run(print, [(d, ()) for d in delays])
+    assert _seq_of(sim) == seq
+    assert sim.peek_time() is None
+    assert sim.step() is False
+    assert sim.events_processed == 0
+
+
+_RUN_DELAYS = st.lists(st.integers(0, 30), max_size=10)  # ties and zeros
+_SETUP_OP = st.one_of(
+    st.tuples(st.just("run"), st.sampled_from(["ping", "pong"]), _RUN_DELAYS),
+    st.tuples(st.just("bad_run"), _RUN_DELAYS, st.integers(0, 10)),
+    st.tuples(st.just("post"), st.integers(0, 30)),
+    st.tuples(st.just("schedule"), st.integers(0, 30)),
+    st.tuples(st.just("cancel"), st.integers(0, 1 << 16)),
+    st.tuples(st.just("stop")),
+)
+_DRIVE_OP = st.one_of(
+    st.tuples(st.just("until"), st.integers(0, 40)),
+    st.tuples(st.just("max_events"), st.integers(0, 6)),
+    st.tuples(st.just("step")),
+    st.tuples(st.just("peek")),
+)
+
+
+def _play(sim, post_run, setup, reactions, drive):
+    """Run one drawn program; returns everything an observer can see.
+
+    ``setup`` ops run before the clock starts, ``reactions[i]`` inside
+    the i-th fired callback (so runs are posted mid-run, at ``now > 0``,
+    next to posts, schedules, cancels and ``stop()``), ``drive`` ops
+    advance the simulator piecewise before a final drain.
+    """
+    log = []
+    handles = []
+    tags = iter(range(1 << 30))
+    fired = [0]
+
+    def react(fn_name, tag):
+        log.append((sim.now, fn_name, tag))
+        index = fired[0]
+        fired[0] += 1
+        if index < len(reactions):
+            apply(reactions[index])
+
+    def ping(tag):
+        react("ping", tag)
+
+    def pong(tag):
+        react("pong", tag)
+
+    fns = {"ping": ping, "pong": pong}
+
+    def apply(ops):
+        for op in ops:
+            if op[0] == "run":
+                post_run(sim, fns[op[1]], [(d, (next(tags),)) for d in op[2]])
+            elif op[0] == "bad_run":
+                delays = list(op[1])
+                delays.insert(op[2] % (len(delays) + 1), -1 - op[2])
+                try:
+                    post_run(sim, ping, [(d, (next(tags),)) for d in delays])
+                except ValueError:
+                    log.append("rejected")
+            elif op[0] == "post":
+                sim.post(op[1], pong, next(tags))
+            elif op[0] == "schedule":
+                handles.append(sim.schedule(op[1], ping, next(tags)))
+            elif op[0] == "cancel":
+                if handles:
+                    handles[op[1] % len(handles)].cancel()
+            else:
+                sim.stop()
+
+    apply(setup)
+    for op in drive:
+        if op[0] == "until":
+            sim.run(until=sim.now + op[1])
+        elif op[0] == "max_events":
+            sim.run(max_events=op[1])
+        elif op[0] == "step":
+            log.append(("step", sim.step()))
+        else:
+            log.append(("peek", sim.peek_time()))
+        log.append(("at", sim.now, sim.events_processed))
+    sim.run()
+    return log, sim.events_processed, sim.now, sim.peek_time()
+
+
+@pytest.mark.parametrize("backend", available_backends())
+@settings(max_examples=150, deadline=None)
+@given(
+    setup=st.lists(_SETUP_OP, max_size=6),
+    reactions=st.lists(st.lists(_SETUP_OP, max_size=3), max_size=8),
+    drive=st.lists(_DRIVE_OP, max_size=6),
+)
+def test_post_run_is_the_naive_post_loop(backend, setup, reactions, drive):
+    """The fired (time, fn, args) sequence, every observation between
+    drive steps, ``events_processed`` and the final clock equal those of
+    the definitional loop run on the pure kernel — with ties and zero
+    delays in the runs, runs cut by ``run(until=...)``, ``max_events``,
+    ``stop()`` and ``step()``, rejected runs, and ``post``/``schedule``/
+    ``cancel`` interleaved before and during the run."""
+    reference = _play(sim_class("pure")(), _naive_post_run, setup, reactions, drive)
+    played = _play(
+        sim_class(backend)(),
+        lambda sim, fn, entries: sim.post_run(fn, entries),
+        setup,
+        reactions,
+        drive,
+    )
+    assert played == reference
+
+
+def test_a_run_holds_at_most_one_heap_entry():
+    """Pure kernel: however long the runs, each has one slot in the heap
+    (the 5-tuple entries), checked from inside every callback and while
+    the clock is stopped mid-run."""
+    sim = sim_class("pure")()
+    peak = [0]
+
+    def check(*_args):
+        per_run = {}
+        for item in sim._heap:
+            if len(item) == 5:
+                per_run[id(item[4])] = per_run.get(id(item[4]), 0) + 1
+        assert all(count == 1 for count in per_run.values())
+        assert len(sim._heap) <= 4  # three runs and the one plain post
+        peak[0] = max(peak[0], len(per_run))
+
+    sim.post_run(check, [(i % 7, (i,)) for i in range(500)])
+    sim.post_run(check, [(3, ())] * 200)
+    sim.post(2, sim.post_run, check, [(i, ()) for i in range(100)])
+    check()
+    sim.run(until=3)
+    check()
+    sim.run(max_events=50)
+    check()
+    sim.run()
+    assert sim.events_processed == 801
+    assert peak[0] == 3 and sim._heap == []
+
+
+def test_profiler_names_the_handler_a_run_fires(tmp_path):
+    """What fires is the caller's ``fn``, not a trampoline: the first
+    slice of the ledger's ``sim_small_rpc_1k`` workload under a profiler
+    still books its arrivals (7 sources x ~490 per 100 us period) to
+    ``OpenLoopSource._issue_one``."""
+    from benchmarks.ledger.workloads import load
+    from repro.obs.profile import SimProfiler
+    from repro.obs.runtime import ObsContext, activate, deactivate
+
+    profiler = SimProfiler()
+    activate(ObsContext(profiler=profiler))
+    try:
+        load("sim_small_rpc_1k").first_op(1, str(tmp_path))
+    finally:
+        deactivate()
+    calls = {row.name: row.calls for row in profiler.rows()}
+    assert calls["OpenLoopSource._issue_one"] > 3000
+    assert not any("post_run" in name for name in calls)
+
+
+def test_sanitized_fig10_fast_points_reproduce_the_plain_rows(monkeypatch):
+    """``_sanitize_pop`` sees a run's entries like any other event."""
+    from tests import test_fig10_golden
+
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    assert Simulator().sanitize
+    assert test_fig10_golden.fast_rows() == test_fig10_golden._ROWS
+
+
+def test_sanitizer_names_the_run_handler():
+    """The error context of a run entry firing in the past names the
+    caller's handler (it cannot happen through the API; the pure
+    kernel's clock is forced forward here to trip the check)."""
+    from repro.sim.sanitize import SanitizerError
+
+    sim = sim_class("pure")(sanitize=True)
+
+    def arrival():
+        pass
+
+    sim.post_run(arrival, [(5, ()), (20, ())])
+    sim._now = 10
+    with pytest.raises(SanitizerError) as err:
+        sim.run()
+    assert err.value.invariant == "clock-monotonicity"
+    assert "arrival" in err.value.provenance["callback"]
+    sim.run()  # the run's successor was queued before the check tripped
+    assert sim.events_processed == 1 and sim.now == 20
