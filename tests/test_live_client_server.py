@@ -403,6 +403,75 @@ class TestShutdown:
         assert result.status == "error"
 
 
+def conn_events(path):
+    return [r["event"] for r in read_events(path) if r["type"] == "conn"]
+
+
+class TestConnectionSharing:
+    """What ``_ensure_conn`` guarantees, however a call reaches it: one
+    dial per connection, no dial on a closed client, and a dial that
+    only ever happens with ``_conn_lock`` held."""
+
+    def test_concurrent_first_calls_dial_once(self, tmp_path):
+        async def scenario(server, client, clock):
+            return await asyncio.gather(
+                *(client.call(i & 1, payload_bytes=1024) for i in range(32))
+            )
+
+        results = run_stack(tmp_path, scenario, service_ns=1000, queue_limit=64)
+        assert [r.status for r in results] == ["ok"] * 32
+        assert conn_events(tmp_path / "client.jsonl") == ["connect", "close"]
+
+    def test_call_after_close_of_a_used_client_does_not_redial(self, tmp_path):
+        async def scenario(server, client, clock):
+            first = await client.call(0, payload_bytes=1024)
+            await client.aclose()
+            return first, await client.call(0, payload_bytes=1024), client.failures
+
+        first, late, failures = run_stack(
+            tmp_path,
+            scenario,
+            retry=RetryPolicy(max_attempts=1, deadline_ns=200 * MS),
+        )
+        assert first.ok
+        assert (late.ok, late.status, late.attempts, late.rnl_ns) == (
+            False, "error", 1, None,
+        )
+        assert failures == 1
+        assert conn_events(tmp_path / "client.jsonl") == ["connect", "close"]
+        spans = [
+            r for r in read_events(tmp_path / "client.jsonl") if r["type"] == "rpc"
+        ]
+        assert [s["terminated"] for s in spans] == [False, True]
+
+    def test_call_on_a_closing_writer_redials_under_the_lock(
+        self, tmp_path, monkeypatch
+    ):
+        async def scenario(server, client, clock):
+            first = await client.call(0, payload_bytes=1024)
+            dials_locked = []
+            open_connection = asyncio.open_connection
+
+            async def watched(*args, **kwargs):
+                dials_locked.append(client._conn_lock.locked())
+                return await open_connection(*args, **kwargs)
+
+            monkeypatch.setattr(asyncio, "open_connection", watched)
+            # Closing but not yet noticed by the reader task: the next
+            # call must not write into this writer.
+            client._writer.close()
+            assert client._writer is not None and client._writer.is_closing()
+            second = await client.call(0, payload_bytes=1024)
+            return first, second, dials_locked
+
+        first, second, dials_locked = run_stack(tmp_path, scenario)
+        assert first.ok and second.ok
+        assert dials_locked and all(dials_locked)
+        assert conn_events(tmp_path / "client.jsonl").count("connect") == 1 + len(
+            dials_locked
+        )
+
+
 class TestBackoffSchedule:
     def test_exponential_doubling_capped_with_jitter_bounds(self):
         policy = RetryPolicy(
