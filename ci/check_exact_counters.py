@@ -3,11 +3,13 @@
 
 Reads a traced ledger run from stdin (echoing it, so the CI log keeps
 the full output), takes the JSON result on its last line and compares
-the counters committed in ``ci/sim-exact-counters.json`` for WORKLOAD —
-events and packets per unit of work, which repeat exactly for a seed —
-for equality.  A 1 % event regression is invisible to wall-clock on a
-shared runner; here it is a failed step.  A change that legitimately
-moves a counter updates the JSON in the same diff.
+the counters committed in ``ci/exact-counters.json`` for WORKLOAD —
+events and packets per unit of work on the simulator workloads, header
+bytes and log records per call on the live one, which repeat exactly
+for a seed — for equality.  A 1 % event regression, or one more byte on
+the wire, is invisible to wall-clock on a shared runner; here it is a
+failed step.  A change that legitimately moves a counter updates the
+JSON in the same diff.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from pathlib import Path
 
 def main() -> int:
     workload = sys.argv[1]
-    doc = json.loads(Path(__file__).with_name("sim-exact-counters.json").read_text())
+    doc = json.loads(Path(__file__).with_name("exact-counters.json").read_text())
     expected = doc["workloads"][workload]
     last = ""
     for line in sys.stdin:
@@ -35,7 +37,7 @@ def main() -> int:
     for name, (want, got) in moved.items():
         print(f"exact counter moved: {workload} {name}: committed {want!r}, measured {got!r}")
     if moved:
-        print("update ci/sim-exact-counters.json in the same change if the move is intended")
+        print("update ci/exact-counters.json in the same change if the move is intended")
         return 1
     print(f"exact counters hold: {workload} {sorted(expected)}")
     return 0

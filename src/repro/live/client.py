@@ -413,7 +413,12 @@ class AdmissionClient:
                 )
                 traceparent = traceparent_of(trace_id, attempt_span_id)
             try:
-                writer = await self._ensure_conn()
+                # An open connection is used as it stands; only a missing,
+                # closed or closing one goes through the dial lock.  No
+                # await separates this test from the write below.
+                writer = self._writer
+                if writer is None or self._closed or writer.is_closing():
+                    writer = await self._ensure_conn()
                 loop = asyncio.get_running_loop()
                 future: "asyncio.Future[Response]" = loop.create_future()
                 self._pending[rpc_id] = future

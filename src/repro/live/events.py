@@ -16,6 +16,13 @@ unchanged.  Live-only record types are added on top:
   (:meth:`repro.obs.slo.Alert.as_record`);
 * ``"metrics"`` — one registry snapshot (metrics sidecar logs only).
 
+The three span lines are dataclass-shaped and written on every call, so
+each has an encoder compiled at import from its field table
+(:func:`repro.live.wire.compile_flat_encoder`); the dict-shaped records
+above go through one cached generic ``JSONEncoder``, which is also what
+a span line falls back to when a value is not of its declared type.
+The bytes are the same either way.
+
 Timestamps are wall-clock nanoseconds from the run-origin-rebased
 :class:`repro.live.clock.WallClock`, in the fields the span vocabulary
 already defines (``issued_ns``, ``time_ns``, ...).
@@ -33,15 +40,40 @@ from __future__ import annotations
 
 import json
 import warnings
+from dataclasses import MISSING
 from pathlib import Path
-from typing import Any, Dict, List, Optional, TextIO, Tuple, Union
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, TextIO, Tuple, Union
 
 from repro.core.clocks import ClockSource
+from repro.live.wire import compile_flat_encoder, field_table
 from repro.obs.trace import AdmissionEvent, QueueSpan, RpcSpan, span_record
 
-#: One compact encoder for every line (``json.dumps`` builds a fresh
-#: ``JSONEncoder`` per call whenever separators are not the default).
+#: One compact encoder for every dict-shaped record (``json.dumps``
+#: builds a fresh ``JSONEncoder`` per call whenever separators are not
+#: the default).
 _encode_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
+#: ``(kind, encode, keys)``: one span class's record type, compiled line
+#: encoder, and the keys its line already holds — a traced extra under
+#: one of those replaces that value where it stands, so it cannot be
+#: spliced on at the end.
+_SpanLine = Tuple[str, Callable[[Any, str], Optional[str]], FrozenSet[str]]
+
+
+def _span_line(kind: str, cls: type) -> _SpanLine:
+    """Compile ``{"type":kind``, then every field of the span — a span
+    default is a value like any other, never omitted — then whatever the
+    caller closes the object with (see
+    :func:`repro.live.wire.compile_flat_encoder`)."""
+    table = tuple((name, hint, MISSING) for name, hint, _ in field_table(cls))
+    encode = compile_flat_encoder(table, '{"type":"%s",' % kind, "%s\n")
+    return kind, encode, frozenset(["type", *(name for name, _, _ in table)])
+
+
+_RPC_LINE = _span_line("rpc", RpcSpan)
+_QUEUE_LINE = _span_line("queue", QueueSpan)
+_ADMISSION_LINE = _span_line("admission", AdmissionEvent)
 
 #: One p_admit time series: (time_ns, value) points in time order —
 #: the same shape :mod:`repro.obs.series` produces for traced runs.
@@ -83,9 +115,32 @@ class EventLog:
         self._last_flush_ns = clock.now_ns() if clock is not None else 0
 
     def _write(self, record: Dict[str, Any]) -> None:
-        if self._fh is None:
-            return  # closed: late stragglers (drained tasks) drop silently
-        self._fh.write(_encode_json(record) + "\n")
+        fh = self._fh
+        if fh is not None:  # closed: late stragglers (drained tasks) drop silently
+            self._write_line(fh, _encode_json(record) + "\n")
+
+    def _write_span(self, shape: _SpanLine, span: Any, extra: Dict[str, Any]) -> None:
+        fh = self._fh
+        if fh is None:
+            return
+        kind, encode, keys = shape
+        if not extra:
+            line = encode(span, "}")
+        elif keys.isdisjoint(extra):
+            # Trace context rides behind the compiled fields: the extras
+            # object minus its opening brace closes the line.
+            line = encode(span, "," + _encode_json(extra)[1:])
+        else:
+            line = None
+        if line is None:
+            # A value not of its declared type, or an extra that names a
+            # span field: the generic encoder writes the merged dict.
+            record = {"type": kind, **span_record(span), **extra}
+            line = _encode_json(record) + "\n"
+        self._write_line(fh, line)
+
+    def _write_line(self, fh: TextIO, line: str) -> None:
+        fh.write(line)
         self._unflushed += 1
         if self._unflushed >= self._flush_lines:
             self._flush()
@@ -120,13 +175,13 @@ class EventLog:
         """``extra`` carries trace context (``trace_id``, ``span_id``,
         ``decide_ns``) only when the process runs with tracing on, so
         untraced records keep the exact span-vocabulary field set."""
-        self._write({"type": "rpc", **span_record(span), **extra})
+        self._write_span(_RPC_LINE, span, extra)
 
     def admission(self, event: AdmissionEvent) -> None:
-        self._write({"type": "admission", **span_record(event)})
+        self._write_span(_ADMISSION_LINE, event, {})
 
     def queue(self, span: QueueSpan, **extra: Any) -> None:
-        self._write({"type": "queue", **span_record(span), **extra})
+        self._write_span(_QUEUE_LINE, span, extra)
 
     def retry(
         self,

@@ -19,6 +19,12 @@ retries with amplified load; a definitive reject gives the client-side
 AIMD a crisp, immediate overload signal instead (the simulator
 reference in :mod:`repro.live.simref` models the same bound).
 
+A request header is checked against itself before it is queued:
+``payload_bytes`` must fit a frame body and ``size_mtus`` must be the
+MTU count of that payload, because the dispatcher charges service time
+per MTU on behalf of every client.  A peer whose header fails that, or
+any check in :mod:`repro.live.wire`, is disconnected and served nothing.
+
 Fault injection for the test suite goes through the ``on_request``
 hook: a callable receiving each decoded request that may return
 ``"reset"`` (abort the connection mid-request, exercising client
@@ -36,6 +42,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 from repro.core.clocks import ClockSource
 from repro.live.events import EventLog
 from repro.live.wire import (
+    MAX_BODY_BYTES,
     FrameError,
     Request,
     Response,
@@ -43,6 +50,7 @@ from repro.live.wire import (
     read_frame,
     write_message,
 )
+from repro.net.packet import mtus_for_bytes
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.trace import QueueSpan, parse_traceparent
 
@@ -125,7 +133,8 @@ class LiveServer:
         self._work_ready = asyncio.Event()
         self._server: Optional[asyncio.base_events.Server] = None
         self._dispatcher: Optional[asyncio.Task[None]] = None
-        self._conns: Dict[asyncio.StreamWriter, str] = {}
+        #: Open connections: writer -> the task running its handler.
+        self._conns: Dict[asyncio.StreamWriter, "asyncio.Task[None]"] = {}
         self._stopped = False
         #: Virtual time the service unit frees up; pacing sleeps target
         #: this schedule rather than accumulating per-sleep overshoot.
@@ -161,7 +170,12 @@ class LiveServer:
         return self._port
 
     async def stop(self) -> None:
-        """Graceful, idempotent shutdown: close listeners, then tasks."""
+        """Graceful, idempotent shutdown: close listeners, then tasks.
+
+        Returns with no task of this server left: each connection
+        handler is woken by closing its writer and awaited, so it logs
+        its peer's one ``close`` record before the caller closes the log.
+        """
         if self._stopped:
             return
         self._stopped = True
@@ -174,10 +188,16 @@ class LiveServer:
                 await self._dispatcher
             except asyncio.CancelledError:
                 pass
-        for writer, peer in list(self._conns.items()):
-            self._close_writer(writer)
-            self._log.conn("close", peer, self._clock.now_ns())
-        self._conns.clear()
+        handlers = list(self._conns.values())
+        for writer in list(self._conns):
+            if writer.transport.get_write_buffer_size():
+                # A peer that stopped reading: ``close()`` would wait for
+                # it to take the backlog, and its handler with it.
+                writer.transport.abort()
+            else:
+                self._close_writer(writer)
+        if handlers:
+            await asyncio.wait(handlers)
 
     def _close_writer(self, writer: asyncio.StreamWriter) -> None:
         try:
@@ -193,7 +213,9 @@ class LiveServer:
     ) -> None:
         peername = writer.get_extra_info("peername")
         peer = f"{peername[0]}:{peername[1]}" if peername else "?"
-        self._conns[writer] = peer
+        task = asyncio.current_task()
+        assert task is not None  # the stream protocol runs handlers as tasks
+        self._conns[writer] = task
         self._log.conn("accept", peer, self._clock.now_ns())
         try:
             while not self._stopped:
@@ -204,6 +226,16 @@ class LiveServer:
                     break
                 except FrameError:
                     # A malformed peer gets disconnected, not served.
+                    break
+                payload_bytes = request.payload_bytes
+                if (
+                    not 0 <= payload_bytes <= MAX_BODY_BYTES
+                    or request.size_mtus != mtus_for_bytes(max(1, payload_bytes))
+                ):
+                    # The dispatcher charges service time per MTU, for
+                    # every client: a size the peer made up (10**13
+                    # MTUs of an empty body) is malformed like any other
+                    # header that contradicts itself.
                     break
                 verdict = self.on_request(request) if self.on_request else None
                 if verdict == FAULT_RESET:

@@ -2,10 +2,12 @@
 
 Frame layout (integers big-endian)::
 
-    [4-byte header length][header JSON (UTF-8)][body bytes]
+    [4-byte header length][header JSON (UTF-8, no BOM)][body bytes]
 
 The header is a flat JSON object carrying the message fields plus
-``kind`` (``"req"`` / ``"resp"``) and ``body_len``; the body is opaque
+``kind`` (``"req"`` / ``"resp"``) and ``body_len``, encoded as UTF-8
+and nothing else: a UTF-16/32 header or one led by a byte-order mark is
+a :class:`FrameError` like any other malformed header.  The body is opaque
 zero padding standing in for the RPC payload, so a 64 KB WRITE really
 moves ~64 KB through the socket while the metadata stays inspectable
 with ``tcpdump``-level tooling.  JSON headers are a deliberate
@@ -23,7 +25,21 @@ import asyncio
 import json
 import struct
 from dataclasses import MISSING, dataclass, fields
-from typing import Any, Dict, Tuple, Type, TypeVar, get_type_hints
+from json.encoder import encode_basestring_ascii
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Tuple,
+    Type,
+    TypeVar,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 _LEN = struct.Struct(">I")
 
@@ -86,36 +102,150 @@ _T = TypeVar("_T", Request, Response)
 #: ``JSONEncoder`` per call whenever separators are not the default).
 _encode_json = json.JSONEncoder(separators=(",", ":")).encode
 
+#: One decoder for every header, fed text that :func:`read_frame` has
+#: decoded as strict UTF-8 (``json.loads(bytes)`` would first sniff
+#: UTF-16/32 and strip a BOM — encodings the format does not have).
+_decode_json = json.JSONDecoder().decode
+
 
 _KIND_OF: Dict[type, str] = {Request: KIND_REQUEST, Response: KIND_RESPONSE}
 
+#: ``(name, declared type, default)`` per field, in declaration order;
+#: ``MISSING`` marks a field with no default.
+FieldTable = Tuple[Tuple[str, Any, Any], ...]
 
-def _field_table(cls: type) -> Tuple[Tuple[str, type, Any], ...]:
+
+def field_table(cls: type) -> FieldTable:
+    """A dataclass's field table, with its type hints resolved."""
     hints = get_type_hints(cls)
     return tuple((f.name, hints[f.name], f.default) for f in fields(cls))
 
 
-#: Per message class, built once at import: ``(name, exact type,
-#: default)`` in declaration (= wire) order; ``MISSING`` marks a field
-#: with no default.  Encode and decode both walk this table.
-_FIELDS_OF: Dict[type, Tuple[Tuple[str, type, Any], ...]] = {
-    cls: _field_table(cls) for cls in _KIND_OF
+#: Per message class, built once at import; declaration order is wire
+#: order, and a defaulted field is on the wire only when set.  The
+#: compiled encoders, the generic encode path and ``decode_header`` all
+#: come from this table.
+_FIELDS_OF: Dict[type, FieldTable] = {cls: field_table(cls) for cls in _KIND_OF}
+
+
+#: Per scalar type: the ``%`` conversion and the argument expression
+#: that give the text ``json`` writes for an exact instance of it.
+_SCALAR_FORMAT: Dict[type, Tuple[str, str]] = {
+    int: ("%d", "{v}"),
+    str: ("%s", "_str({v})"),
+    bool: ("%s", "('true' if {v} else 'false')"),
+    float: ("%s", "repr({v})"),
+}
+
+
+def compile_flat_encoder(
+    table: FieldTable, head: str, tail: str
+) -> Callable[..., Optional[str]]:
+    """Compile ``encode(obj, *tail_args) -> Optional[str]`` for one
+    dataclass-shaped record: a flat JSON object of ``table``'s fields.
+
+    The result is straight-line code generated once from the table, the
+    way ``dataclasses`` generates ``__init__``: read each attribute,
+    check ``type(v) is <declared type>`` (or ``None`` for an
+    ``Optional`` field), and produce the text in **one** ``%`` format
+    operation — ``head`` (literal, up to where the first field starts),
+    ``"name":value`` per field, then ``tail``, a ``%``-format string
+    taking ``tail_args``.  A field with a default other than
+    ``MISSING`` is written only when it differs from that default.
+
+    ``encode`` returns ``None`` when any value is not exactly its
+    declared type, or a float is not finite; the caller then hands the
+    same record as a dict to the generic JSON encoder.  So the compiled
+    path only ever sees values whose JSON text is known in advance
+    (``%d``, ``encode_basestring_ascii``, ``true``/``false``/``null``,
+    ``float.__repr__`` — what ``json`` itself uses), and every other
+    input keeps the generic encoder's bytes: a ``float`` in an int
+    field still goes out as ``1024.0``, never truncated.
+    """
+    tail_args = [f"t{i}" for i in range(tail.replace("%%", "").count("%"))]
+    loads: List[str] = []
+    guards: List[str] = []
+    args: List[str] = []
+    fmt = head.replace("%", "%%")
+    namespace: Dict[str, Any] = {"_str": encode_basestring_ascii}
+    for index, (name, declared, default) in enumerate(table):
+        v = f"v{index}"
+        loads.append(f"    {v} = obj.{name}")
+        optional = get_origin(declared) is Union
+        if optional:
+            declared, none = get_args(declared)
+            if none is not type(None):
+                raise ValueError(f"{name}: only Optional[...] unions compile")
+        if declared not in _SCALAR_FORMAT:
+            raise ValueError(f"{name}: no compiled encoding for {declared!r}")
+        spec, arg = _SCALAR_FORMAT[declared]
+        arg = arg.format(v=v)
+        guard = f"type({v}) is not {declared.__name__}"
+        if declared is float:
+            guard += f" or not -_INF < {v} < _INF"  # false for NaN too
+            namespace["_INF"] = float("inf")
+        key = ("," if index else "") + encode_basestring_ascii(name) + ":"
+        if optional:
+            guards.append(f"({v} is not None and ({guard}))")
+            spec, arg = "%s", f"('null' if {v} is None else {arg})"
+        else:
+            guards.append(guard)
+        if default is MISSING:
+            fmt += key.replace("%", "%%") + spec
+        else:
+            # Written only when set (``traceparent``): key and value
+            # ride in one ``%s`` slot that is empty at the default.
+            if not index:
+                raise ValueError(f"{name}: the first field cannot be omitted")
+            namespace[f"d{index}"] = default
+            fmt += "%s"
+            arg = f"('' if {v} == d{index} else {key!r} + {spec!r} % {arg})"
+        args.append(arg)
+    namespace["_FMT"] = fmt + tail
+    source = "\n".join(
+        [
+            f"def encode({', '.join(['obj'] + tail_args)}):",
+            *loads,
+            f"    if {' or '.join(guards)}:",
+            "        return None",
+            f"    return _FMT % ({', '.join(args + tail_args)},)",
+        ]
+    )
+    exec(source, namespace)
+    encode: Callable[..., Optional[str]] = namespace["encode"]
+    return encode
+
+
+#: Compiled at import, one per message class; ``body_len`` fills the
+#: tail's ``%d``.
+_ENCODER_OF: Dict[type, Callable[..., Optional[str]]] = {
+    cls: compile_flat_encoder(
+        _FIELDS_OF[cls], "{", ',"kind":"%s","body_len":%%d}' % kind
+    )
+    for cls, kind in _KIND_OF.items()
 }
 
 
 def encode_frame(message: "Request | Response", body_len: int = 0) -> bytes:
     """Serialize one message (header only; the body is written separately)."""
-    header: Dict[str, Any] = {}
-    for name, _, default in _FIELDS_OF[type(message)]:
-        value = getattr(message, name)
-        # A defaulted field (``traceparent``) is sent only when set: an
-        # empty context never hits the wire, so untraced frames match
-        # the pre-tracing format byte for byte.
-        if default is MISSING or value != default:
-            header[name] = value
-    header["kind"] = _KIND_OF[type(message)]
-    header["body_len"] = body_len
-    blob = _encode_json(header).encode("utf-8")
+    cls = type(message)
+    text = _ENCODER_OF[cls](message, body_len) if type(body_len) is int else None
+    if text is None:
+        # Some value is not of its declared type: the generic encoder
+        # decides what it looks like (and the peer's type table what to
+        # make of it).
+        header: Dict[str, Any] = {}
+        for name, _, default in _FIELDS_OF[cls]:
+            value = getattr(message, name)
+            # A defaulted field (``traceparent``) is sent only when set:
+            # an empty context never hits the wire, so untraced frames
+            # match the pre-tracing format byte for byte.
+            if default is MISSING or value != default:
+                header[name] = value
+        header["kind"] = _KIND_OF[cls]
+        header["body_len"] = body_len
+        text = _encode_json(header)
+    blob = text.encode("utf-8")
     if len(blob) > MAX_HEADER_BYTES:
         raise FrameError(f"header too large: {len(blob)} bytes")
     return _LEN.pack(len(blob)) + blob
@@ -177,7 +307,7 @@ async def read_frame(reader: asyncio.StreamReader) -> Tuple[str, Dict[str, Any]]
         raise FrameError(f"implausible header length {header_len}")
     blob = await reader.readexactly(header_len)
     try:
-        header = json.loads(blob)
+        header = _decode_json(blob.decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # bad bytes / absurd nesting
         raise FrameError(f"header is not JSON: {exc}")
     if not isinstance(header, dict) or "kind" not in header:
@@ -201,8 +331,10 @@ __all__ = [
     "MAX_HEADER_BYTES",
     "Request",
     "Response",
+    "compile_flat_encoder",
     "decode_header",
     "encode_frame",
+    "field_table",
     "read_frame",
     "write_message",
 ]

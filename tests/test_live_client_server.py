@@ -14,6 +14,7 @@ stretch sleeps but cannot shrink them.
 import asyncio
 import json
 import random
+import socket
 import struct
 
 import pytest
@@ -24,7 +25,8 @@ from repro.live.client import AdmissionClient, RetryPolicy
 from repro.live.clock import WallClock
 from repro.live.events import EventLog, read_events
 from repro.live.server import FAULT_DROP, FAULT_RESET, LiveServer
-from repro.live.wire import Request, encode_frame
+from repro.live.wire import MAX_BODY_BYTES, Request, encode_frame
+from repro.net.packet import mtus_for_bytes
 
 MS = 1_000_000
 
@@ -283,6 +285,17 @@ class TestMalformedPeer:
             {"body_len": None},  # raised out of read_frame
             {"body_len": "abc"},
             {"kind": "resp"},  # a response sent to a server
+            # Sizes the header itself contradicts.  The first one parked
+            # the only dispatcher in a 115-day sleep for every client.
+            {"size_mtus": 10**13},
+            {"size_mtus": 0},
+            {"size_mtus": -1},
+            {"size_mtus": 2},  # of an empty body
+            {"payload_bytes": -1},
+            {
+                "payload_bytes": MAX_BODY_BYTES + 1,
+                "size_mtus": mtus_for_bytes(MAX_BODY_BYTES + 1),
+            },
         ],
         ids=lambda m: "-".join(f"{k}={v!r}" for k, v in m.items()),
     )
@@ -297,14 +310,36 @@ class TestMalformedPeer:
             await writer.drain()
             eof = await asyncio.wait_for(reader.read(), timeout=1.0)
             writer.close()
-            result = await client.call(0, payload_bytes=1024)
-            return eof, result, server.served, loop_errors
+            served_before = server.served
+            result = await asyncio.wait_for(
+                client.call(0, payload_bytes=1024), timeout=1.0
+            )
+            return eof, result, served_before, server.served, loop_errors
 
-        eof, result, served, loop_errors = run_stack(tmp_path, scenario)
+        eof, result, served_before, served, loop_errors = run_stack(
+            tmp_path, scenario
+        )
         assert eof == b""  # disconnected, not answered
+        assert served_before == 0
         assert result.status == "ok" and result.attempts == 1
         assert served == 1
         assert loop_errors == []
+
+    def test_largest_honest_body_is_served(self, tmp_path):
+        """The size check bounds what a peer may claim, not what a
+        client may send: ``MAX_BODY_BYTES`` itself goes through."""
+
+        async def scenario(server, client, clock):
+            return await client.call(0, payload_bytes=MAX_BODY_BYTES)
+
+        result = run_stack(
+            tmp_path,
+            scenario,
+            service_ns=1000,
+            retry=RetryPolicy(max_attempts=1, deadline_ns=5_000 * MS,
+                              attempt_timeout_ns=5_000 * MS),
+        )
+        assert result.status == "ok"
 
     def test_client_drops_connection_on_wrong_kind_frame(self, tmp_path):
         """A server that answers with a *request* frame: the client's
@@ -405,6 +440,98 @@ class TestShutdown:
 
 def conn_events(path):
     return [r["event"] for r in read_events(path) if r["type"] == "conn"]
+
+
+class TestServerStop:
+    """``stop()`` returns with nothing of the server left running: every
+    connection handler has finished (not been cancelled by
+    ``asyncio.run`` later, which Python 3.11's stream callback reports
+    as an ``Exception in callback ... CancelledError`` traceback) and
+    has logged its peer's one ``close`` record."""
+
+    def stop_with_peer(self, tmp_path, connect, *, service_ns=200 * MS, prepare=None):
+        loop_errors = []
+
+        async def _main():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: loop_errors.append(context)
+            )
+            with EventLog(tmp_path / "server.jsonl") as log:
+                server = LiveServer(
+                    WallClock(), log, service_ns_per_mtu=service_ns, queue_limit=1
+                )
+                port = await server.start()
+                if prepare is not None:
+                    prepare(server)
+                hang_up = await connect(server, port)
+                try:
+                    await asyncio.wait_for(server.stop(), timeout=2.0)
+                    me = asyncio.current_task()
+                    return [t for t in asyncio.all_tasks() if t is not me]
+                finally:
+                    hang_up()
+
+        left_running = asyncio.run(_main())
+        assert left_running == []
+        assert loop_errors == []
+        assert conn_events(tmp_path / "server.jsonl") == ["accept", "close"]
+
+    @pytest.mark.parametrize(
+        "sent",
+        [
+            b"",  # idle
+            raw_frame(REQUEST_HEADER)[:20],  # mid-frame
+            raw_frame(REQUEST_HEADER) * 2,  # one in service, one queued
+        ],
+        ids=["idle", "mid-frame", "queued-work"],
+    )
+    def test_stop_finishes_the_handler_of_a_connected_peer(self, tmp_path, sent):
+        async def connect(server, port):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(sent)
+            await writer.drain()
+            await asyncio.sleep(0.05)  # accepted, and what was sent read
+            return writer.close
+
+        self.stop_with_peer(tmp_path, connect)
+
+    def test_stop_does_not_wait_for_a_peer_that_stopped_reading(self, tmp_path):
+        """Rejects pile up behind a peer that sends and never reads until
+        its handler blocks in ``drain()``; a graceful close would wait
+        for that backlog to flush, i.e. for ever."""
+
+        def small_send_buffer(server):
+            for listener in server._server.sockets:  # inherited on accept
+                listener.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+
+        async def connect(server, port):
+            loop = asyncio.get_running_loop()
+            sock = socket.socket()
+            sock.setblocking(False)
+            await loop.sock_connect(sock, ("127.0.0.1", port))
+            flood = asyncio.ensure_future(
+                loop.sock_sendall(sock, raw_frame(REQUEST_HEADER) * 5000)
+            )
+            # Ends cancelled below, or reset by the server's abort.
+            flood.add_done_callback(lambda t: t.cancelled() or t.exception())
+            rejected = -1
+            for _ in range(100):
+                await asyncio.sleep(0.02)
+                (writer,) = server._conns
+                backlog = writer.transport.get_write_buffer_size()
+                if backlog and server.rejected == rejected:
+                    break  # unsent responses, and the handler has stalled
+                rejected = server.rejected
+            else:
+                pytest.fail("the peer's backlog never built up")
+
+            def hang_up():
+                flood.cancel()
+                sock.close()
+
+            return hang_up
+
+        self.stop_with_peer(tmp_path, connect, prepare=small_send_buffer)
 
 
 class TestConnectionSharing:

@@ -19,9 +19,11 @@ import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.live import events, wire
 from repro.live.events import EventLog
 from repro.live.wire import Request, Response, encode_frame
 from repro.obs.trace import AdmissionEvent, QueueSpan, RpcSpan
@@ -230,3 +232,104 @@ def test_admission_line_is_json_dumps_of_the_event(event):
     assert written(lambda log: log.admission(event)) == reference_line(
         "admission", event, {}
     )
+
+
+# ----------------------------------------------------------------------
+# Which path wrote the bytes
+# ----------------------------------------------------------------------
+@pytest.fixture
+def generic_calls(monkeypatch):
+    """Every object handed to the generic JSON encoder of either module."""
+    calls = []
+    for module in (wire, events):
+
+        def spy(obj, _generic=module._encode_json):
+            calls.append(obj)
+            return _generic(obj)
+
+        monkeypatch.setattr(module, "_encode_json", spy)
+    return calls
+
+
+REQUEST = Request(
+    request_id=3, client="c0", qos_requested=0, qos_run=1, downgraded=True,
+    payload_bytes=4096, size_mtus=1, attempt=2, issued_ns=123_456,
+)
+RESPONSE = Response(request_id=3, status="ok", queue_ns=10, service_ns=20)
+RPC = RpcSpan(
+    rpc_id=1, src=0, dst=0, qos_requested=0, qos_run=0, downgraded=False,
+    issued_ns=100, payload_bytes=4096, size_mtus=1, completed_ns=200, rnl_ns=100,
+    slo_met=True,
+)
+QUEUE = QueueSpan(
+    node="srv", qos=0, enqueued_ns=100, dequeued_ns=150, size_bytes=4096, kind=0
+)
+ADMISSION = AdmissionEvent(
+    time_ns=150, channel="c0->srv", qos=0, p_admit=0.5, kind="decrease"
+)
+
+
+def with_field(record, name, value):
+    """``dataclasses.replace`` without the frozen/slots ceremony."""
+    values = asdict(record)
+    values[name] = value
+    return type(record)(**values)
+
+
+class TestWhichPathEncodes:
+    @pytest.mark.parametrize(
+        "message, kind", [(REQUEST, "req"), (RESPONSE, "resp")], ids=["req", "resp"]
+    )
+    def test_wire_header(self, generic_calls, message, kind):
+        assert encode_frame(message, 7) == reference_frame(message, kind, 7)
+        assert generic_calls == []  # compiled
+
+        for wrong in (
+            with_field(message, "request_id", 3.0),
+            with_field(message, "request_id", True),
+            with_field(message, "traceparent", None),
+        ):
+            del generic_calls[:]
+            assert encode_frame(wrong, 7) == reference_frame(wrong, kind, 7)
+            (header,) = generic_calls  # the whole header, generically
+            assert header["kind"] == kind and header["body_len"] == 7
+
+        del generic_calls[:]
+        assert encode_frame(message, 7.0) == reference_frame(message, kind, 7.0)
+        assert [h["body_len"] for h in generic_calls] == [7.0]
+
+    @pytest.mark.parametrize(
+        "kind, span, field, wrong",
+        [
+            ("rpc", RPC, "rnl_ns", 100.0),
+            ("queue", QUEUE, "qos", Level.HIGH),
+            ("admission", ADMISSION, "p_admit", float("inf")),
+            ("admission", ADMISSION, "p_admit", 1),
+        ],
+    )
+    def test_span_line(self, generic_calls, kind, span, field, wrong):
+        def line(span, **extra):
+            return written(lambda log: getattr(log, kind)(span, **extra))
+
+        assert line(span) == reference_line(kind, span, {})
+        assert generic_calls == []  # compiled
+
+        bad = with_field(span, field, wrong)
+        assert line(bad) == reference_line(kind, bad, {})
+        assert generic_calls == [{"type": kind, **asdict(bad)}]
+
+    @pytest.mark.parametrize(
+        "kind, span", [("rpc", RPC), ("queue", QUEUE)], ids=["rpc", "queue"]
+    )
+    def test_traced_extras(self, generic_calls, kind, span):
+        def line(**extra):
+            return written(lambda log: getattr(log, kind)(span, **extra))
+
+        context = {"trace_id": "ab" * 16, "decide_ns": 7}
+        assert line(**context) == reference_line(kind, span, context)
+        assert generic_calls == [context]  # only the extras, spliced on
+
+        del generic_calls[:]
+        clash = {"trace_id": "ab" * 16, "qos_run": 9, "qos": 9}
+        assert line(**clash) == reference_line(kind, span, clash)
+        assert generic_calls == [{"type": kind, **asdict(span), **clash}]

@@ -13,6 +13,7 @@ import dataclasses
 import json
 import random
 import struct
+from typing import Optional, Union
 
 import pytest
 
@@ -24,8 +25,10 @@ from repro.live.wire import (
     FrameError,
     Request,
     Response,
+    compile_flat_encoder,
     decode_header,
     encode_frame,
+    field_table,
     read_frame,
 )
 
@@ -136,6 +139,63 @@ class TestGoldenBytes:
         )
 
 
+@dataclasses.dataclass
+class Sample:
+    """One field of every type the compiler knows, plus an omitted-when-
+    default one and a name that needs escaping in a ``%`` format."""
+
+    n: int
+    s: str
+    b: bool
+    f: float
+    on: "Optional[int]"
+    ob: "Optional[bool]"
+    tag: str = ""
+
+
+class TestCompileFlatEncoder:
+    def encoder(self):
+        return compile_flat_encoder(field_table(Sample), '{"100%":1,', ',"end":%d}%s')
+
+    def test_compiled_text_is_what_json_writes(self):
+        encode = self.encoder()
+        for sample in (
+            Sample(n=-7, s='q"\\☃\x00', b=True, f=1e-05, on=None, ob=None),
+            Sample(n=10**30, s="", b=False, f=-0.0, on=0, ob=False, tag="x"),
+        ):
+            fields_ = dataclasses.asdict(sample)
+            if not sample.tag:
+                del fields_["tag"]
+            record = {"100%": 1, **fields_, "end": 5}
+            assert encode(sample, 5, "\n") == (
+                json.dumps(record, separators=(",", ":")) + "\n"
+            )
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n", True), ("n", 1.0), ("n", None), ("s", b"x"), ("b", 1), ("b", None),
+            ("f", 1), ("f", float("nan")), ("f", float("inf")), ("f", float("-inf")),
+            ("on", 1.0), ("on", False), ("ob", 0), ("tag", None),
+        ],
+    )
+    def test_anything_not_exactly_typed_is_left_to_the_caller(self, field, value):
+        good = Sample(n=1, s="x", b=True, f=0.5, on=2, ob=True)
+        encode = self.encoder()
+        assert encode(good, 0, "") is not None
+        assert encode(dataclasses.replace(good, **{field: value}), 0, "") is None
+
+    def test_shapes_that_do_not_compile(self):
+        with pytest.raises(ValueError, match="no compiled encoding"):
+            compile_flat_encoder((("xs", list, dataclasses.MISSING),), "{", "}")
+        with pytest.raises(ValueError, match="Optional"):
+            compile_flat_encoder(
+                (("x", Union[int, str], dataclasses.MISSING),), "{", "}"
+            )
+        with pytest.raises(ValueError, match="first field"):
+            compile_flat_encoder((("tag", str, ""),), "{", "}")
+
+
 def frame_with_header(blob: bytes) -> bytes:
     return struct.pack(">I", len(blob)) + blob
 
@@ -152,6 +212,39 @@ class TestMalformedInput:
     def test_non_json_header_rejected(self):
         with pytest.raises(FrameError):
             read_from_bytes(frame_with_header(b"\xff\xfe not json"))
+
+    @pytest.mark.parametrize(
+        "encoding",
+        [
+            "utf-8-sig",  # UTF-8 behind a byte-order mark
+            "utf-16",  # BOM, then native order
+            "utf-16-le",
+            "utf-16-be",
+            "utf-32",
+            "utf-32-le",
+            "utf-32-be",
+        ],
+    )
+    def test_header_in_another_unicode_encoding_rejected(self, encoding):
+        """The header is UTF-8 with no BOM.  ``json.loads(bytes)`` would
+        sniff every one of these and decode it; ``read_frame`` does not."""
+        header = encode_frame(REQUEST)[4:].decode("utf-8")
+        assert json.loads(header.encode(encoding))["request_id"] == 3
+        with pytest.raises(FrameError, match="not JSON"):
+            read_from_bytes(frame_with_header(header.encode(encoding)))
+
+    def test_surrogate_bytes_in_header_rejected(self):
+        """Strict UTF-8: an encoded lone surrogate is not a code point."""
+        blob = b'{"kind":"req","client":"\xed\xa0\x80"}'
+        assert json.loads(blob)["client"] == "\ud800"
+        with pytest.raises(FrameError, match="not JSON"):
+            read_from_bytes(frame_with_header(blob))
+
+    def test_non_ascii_utf8_header_accepted(self):
+        blob = '{"kind":"req","client":"naïve-☃","body_len":0}'.encode("utf-8")
+        assert read_from_bytes(frame_with_header(blob)) == (
+            "req", {"client": "naïve-☃", "body_len": 0},
+        )
 
     def test_pathologically_nested_header_rejected(self):
         """The JSON scanner's RecursionError is a format violation too."""
