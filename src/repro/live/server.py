@@ -172,9 +172,10 @@ class LiveServer:
     async def stop(self) -> None:
         """Graceful, idempotent shutdown: close listeners, then tasks.
 
-        Returns with no task of this server left: each connection
-        handler is woken by closing its writer and awaited, so it logs
-        its peer's one ``close`` record before the caller closes the log.
+        Returns with no task of this server left: each connection is
+        closed (aborted, when its peer has stopped reading) and its
+        handler awaited, so the handler logs its peer's one ``close``
+        record before the caller closes the log.
         """
         if self._stopped:
             return
@@ -188,8 +189,8 @@ class LiveServer:
                 await self._dispatcher
             except asyncio.CancelledError:
                 pass
-        handlers = list(self._conns.values())
-        for writer in list(self._conns):
+        handlers = list(self._conns.values())  # each pops itself on exit
+        for writer in self._conns:
             if writer.transport.get_write_buffer_size():
                 # A peer that stopped reading: ``close()`` would wait for
                 # it to take the backlog, and its handler with it.

@@ -167,7 +167,7 @@ def compile_flat_encoder(
     guards: List[str] = []
     args: List[str] = []
     fmt = head.replace("%", "%%")
-    namespace: Dict[str, Any] = {"_str": encode_basestring_ascii}
+    namespace: Dict[str, Any] = {"_str": encode_basestring_ascii, "_INF": float("inf")}
     for index, (name, declared, default) in enumerate(table):
         v = f"v{index}"
         loads.append(f"    {v} = obj.{name}")
@@ -183,7 +183,6 @@ def compile_flat_encoder(
         guard = f"type({v}) is not {declared.__name__}"
         if declared is float:
             guard += f" or not -_INF < {v} < _INF"  # false for NaN too
-            namespace["_INF"] = float("inf")
         key = ("," if index else "") + encode_basestring_ascii(name) + ":"
         if optional:
             guards.append(f"({v} is not None and ({guard}))")

@@ -16,7 +16,7 @@ import enum
 import json
 import struct
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -269,13 +269,6 @@ ADMISSION = AdmissionEvent(
 )
 
 
-def with_field(record, name, value):
-    """``dataclasses.replace`` without the frozen/slots ceremony."""
-    values = asdict(record)
-    values[name] = value
-    return type(record)(**values)
-
-
 class TestWhichPathEncodes:
     @pytest.mark.parametrize(
         "message, kind", [(REQUEST, "req"), (RESPONSE, "resp")], ids=["req", "resp"]
@@ -285,9 +278,9 @@ class TestWhichPathEncodes:
         assert generic_calls == []  # compiled
 
         for wrong in (
-            with_field(message, "request_id", 3.0),
-            with_field(message, "request_id", True),
-            with_field(message, "traceparent", None),
+            replace(message, request_id=3.0),
+            replace(message, request_id=True),
+            replace(message, traceparent=None),
         ):
             del generic_calls[:]
             assert encode_frame(wrong, 7) == reference_frame(wrong, kind, 7)
@@ -314,7 +307,7 @@ class TestWhichPathEncodes:
         assert line(span) == reference_line(kind, span, {})
         assert generic_calls == []  # compiled
 
-        bad = with_field(span, field, wrong)
+        bad = replace(span, **{field: wrong})
         assert line(bad) == reference_line(kind, bad, {})
         assert generic_calls == [{"type": kind, **asdict(bad)}]
 
