@@ -40,10 +40,10 @@ from repro.live.wire import (
     Response,
     decode_header,
     read_frame,
+    request_size_mtus,
     write_message,
 )
 from repro.live.workload import LiveWorkload
-from repro.net.packet import mtus_for_bytes
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.trace import (
     AdmissionEvent,
@@ -233,14 +233,22 @@ class AdmissionClient:
     # ------------------------------------------------------------------
     # connection management
     # ------------------------------------------------------------------
+    def _open_writer(self) -> Optional[asyncio.StreamWriter]:
+        """The writer an attempt may use as it stands, else ``None``."""
+        writer = self._writer
+        if writer is None or self._closed or writer.is_closing():
+            return None
+        return writer
+
     async def _ensure_conn(self) -> asyncio.StreamWriter:
         # Serialized: a burst of concurrent calls on a fresh client must
         # share one connection, not stampede into N parallel dials.
         async with self._conn_lock:
             if self._closed:
                 raise ConnectionError("client is closed")
-            if self._writer is not None and not self._writer.is_closing():
-                return self._writer
+            open_writer = self._open_writer()
+            if open_writer is not None:
+                return open_writer
             reader, writer = await asyncio.open_connection(self._host, self._port)
             self._writer = writer
             self._reader_task = asyncio.create_task(self._reader_loop(reader))
@@ -374,7 +382,7 @@ class AdmissionClient:
         """Issue one logical RPC: decide once, then attempt with retries."""
         issued_ns = self._clock.now_ns()
         outcome = self.engine.decide(self._dst, qos, payload_bytes)
-        size_mtus = mtus_for_bytes(max(1, payload_bytes))
+        size_mtus = request_size_mtus(payload_bytes)
         self._next_id += 1
         rpc_id = self._next_id
         self.calls += 1
@@ -416,8 +424,8 @@ class AdmissionClient:
                 # An open connection is used as it stands; only a missing,
                 # closed or closing one goes through the dial lock.  No
                 # await separates this test from the write below.
-                writer = self._writer
-                if writer is None or self._closed or writer.is_closing():
+                writer = self._open_writer()
+                if writer is None:
                     writer = await self._ensure_conn()
                 loop = asyncio.get_running_loop()
                 future: "asyncio.Future[Response]" = loop.create_future()

@@ -48,9 +48,9 @@ from repro.live.wire import (
     Response,
     decode_header,
     read_frame,
+    request_size_mtus,
     write_message,
 )
-from repro.net.packet import mtus_for_bytes
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.trace import QueueSpan, parse_traceparent
 
@@ -170,19 +170,21 @@ class LiveServer:
         return self._port
 
     async def stop(self) -> None:
-        """Graceful, idempotent shutdown: close listeners, then tasks.
+        """Idempotent shutdown: stop listening, then end every task.
 
         Returns with no task of this server left: each connection is
-        closed (aborted, when its peer has stopped reading) and its
-        handler awaited, so the handler logs its peer's one ``close``
-        record before the caller closes the log.
+        closed and its handler awaited, so the handler logs its peer's
+        one ``close`` record before the caller closes the log.  Not a
+        drain: queued requests are not served, and a connection holding
+        response bytes the kernel has not taken yet is aborted, which
+        drops them — waiting on a peer that has stopped reading would
+        never end.
         """
         if self._stopped:
             return
         self._stopped = True
         if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+            self._server.close()  # stops listening; connections stay open
         if self._dispatcher is not None:
             self._dispatcher.cancel()
             try:
@@ -192,13 +194,17 @@ class LiveServer:
         handlers = list(self._conns.values())  # each pops itself on exit
         for writer in self._conns:
             if writer.transport.get_write_buffer_size():
-                # A peer that stopped reading: ``close()`` would wait for
-                # it to take the backlog, and its handler with it.
+                # ``close()`` would wait for the peer to take the backlog,
+                # and a handler blocked in ``drain()`` with it.
                 writer.transport.abort()
             else:
                 self._close_writer(writer)
         if handlers:
             await asyncio.wait(handlers)
+        if self._server is not None:
+            # Last: from Python 3.12.1 this waits for every accepted
+            # connection to be gone, where 3.11 returns at once.
+            await self._server.wait_closed()
 
     def _close_writer(self, writer: asyncio.StreamWriter) -> None:
         try:
@@ -231,7 +237,7 @@ class LiveServer:
                 payload_bytes = request.payload_bytes
                 if (
                     not 0 <= payload_bytes <= MAX_BODY_BYTES
-                    or request.size_mtus != mtus_for_bytes(max(1, payload_bytes))
+                    or request.size_mtus != request_size_mtus(payload_bytes)
                 ):
                     # The dispatcher charges service time per MTU, for
                     # every client: a size the peer made up (10**13
@@ -298,7 +304,7 @@ class LiveServer:
                 self._metrics.depth[qos].set(float(len(self._queues[qos])))
                 self._metrics.wait[qos].observe(float(dequeued_ns - enqueued_ns))
                 self._metrics.served[qos].inc()
-            service_ns = self._service_ns_per_mtu * max(1, request.size_mtus)
+            service_ns = self._service_ns_per_mtu * request.size_mtus
             # Pace against the virtual schedule: the unit frees up
             # service_ns after it last freed (or after this request
             # arrived, when it went idle).  Event-loop timers overshoot

@@ -41,6 +41,8 @@ from typing import (
     get_type_hints,
 )
 
+from repro.net.packet import mtus_for_bytes
+
 _LEN = struct.Struct(">I")
 
 #: Upper bounds enforced on receive, so a corrupt or hostile peer
@@ -79,6 +81,13 @@ class Request:
     attempt: int
     issued_ns: int
     traceparent: str = ""
+
+
+def request_size_mtus(payload_bytes: int) -> int:
+    """The ``size_mtus`` a request of ``payload_bytes`` carries: its MTU
+    count, an empty payload counting as one.  The client fills the field
+    with it and the server holds every header it reads to it."""
+    return mtus_for_bytes(max(1, payload_bytes))
 
 
 @dataclass(frozen=True)
@@ -335,5 +344,6 @@ __all__ = [
     "encode_frame",
     "field_table",
     "read_frame",
+    "request_size_mtus",
     "write_message",
 ]

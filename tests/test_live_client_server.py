@@ -14,7 +14,6 @@ stretch sleeps but cannot shrink them.
 import asyncio
 import json
 import random
-import socket
 import struct
 
 import pytest
@@ -449,7 +448,7 @@ class TestServerStop:
     as an ``Exception in callback ... CancelledError`` traceback) and
     has logged its peer's one ``close`` record."""
 
-    def stop_with_peer(self, tmp_path, connect, *, service_ns=200 * MS, prepare=None):
+    def stop_with_peer(self, tmp_path, connect, *, service_ns=200 * MS):
         loop_errors = []
 
         async def _main():
@@ -461,8 +460,6 @@ class TestServerStop:
                     WallClock(), log, service_ns_per_mtu=service_ns, queue_limit=1
                 )
                 port = await server.start()
-                if prepare is not None:
-                    prepare(server)
                 hang_up = await connect(server, port)
                 try:
                     await asyncio.wait_for(server.stop(), timeout=2.0)
@@ -496,42 +493,54 @@ class TestServerStop:
         self.stop_with_peer(tmp_path, connect)
 
     def test_stop_does_not_wait_for_a_peer_that_stopped_reading(self, tmp_path):
-        """Rejects pile up behind a peer that sends and never reads until
-        its handler blocks in ``drain()``; a graceful close would wait
-        for that backlog to flush, i.e. for ever."""
-
-        def small_send_buffer(server):
-            for listener in server._server.sockets:  # inherited on accept
-                listener.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        """The second frame finds the queue full, and its reject blocks
+        the handler in ``drain()`` behind a peer that takes no byte; a
+        graceful close would wait for that backlog to flush, i.e. for
+        ever.  The peer is a transport under asyncio's own stream stack,
+        not a socket: when a real kernel stops taking bytes depends on
+        its buffer sizes, this one never starts."""
 
         async def connect(server, port):
-            loop = asyncio.get_running_loop()
-            sock = socket.socket()
-            sock.setblocking(False)
-            await loop.sock_connect(sock, ("127.0.0.1", port))
-            flood = asyncio.ensure_future(
-                loop.sock_sendall(sock, raw_frame(REQUEST_HEADER) * 5000)
-            )
-            # Ends cancelled below, or reset by the server's abort.
-            flood.add_done_callback(lambda t: t.cancelled() or t.exception())
-            rejected = -1
-            for _ in range(100):
-                await asyncio.sleep(0.02)
-                (writer,) = server._conns
-                backlog = writer.transport.get_write_buffer_size()
-                if backlog and server.rejected == rejected:
-                    break  # unsent responses, and the handler has stalled
-                rejected = server.rejected
-            else:
-                pytest.fail("the peer's backlog never built up")
+            reader = asyncio.StreamReader()
+            protocol = asyncio.StreamReaderProtocol(reader, server._serve_conn)
+            peer = NeverReadingPeer(protocol)
+            protocol.connection_made(peer)  # starts the handler, as accept does
+            reader.feed_data(raw_frame(REQUEST_HEADER) * 2)
+            await asyncio.sleep(0.05)
+            assert server.rejected == 1 and peer.get_write_buffer_size() > 0
+            return lambda: None
 
-            def hang_up():
-                flood.cancel()
-                sock.close()
+        self.stop_with_peer(tmp_path, connect)
 
-            return hang_up
 
-        self.stop_with_peer(tmp_path, connect, prepare=small_send_buffer)
+class NeverReadingPeer(asyncio.Transport):
+    """The server's end of a connection whose peer has stopped reading:
+    every byte written stays buffered, so ``close()``, which flushes
+    first, never completes; only ``abort()`` loses the connection."""
+
+    def __init__(self, protocol):
+        super().__init__(extra={"peername": ("192.0.2.1", 9)})
+        self._protocol = protocol
+        self._buffered = 0
+        self._closing = False
+
+    def write(self, data):
+        if not self._buffered:
+            self._protocol.pause_writing()
+        self._buffered += len(data)
+
+    def get_write_buffer_size(self):
+        return self._buffered
+
+    def is_closing(self):
+        return self._closing
+
+    def close(self):
+        self._closing = True
+
+    def abort(self):
+        self._closing = True
+        asyncio.get_running_loop().call_soon(self._protocol.connection_lost, None)
 
 
 class TestConnectionSharing:
