@@ -30,6 +30,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterator,
     List,
     Optional,
     Tuple,
@@ -331,8 +332,77 @@ async def read_frame(reader: asyncio.StreamReader) -> Tuple[str, Dict[str, Any]]
     return str(kind), header
 
 
+class FrameParser:
+    """Synchronous incremental frame decoder, one per connection.
+
+    :meth:`feed` takes whatever a ``read`` returned and yields
+    ``(kind, header)`` for every frame those bytes complete: a frame is
+    yielded only once its whole body has arrived, bodies are skipped by
+    count (never buffered: what is kept between calls is at most one
+    unfinished header), and the first malformed frame raises
+    :class:`FrameError` *after* the well-formed frames before it have
+    been yielded.  The checks and their messages are :func:`read_frame`'s.
+    """
+
+    __slots__ = ("_buf", "_skip", "_frame")
+
+    def __init__(self) -> None:
+        #: Bytes from a frame boundary on that do not complete a header.
+        self._buf = b""
+        #: Body bytes of ``_frame`` still to arrive (``_buf`` is empty).
+        self._skip = 0
+        self._frame: Optional[Tuple[str, Dict[str, Any]]] = None
+
+    def feed(self, data: bytes) -> Iterator[Tuple[str, Dict[str, Any]]]:
+        skip = self._skip
+        if skip > len(data):
+            self._skip = skip - len(data)
+            return
+        buf = self._buf + data if self._buf else data
+        pos = skip
+        end = len(buf)
+        try:
+            if skip:
+                self._skip = 0
+                frame, self._frame = self._frame, None
+                assert frame is not None  # set together with _skip
+                yield frame
+            while end - pos >= _LEN.size:
+                (header_len,) = _LEN.unpack_from(buf, pos)
+                pos += _LEN.size
+                if header_len == 0 or header_len > MAX_HEADER_BYTES:
+                    raise FrameError(f"implausible header length {header_len}")
+                if header_len > end - pos:
+                    pos -= _LEN.size
+                    break
+                blob = buf[pos : pos + header_len]
+                pos += header_len
+                try:
+                    header = _decode_json(blob.decode("utf-8"))
+                except (ValueError, RecursionError) as exc:  # bad bytes / nesting
+                    raise FrameError(f"header is not JSON: {exc}")
+                if not isinstance(header, dict) or "kind" not in header:
+                    raise FrameError("header must be a JSON object with a 'kind'")
+                body_len = header.get("body_len", 0)
+                if type(body_len) is not int or not 0 <= body_len <= MAX_BODY_BYTES:
+                    raise FrameError(f"implausible body length {body_len!r}")
+                frame = str(header.pop("kind")), header
+                pos += body_len
+                if pos > end:
+                    self._skip = pos - end
+                    self._frame = frame
+                    pos = end
+                    break
+                yield frame
+        finally:
+            # Also when the consumer stops early or a frame is malformed:
+            # what is left is exactly what has not been consumed.
+            self._buf = buf[pos:]
+
+
 __all__ = [
     "FrameError",
+    "FrameParser",
     "KIND_REQUEST",
     "KIND_RESPONSE",
     "MAX_BODY_BYTES",
