@@ -25,6 +25,7 @@ admission control has to do its job).
 from __future__ import annotations
 
 import asyncio
+import math
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -35,13 +36,14 @@ from repro.core.interface import AdmissionEngine, AdmissionOutcome
 from repro.core.slo import SLOMap
 from repro.live.events import EventLog
 from repro.live.wire import (
+    READ_BYTES,
     FrameError,
+    FrameParser,
+    FrameWriter,
     Request,
     Response,
     decode_header,
-    read_frame,
     request_size_mtus,
-    write_message,
 )
 from repro.live.workload import LiveWorkload
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -160,12 +162,6 @@ class _ClientMetrics:
         ]
 
 
-def _expire(future: "asyncio.Future[Response]") -> None:
-    """Attempt-timeout callback: fail the attempt unless it resolved."""
-    if not future.done():
-        future.set_exception(asyncio.TimeoutError())
-
-
 class AdmissionClient:
     """One client endpoint: admission engine + connection + retries."""
 
@@ -213,9 +209,14 @@ class AdmissionClient:
             on_adjust=self._log_adjust,
         )
         self._reader_task: Optional[asyncio.Task[None]] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
+        self._writer: Optional[FrameWriter] = None
         self._conn_lock = asyncio.Lock()
         self._pending: Dict[int, "asyncio.Future[Response]"] = {}
+        #: When each waiting attempt times out, in loop time; one timer,
+        #: armed for the earliest of them, serves every attempt.
+        self._expiries: Dict[int, float] = {}
+        self._timer: Optional[asyncio.TimerHandle] = None
+        self._timer_when = math.inf
         self._next_id = 0
         self._closed = False
         self.calls = 0
@@ -233,14 +234,14 @@ class AdmissionClient:
     # ------------------------------------------------------------------
     # connection management
     # ------------------------------------------------------------------
-    def _open_writer(self) -> Optional[asyncio.StreamWriter]:
+    def _open_writer(self) -> Optional[FrameWriter]:
         """The writer an attempt may use as it stands, else ``None``."""
         writer = self._writer
         if writer is None or self._closed or writer.is_closing():
             return None
         return writer
 
-    async def _ensure_conn(self) -> asyncio.StreamWriter:
+    async def _ensure_conn(self) -> FrameWriter:
         # Serialized: a burst of concurrent calls on a fresh client must
         # share one connection, not stampede into N parallel dials.
         async with self._conn_lock:
@@ -249,8 +250,8 @@ class AdmissionClient:
             open_writer = self._open_writer()
             if open_writer is not None:
                 return open_writer
-            reader, writer = await asyncio.open_connection(self._host, self._port)
-            self._writer = writer
+            reader, stream = await asyncio.open_connection(self._host, self._port)
+            writer = self._writer = FrameWriter(stream)
             self._reader_task = asyncio.create_task(self._reader_loop(reader))
             self._log.conn(
                 "connect", f"{self._host}:{self._port}", self._clock.now_ns()
@@ -258,14 +259,18 @@ class AdmissionClient:
             return writer
 
     async def _reader_loop(self, reader: asyncio.StreamReader) -> None:
+        parser = FrameParser()
         try:
             while True:
-                kind, header = await read_frame(reader)
-                response = decode_header(kind, header, Response)
-                future = self._pending.pop(response.request_id, None)
-                if future is not None and not future.done():
-                    future.set_result(response)
-        except (asyncio.IncompleteReadError, ConnectionError, FrameError):
+                data = await reader.read(READ_BYTES)
+                if not data:
+                    break  # the server hung up, mid-frame or not
+                for kind, header in parser.feed(data):
+                    response = decode_header(kind, header, Response)
+                    future = self._pending.pop(response.request_id, None)
+                    if future is not None and not future.done():
+                        future.set_result(response)
+        except (ConnectionError, FrameError):
             pass
         finally:
             self._drop_conn("reset")
@@ -303,12 +308,53 @@ class AdmissionClient:
             self._closed = True
             self._drop_conn("close")
             task, self._reader_task = self._reader_task, None
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+            self._timer_when = math.inf
         if task is not None:
             task.cancel()
             try:
                 await task
             except asyncio.CancelledError:
                 pass
+
+    # ------------------------------------------------------------------
+    # attempt timeouts
+    # ------------------------------------------------------------------
+    def _expire_at(
+        self, loop: asyncio.AbstractEventLoop, rpc_id: int, when: float
+    ) -> None:
+        """Fail attempt ``rpc_id`` at loop time ``when`` unless it has
+        resolved by then.  The timer is re-armed only for an expiry
+        sooner than the one it waits for: with a steady timeout every
+        new expiry is the latest, and arming costs a dict store."""
+        self._expiries[rpc_id] = when
+        if when < self._timer_when:
+            if self._timer is not None:
+                self._timer.cancel()
+            self._timer_when = when
+            self._timer = loop.call_at(when, self._expire_due, loop)
+
+    def _expire_due(self, loop: asyncio.AbstractEventLoop) -> None:
+        # Due: everything up to the time this timer was armed for (the
+        # loop may fire it one clock resolution early) or up to now.
+        due = max(self._timer_when, loop.time())
+        soonest = math.inf
+        for rpc_id, when in list(self._expiries.items()):
+            if when <= due:
+                del self._expiries[rpc_id]
+                future = self._pending.get(rpc_id)
+                if future is not None and not future.done():
+                    future.set_exception(asyncio.TimeoutError())
+            elif when < soonest:
+                soonest = when
+        self._timer_when = soonest
+        self._timer = (
+            loop.call_at(soonest, self._expire_due, loop)
+            if soonest < math.inf
+            else None
+        )
 
     # ------------------------------------------------------------------
     # observability
@@ -430,8 +476,7 @@ class AdmissionClient:
                 loop = asyncio.get_running_loop()
                 future: "asyncio.Future[Response]" = loop.create_future()
                 self._pending[rpc_id] = future
-                await write_message(
-                    writer,
+                writer.send(
                     Request(
                         request_id=rpc_id,
                         client=self.client_id,
@@ -446,15 +491,16 @@ class AdmissionClient:
                     ),
                     body_len=payload_bytes,
                 )
+                await writer.drain()
                 timeout_ns = min(self._retry.attempt_timeout_ns, remaining)
-                # A timer on the pending future bounds the attempt:
+                # An expiry on the pending future bounds the attempt:
                 # ``wait_for`` would wrap every call in its own
                 # timeout scope and cancellation dance for the same end.
-                timer = loop.call_later(timeout_ns / 1e9, _expire, future)
+                self._expire_at(loop, rpc_id, loop.time() + timeout_ns / 1e9)
                 try:
                     response = await future
                 finally:
-                    timer.cancel()
+                    self._expiries.pop(rpc_id, None)
             except (asyncio.TimeoutError, ConnectionError, OSError) as exc:
                 self._pending.pop(rpc_id, None)
                 status = "timeout" if isinstance(exc, asyncio.TimeoutError) else "error"

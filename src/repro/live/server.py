@@ -3,8 +3,8 @@
 One :class:`LiveServer` is the single bottleneck of the demo topology:
 requests from every connection land in per-QoS FIFO queues and a
 single dispatcher coroutine serves them strictly by QoS index (lower
-index first — the same strict-priority discipline the simulator's
-egress schedulers use for its admission experiments), charging
+index first; the simulator's egress ports run WFQ for the Aequitas
+experiments and strict priority only as the fig19 baseline), charging
 ``service_ns_per_mtu × size_mtus`` of real time per request with
 ``asyncio.sleep``.  Queue residency is logged as :class:`QueueSpan`
 records in the same shape the simulator's tracer emits, so live and
@@ -25,6 +25,14 @@ MTU count of that payload, because the dispatcher charges service time
 per MTU on behalf of every client.  A peer whose header fails that, or
 any check in :mod:`repro.live.wire`, is disconnected and served nothing.
 
+The dispatcher never waits on a peer's socket: it hands each response to
+the connection's :class:`~repro.live.wire.FrameWriter` and moves on.  A
+connection whose unsent responses pass the transport's high-water mark
+belongs to a peer that has stopped reading; it is aborted, and whatever
+it still has queued is skipped, not served.  Only a connection's own
+handler waits in ``drain()`` (on the reject path), which holds back
+nobody but that peer.
+
 Fault injection for the test suite goes through the ``on_request``
 hook: a callable receiving each decoded request that may return
 ``"reset"`` (abort the connection mid-request, exercising client
@@ -43,13 +51,14 @@ from repro.core.clocks import ClockSource
 from repro.live.events import EventLog
 from repro.live.wire import (
     MAX_BODY_BYTES,
+    READ_BYTES,
     FrameError,
+    FrameParser,
+    FrameWriter,
     Request,
     Response,
     decode_header,
-    read_frame,
     request_size_mtus,
-    write_message,
 )
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.trace import QueueSpan, parse_traceparent
@@ -59,8 +68,8 @@ FAULT_RESET = "reset"
 FAULT_DROP = "drop"
 
 #: One queued unit of work: the request, its enqueue time, and the
-#: writer the response goes back on.
-_Work = Tuple[Request, int, asyncio.StreamWriter]
+#: connection the response goes back on.
+_Work = Tuple[Request, int, FrameWriter]
 
 
 class _ServerMetrics:
@@ -134,7 +143,7 @@ class LiveServer:
         self._server: Optional[asyncio.base_events.Server] = None
         self._dispatcher: Optional[asyncio.Task[None]] = None
         #: Open connections: writer -> the task running its handler.
-        self._conns: Dict[asyncio.StreamWriter, "asyncio.Task[None]"] = {}
+        self._conns: Dict[FrameWriter, "asyncio.Task[None]"] = {}
         self._stopped = False
         #: Virtual time the service unit frees up; pacing sleeps target
         #: this schedule rather than accumulating per-sleep overshoot.
@@ -192,13 +201,13 @@ class LiveServer:
             except asyncio.CancelledError:
                 pass
         handlers = list(self._conns.values())  # each pops itself on exit
-        for writer in self._conns:
-            if writer.transport.get_write_buffer_size():
+        for conn in self._conns:
+            if conn.transport.get_write_buffer_size():
                 # ``close()`` would wait for the peer to take the backlog,
                 # and a handler blocked in ``drain()`` with it.
-                writer.transport.abort()
+                conn.transport.abort()
             else:
-                self._close_writer(writer)
+                self._close_writer(conn)
         if handlers:
             await asyncio.wait(handlers)
         if self._server is not None:
@@ -206,7 +215,7 @@ class LiveServer:
             # connection to be gone, where 3.11 returns at once.
             await self._server.wait_closed()
 
-    def _close_writer(self, writer: asyncio.StreamWriter) -> None:
+    def _close_writer(self, writer: FrameWriter) -> None:
         try:
             writer.close()
         except Exception:
@@ -216,24 +225,36 @@ class LiveServer:
     # per-connection reader
     # ------------------------------------------------------------------
     async def _serve_conn(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+        self, reader: asyncio.StreamReader, stream: asyncio.StreamWriter
     ) -> None:
-        peername = writer.get_extra_info("peername")
+        peername = stream.get_extra_info("peername")
         peer = f"{peername[0]}:{peername[1]}" if peername else "?"
         task = asyncio.current_task()
         assert task is not None  # the stream protocol runs handlers as tasks
-        self._conns[writer] = task
+        conn = FrameWriter(stream)
+        self._conns[conn] = task
         self._log.conn("accept", peer, self._clock.now_ns())
         try:
-            while not self._stopped:
-                try:
-                    kind, header = await read_frame(reader)
-                    request = decode_header(kind, header, Request)
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    break
-                except FrameError:
-                    # A malformed peer gets disconnected, not served.
-                    break
+            await self._read_requests(reader, conn)
+        except (ConnectionError, FrameError):
+            pass  # a lost or malformed peer gets disconnected, not served
+        finally:
+            self._conns.pop(conn, None)
+            self._close_writer(conn)
+            self._log.conn("close", peer, self._clock.now_ns())
+
+    async def _read_requests(
+        self, reader: asyncio.StreamReader, conn: FrameWriter
+    ) -> None:
+        """Queue or reject what the peer sends until it is done, lost or
+        malformed (returns, or raises what the socket or parser raised)."""
+        parser = FrameParser()
+        while not self._stopped:
+            data = await reader.read(READ_BYTES)
+            if not data:
+                return  # the peer hung up, mid-frame or not
+            for kind, header in parser.feed(data):
+                request = decode_header(kind, header, Request)
                 payload_bytes = request.payload_bytes
                 if (
                     not 0 <= payload_bytes <= MAX_BODY_BYTES
@@ -243,10 +264,10 @@ class LiveServer:
                     # every client: a size the peer made up (10**13
                     # MTUs of an empty body) is malformed like any other
                     # header that contradicts itself.
-                    break
+                    return
                 verdict = self.on_request(request) if self.on_request else None
                 if verdict == FAULT_RESET:
-                    break
+                    return
                 if verdict == FAULT_DROP:
                     continue
                 qos = min(max(request.qos_run, 0), len(self._queues) - 1)
@@ -258,29 +279,24 @@ class LiveServer:
                     self.rejected += 1
                     if self._metrics is not None:
                         self._metrics.rejected[qos].inc()
-                    try:
-                        await write_message(
-                            writer,
-                            Response(
-                                request_id=request.request_id,
-                                status="rejected",
-                                queue_ns=0,
-                                service_ns=0,
-                                traceparent=request.traceparent,
-                            ),
+                    conn.send(
+                        Response(
+                            request_id=request.request_id,
+                            status="rejected",
+                            queue_ns=0,
+                            service_ns=0,
+                            traceparent=request.traceparent,
                         )
-                    except (ConnectionError, RuntimeError):
-                        break
+                    )
+                    # Waiting here holds back this peer's own reads and
+                    # nobody else's.
+                    await conn.drain()
                     continue
-                self._queues[qos].append((request, self._clock.now_ns(), writer))
+                self._queues[qos].append((request, self._clock.now_ns(), conn))
                 if self._metrics is not None:
                     self._metrics.enqueued[qos].inc()
                     self._metrics.depth[qos].set(float(len(self._queues[qos])))
                 self._work_ready.set()
-        finally:
-            self._conns.pop(writer, None)
-            self._close_writer(writer)
-            self._log.conn("close", peer, self._clock.now_ns())
 
     # ------------------------------------------------------------------
     # strict-priority dispatcher
@@ -298,7 +314,13 @@ class LiveServer:
                 self._work_ready.clear()
                 await self._work_ready.wait()
                 continue
-            qos, (request, enqueued_ns, writer) = picked
+            qos, (request, enqueued_ns, conn) = picked
+            if conn.is_closing():
+                # Its peer left, or stopped reading and was aborted:
+                # nobody is waiting for this, so it costs no service time.
+                if self._metrics is not None:
+                    self._metrics.depth[qos].set(float(len(self._queues[qos])))
+                continue
             dequeued_ns = self._clock.now_ns()
             if self._metrics is not None:
                 self._metrics.depth[qos].set(float(len(self._queues[qos])))
@@ -375,9 +397,15 @@ class LiveServer:
                 traceparent=request.traceparent,
             )
             try:
-                await write_message(writer, response)
-            except (ConnectionError, RuntimeError):
+                conn.send(response)
+            except ConnectionError:
                 continue  # client went away; its retry machinery copes
+            if conn.stalled():
+                # Never ``drain()`` here: one peer that has stopped
+                # reading would park the only dispatcher for every client.
+                # Its handler wakes on the lost connection and logs the
+                # peer's ``close``.
+                conn.transport.abort()
 
 
 async def serve_until(server: LiveServer, stop: "asyncio.Event") -> None:

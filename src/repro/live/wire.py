@@ -47,9 +47,12 @@ from repro.net.packet import mtus_for_bytes
 _LEN = struct.Struct(">I")
 
 #: Upper bounds enforced on receive, so a corrupt or hostile peer
-#: cannot make `readexactly` buffer unbounded garbage.
+#: cannot make the parser buffer unbounded garbage.
 MAX_HEADER_BYTES = 64 * 1024
 MAX_BODY_BYTES = 8 * 1024 * 1024
+
+#: What one ``reader.read`` asks for on either end of a connection.
+READ_BYTES = 64 * 1024
 
 KIND_REQUEST = "req"
 KIND_RESPONSE = "resp"
@@ -112,7 +115,7 @@ _T = TypeVar("_T", Request, Response)
 #: ``JSONEncoder`` per call whenever separators are not the default).
 _encode_json = json.JSONEncoder(separators=(",", ":")).encode
 
-#: One decoder for every header, fed text that :func:`read_frame` has
+#: One decoder for every header, fed text that :class:`FrameParser` has
 #: decoded as strict UTF-8 (``json.loads(bytes)`` would first sniff
 #: UTF-16/32 and strip a BOM — encodings the format does not have).
 _decode_json = json.JSONDecoder().decode
@@ -284,52 +287,73 @@ def decode_header(kind: str, header: Dict[str, Any], cls: Type[_T]) -> _T:
     return cls(*values)
 
 
-async def write_message(
-    writer: asyncio.StreamWriter,
-    message: "Request | Response",
-    body_len: int = 0,
-) -> None:
-    """Write one frame (header + zero-padded body) and drain the socket.
+class FrameWriter:
+    """The sending side of one connection, batching per event-loop pass.
 
-    The header rides in the same ``write`` as the first body chunk, so a
-    body that fits the zero chunk is one send, not two.
+    The first frame of a pass is written at once (a lone caller waits
+    for nothing); frames that follow it in the same pass are held and
+    leave together in one ``write`` when the pass ends, so a connection
+    costs one ``send`` per pass however many frames its tasks produced.
+    Order is the order of :meth:`send`: once a frame is held, every
+    later one queues behind it.
     """
-    chunk = min(body_len, len(_ZERO_CHUNK))
-    writer.write(encode_frame(message, body_len=body_len) + _ZERO_CHUNK[:chunk])
-    remaining = body_len - chunk
-    while remaining > 0:
-        chunk = min(remaining, len(_ZERO_CHUNK))
-        writer.write(_ZERO_CHUNK[:chunk])
-        remaining -= chunk
-    await writer.drain()
 
+    __slots__ = ("transport", "_stream", "_call_soon", "_held", "_in_pass")
 
-async def read_frame(reader: asyncio.StreamReader) -> Tuple[str, Dict[str, Any]]:
-    """Read one frame; returns ``(kind, header)`` with the body consumed.
+    def __init__(self, stream: asyncio.StreamWriter) -> None:
+        self.transport = stream.transport
+        self._stream = stream
+        self._call_soon = asyncio.get_running_loop().call_soon
+        self._held: List[bytes] = []
+        self._in_pass = False
 
-    Raises :class:`FrameError` on malformed input and
-    ``asyncio.IncompleteReadError`` when the peer closes mid-frame (the
-    caller treats that as connection loss).
-    """
-    (header_len,) = _LEN.unpack(await reader.readexactly(_LEN.size))
-    if header_len == 0 or header_len > MAX_HEADER_BYTES:
-        raise FrameError(f"implausible header length {header_len}")
-    blob = await reader.readexactly(header_len)
-    try:
-        header = _decode_json(blob.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # bad bytes / absurd nesting
-        raise FrameError(f"header is not JSON: {exc}")
-    if not isinstance(header, dict) or "kind" not in header:
-        raise FrameError("header must be a JSON object with a 'kind'")
-    body_len = header.get("body_len", 0)
-    if type(body_len) is not int or not 0 <= body_len <= MAX_BODY_BYTES:
-        raise FrameError(f"implausible body length {body_len!r}")
-    remaining = body_len
-    while remaining > 0:
-        chunk = await reader.readexactly(min(remaining, len(_ZERO_CHUNK)))
-        remaining -= len(chunk)
-    kind = header.pop("kind")
-    return str(kind), header
+    def send(self, message: "Request | Response", body_len: int = 0) -> None:
+        """Queue one frame (header + zero-padded body) without waiting.
+
+        Raises ``ConnectionResetError`` on a closed or closing
+        connection.  The header rides in the same ``write`` as the first
+        body chunk, so a body that fits the zero chunk is one send.
+        """
+        if self.transport.is_closing():
+            raise ConnectionResetError("Connection lost")
+        chunk = min(body_len, len(_ZERO_CHUNK))
+        frame = encode_frame(message, body_len=body_len) + _ZERO_CHUNK[:chunk]
+        if self._in_pass:
+            write = self._held.append
+        else:
+            self._in_pass = True
+            self._call_soon(self._end_pass)
+            write = self.transport.write
+        write(frame)
+        remaining = body_len - chunk
+        while remaining > 0:
+            chunk = min(remaining, len(_ZERO_CHUNK))
+            write(_ZERO_CHUNK[:chunk])
+            remaining -= chunk
+
+    def _end_pass(self) -> None:
+        self._in_pass = False
+        if self._held:
+            self.transport.write(b"".join(self._held))
+            self._held.clear()
+
+    async def drain(self) -> None:
+        """Wait while the transport is over its high-water mark; a no-op
+        unless it already holds bytes the kernel has not taken."""
+        if self.transport.get_write_buffer_size():
+            await self._stream.drain()
+
+    def stalled(self) -> bool:
+        """Whether the unsent backlog has passed the transport's
+        high-water mark — what ``drain()`` would wait out."""
+        backlog = self.transport.get_write_buffer_size()
+        return backlog > 0 and backlog > self.transport.get_write_buffer_limits()[1]
+
+    def is_closing(self) -> bool:
+        return self.transport.is_closing()
+
+    def close(self) -> None:
+        self._stream.close()
 
 
 class FrameParser:
@@ -341,7 +365,9 @@ class FrameParser:
     count (never buffered: what is kept between calls is at most one
     unfinished header), and the first malformed frame raises
     :class:`FrameError` *after* the well-formed frames before it have
-    been yielded.  The checks and their messages are :func:`read_frame`'s.
+    been yielded.  The caller feeds it ``await reader.read(READ_BYTES)``
+    and treats an empty read as the loss of the connection, mid-frame or
+    not.
     """
 
     __slots__ = ("_buf", "_skip", "_frame")
@@ -403,17 +429,17 @@ class FrameParser:
 __all__ = [
     "FrameError",
     "FrameParser",
+    "FrameWriter",
     "KIND_REQUEST",
     "KIND_RESPONSE",
     "MAX_BODY_BYTES",
     "MAX_HEADER_BYTES",
+    "READ_BYTES",
     "Request",
     "Response",
     "compile_flat_encoder",
     "decode_header",
     "encode_frame",
     "field_table",
-    "read_frame",
     "request_size_mtus",
-    "write_message",
 ]

@@ -24,7 +24,13 @@ from repro.live.client import AdmissionClient, RetryPolicy
 from repro.live.clock import WallClock
 from repro.live.events import EventLog, read_events
 from repro.live.server import FAULT_DROP, FAULT_RESET, LiveServer
-from repro.live.wire import MAX_BODY_BYTES, Request, encode_frame
+from repro.live.wire import (
+    MAX_BODY_BYTES,
+    FrameWriter,
+    Request,
+    Response,
+    encode_frame,
+)
 from repro.net.packet import mtus_for_bytes
 
 MS = 1_000_000
@@ -281,7 +287,7 @@ class TestMalformedPeer:
             {"size_mtus": "x"},  # reached the dispatcher, killed it
             {"qos_run": None},  # raised out of the connection handler
             {"qos_run": True},
-            {"body_len": None},  # raised out of read_frame
+            {"body_len": None},  # raised out of the frame parser
             {"body_len": "abc"},
             {"kind": "resp"},  # a response sent to a server
             # Sizes the header itself contradicts.  The first one parked
@@ -501,11 +507,7 @@ class TestServerStop:
         its buffer sizes, this one never starts."""
 
         async def connect(server, port):
-            reader = asyncio.StreamReader()
-            protocol = asyncio.StreamReaderProtocol(reader, server._serve_conn)
-            peer = NeverReadingPeer(protocol)
-            protocol.connection_made(peer)  # starts the handler, as accept does
-            reader.feed_data(raw_frame(REQUEST_HEADER) * 2)
+            peer = connect_never_reading_peer(server, raw_frame(REQUEST_HEADER) * 2)
             await asyncio.sleep(0.05)
             assert server.rejected == 1 and peer.get_write_buffer_size() > 0
             return lambda: None
@@ -518,11 +520,13 @@ class NeverReadingPeer(asyncio.Transport):
     every byte written stays buffered, so ``close()``, which flushes
     first, never completes; only ``abort()`` loses the connection."""
 
-    def __init__(self, protocol):
+    def __init__(self, protocol, high_water=64 * 1024):
         super().__init__(extra={"peername": ("192.0.2.1", 9)})
         self._protocol = protocol
         self._buffered = 0
         self._closing = False
+        self._high_water = high_water
+        self.aborted = False
 
     def write(self, data):
         if not self._buffered:
@@ -532,6 +536,9 @@ class NeverReadingPeer(asyncio.Transport):
     def get_write_buffer_size(self):
         return self._buffered
 
+    def get_write_buffer_limits(self):
+        return (0, self._high_water)
+
     def is_closing(self):
         return self._closing
 
@@ -539,8 +546,255 @@ class NeverReadingPeer(asyncio.Transport):
         self._closing = True
 
     def abort(self):
-        self._closing = True
+        self._closing = self.aborted = True
         asyncio.get_running_loop().call_soon(self._protocol.connection_lost, None)
+
+
+def connect_never_reading_peer(server, sent, **transport_kwargs):
+    """Accept, as the stream stack would, a peer that has written
+    ``sent`` and will never read; returns the server's transport to it."""
+    reader = asyncio.StreamReader()
+    protocol = asyncio.StreamReaderProtocol(reader, server._serve_conn)
+    peer = NeverReadingPeer(protocol, **transport_kwargs)
+    protocol.connection_made(peer)  # starts the handler, as accept does
+    reader.feed_data(sent)
+    return peer
+
+
+class TestStalledPeer:
+    """The one dispatcher serves every client, so it may never wait for
+    one peer's socket: a peer that writes requests and reads nothing
+    costs the others nothing, and is aborted once its unread responses
+    pass its transport's high-water mark."""
+
+    def test_honest_client_is_served_while_a_peer_never_reads(self, tmp_path):
+        queued = 12  # under the queue limit: the dispatcher owes each a response
+
+        async def scenario(server, client, clock):
+            peer = connect_never_reading_peer(
+                server, raw_frame(REQUEST_HEADER) * queued, high_water=250
+            )
+            results = [await client.call(0, payload_bytes=1024) for _ in range(3)]
+            return results, peer, server.served
+
+        results, peer, served = run_stack(tmp_path, scenario)
+        assert [(r.status, r.attempts) for r in results] == [("ok", 1)] * 3
+        # Three ~100-byte responses pass 250 bytes: the peer was dropped
+        # there (or a pass later, if a response was held for the end of
+        # one) and the rest of what it had queued was not served.
+        assert peer.aborted
+        assert 3 + 3 <= served < queued + 3
+        peers = [
+            (r["event"], r["peer"])
+            for r in read_events(tmp_path / "server.jsonl")
+            if r["type"] == "conn" and r["peer"] == "192.0.2.1:9"
+        ]
+        assert peers == [("accept", "192.0.2.1:9"), ("close", "192.0.2.1:9")]
+
+    def test_backlog_under_the_high_water_mark_is_left_alone(self, tmp_path):
+        async def scenario(server, client, clock):
+            peer = connect_never_reading_peer(server, raw_frame(REQUEST_HEADER) * 4)
+            result = await client.call(0, payload_bytes=1024)
+            return result, server.served, peer.get_write_buffer_size(), peer.aborted
+
+        result, served, backlog, aborted = run_stack(tmp_path, scenario)
+        assert result.status == "ok"
+        assert served == 4 + 1
+        assert 0 < backlog < 64 * 1024 and not aborted
+
+
+
+class RecordingTransport(asyncio.Transport):
+    """Takes every byte at once and remembers each ``write`` call."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+        self.closing = False
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+
+    def get_write_buffer_size(self):
+        return 0
+
+    def is_closing(self):
+        return self.closing
+
+    def close(self):
+        self.closing = True
+
+
+class TestFrameWriter:
+    RESPONSES = [
+        Response(request_id=i, status="ok", queue_ns=i, service_ns=1) for i in range(8)
+    ]
+    #: Bodies around the 64 KiB zero chunk, to cover chunked bodies too.
+    BODY_LENS = [0, 1024, 0, 70_000, 0, 65_536, 3, 0]
+
+    def run(self, scenario):
+        async def _main():
+            transport = RecordingTransport()
+            protocol = asyncio.StreamReaderProtocol(asyncio.StreamReader())
+            stream = asyncio.StreamWriter(
+                transport, protocol, None, asyncio.get_running_loop()
+            )
+            try:
+                return await scenario(FrameWriter(stream), transport)
+            finally:
+                stream.close()
+
+        return asyncio.run(_main())
+
+    def test_eight_sends_in_one_pass_leave_in_at_most_two_writes(self):
+        async def scenario(writer, transport):
+            for response, body_len in zip(self.RESPONSES, self.BODY_LENS):
+                writer.send(response, body_len=body_len)
+            before_pass_end = list(transport.writes)
+            await asyncio.sleep(0)  # the pass ends
+            return before_pass_end, transport.writes
+
+        before_pass_end, writes = self.run(scenario)
+        frames = [
+            encode_frame(response, body_len=body_len) + bytes(body_len)
+            for response, body_len in zip(self.RESPONSES, self.BODY_LENS)
+        ]
+        # The first frame did not wait for the others ...
+        assert before_pass_end == frames[:1]
+        # ... which left together, and nothing overtook anything.
+        assert len(writes) == 2
+        assert b"".join(writes) == b"".join(frames)
+
+    def test_each_pass_starts_afresh(self):
+        async def scenario(writer, transport):
+            seen = []
+            for response in self.RESPONSES[:3]:
+                writer.send(response)
+                seen.append(len(transport.writes))
+                await asyncio.sleep(0)
+            return seen, transport.writes
+
+        seen, writes = self.run(scenario)
+        assert seen == [1, 2, 3]  # a lone send is on the wire at once
+        assert writes == [encode_frame(r) for r in self.RESPONSES[:3]]
+
+    def test_send_on_a_closing_transport_raises(self):
+        async def scenario(writer, transport):
+            transport.closing = True
+            with pytest.raises(ConnectionResetError):
+                writer.send(self.RESPONSES[0])
+            return transport.writes
+
+        assert self.run(scenario) == []
+
+
+class TestAttemptTimer:
+    """One ``TimerHandle`` per client bounds every attempt, each at its
+    own expiry; nothing of an attempt outlives it."""
+
+    PATIENT = RetryPolicy(
+        max_attempts=1, deadline_ns=2_000 * MS, attempt_timeout_ns=60 * MS
+    )
+
+    @staticmethod
+    def live_timers():
+        loop = asyncio.get_running_loop()
+        return [h for h in loop._scheduled if not h.cancelled()]
+
+    def test_attempts_expire_at_their_own_times_on_one_timer(self, tmp_path):
+        async def scenario(server, client, clock):
+            loop = asyncio.get_running_loop()
+            await client._ensure_conn()
+            idle_timers = len(self.live_timers())
+            start = loop.time()
+            expired_at = {}
+
+            async def attempt(rpc_id, timeout_s):
+                future = client._pending[rpc_id] = loop.create_future()
+                client._expire_at(loop, rpc_id, start + timeout_s)
+                with pytest.raises(asyncio.TimeoutError):
+                    await future
+                expired_at[rpc_id] = loop.time() - start
+
+            # The second expiry is sooner than the armed one, the third is
+            # not: one re-arm, and still one timer.
+            tasks = [
+                asyncio.ensure_future(attempt(rpc_id, timeout_s))
+                for rpc_id, timeout_s in ((1, 0.09), (2, 0.03), (3, 0.06))
+            ]
+            await asyncio.sleep(0)
+            timers = len(self.live_timers()) - idle_timers
+            await asyncio.gather(*tasks)
+            return expired_at, timers, dict(client._expiries), client._timer
+
+        expired_at, timers, expiries, timer = run_stack(tmp_path, scenario)
+        assert timers == 1
+        assert list(expired_at) == [2, 3, 1]
+        for rpc_id, timeout_s in ((1, 0.09), (2, 0.03), (3, 0.06)):
+            # Never early; late only by what a loaded machine adds.
+            assert timeout_s <= expired_at[rpc_id] < timeout_s + 0.025
+        assert expiries == {} and timer is None
+
+    def test_calls_time_out_one_attempt_timeout_after_they_were_sent(self, tmp_path):
+        async def scenario(server, client, clock):
+            async def timed_call():
+                start_ns = clock.now_ns()
+                result = await client.call(0, payload_bytes=1024)
+                return result.status, clock.now_ns() - start_ns
+
+            first = asyncio.ensure_future(timed_call())
+            await asyncio.sleep(0.03)
+            second = asyncio.ensure_future(timed_call())
+            await asyncio.sleep(0.01)
+            timers = len(self.live_timers())
+            return await first, await second, timers
+
+        first, second, timers = run_stack(
+            tmp_path, scenario, on_request=lambda request: FAULT_DROP, retry=self.PATIENT
+        )
+        for status, elapsed_ns in (first, second):
+            assert status == "timeout"
+            assert 60 * MS <= elapsed_ns < 100 * MS
+        assert timers == 1
+
+    def test_a_response_leaves_nothing_behind_and_aclose_cancels_the_timer(
+        self, tmp_path
+    ):
+        async def scenario(server, client, clock):
+            results = await asyncio.gather(
+                *(client.call(0, payload_bytes=1024) for _ in range(4))
+            )
+            left = dict(client._expiries), dict(client._pending)
+            timer = client._timer
+            armed = timer is not None and not timer.cancelled()
+            await client.aclose()
+            return results, left, armed, timer.cancelled(), client._timer
+
+        results, left, armed, cancelled, timer = run_stack(tmp_path, scenario)
+        assert [r.status for r in results] == ["ok"] * 4
+        assert left == ({}, {})
+        # Still armed for the first call's timeout (re-arming per call is
+        # the cost this design removes) until the client is closed.
+        assert armed and cancelled and timer is None
+
+    def test_drop_conn_fails_waiting_attempts_and_their_expiries(self, tmp_path):
+        async def scenario(server, client, clock):
+            calls = [
+                asyncio.ensure_future(client.call(0, payload_bytes=1024))
+                for _ in range(3)
+            ]
+            await asyncio.sleep(0.02)
+            waiting = len(client._expiries)
+            client._drop_conn("reset")
+            results = await asyncio.gather(*calls)
+            return waiting, results, dict(client._expiries), dict(client._pending)
+
+        waiting, results, expiries, pending = run_stack(
+            tmp_path, scenario, on_request=lambda request: FAULT_DROP, retry=self.PATIENT
+        )
+        assert waiting == 3
+        assert [(r.status, r.attempts) for r in results] == [("error", 1)] * 3
+        assert expiries == {} and pending == {}
 
 
 class TestConnectionSharing:

@@ -1,17 +1,20 @@
-"""``FrameParser.feed`` held to ``read_frame`` on a fed ``StreamReader``.
+"""``FrameParser.feed`` held to the reader it replaced.
 
-The parser takes bytes as a ``read`` delivers them — any number of
-frames, cut anywhere — where ``read_frame`` asks the stream for one
-field at a time.  Whatever the bytes and wherever the cuts, both must
-produce the same frames, the same ``FrameError`` message at the same
-frame, and have consumed the same bytes when it is raised.  A stream
-that ends mid-frame is ``IncompleteReadError`` to ``read_frame`` and
-simply an unfinished frame to the parser: the connection layers treat
-the end of the stream as peer loss either way.
+:func:`read_frame` below is what both ends of a connection ran until
+the parser took over: one ``await readexactly`` per field of one frame.
+It stays here as the reference.  The parser takes bytes as a ``read``
+delivers them — any number of frames, cut anywhere — and whatever the
+bytes and wherever the cuts, both must produce the same frames, the same
+``FrameError`` message at the same frame, and have consumed the same
+bytes when it is raised.  A stream that ends mid-frame is
+``IncompleteReadError`` to ``read_frame`` and simply an unfinished frame
+to the parser: the connection layers treat the end of the stream as peer
+loss either way.
 """
 
 import asyncio
 import dataclasses
+import json
 import random
 import struct
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -25,15 +28,38 @@ from repro.live.wire import (
     FrameError,
     FrameParser,
     encode_frame,
-    read_frame,
 )
-from tests.test_live_wire import REQUEST, RESPONSE, TRACEPARENT, TestFuzz
+from tests import test_live_wire
+from tests.test_live_wire import REQUEST, RESPONSE, TRACEPARENT
 
 Frame = Tuple[str, Dict[str, Any]]
 #: Frames, the ``FrameError`` message if one was raised, bytes consumed.
 Outcome = Tuple[List[Frame], Optional[str], int]
 
 CHUNK = bytes(64 * 1024)
+
+
+async def read_frame(reader: asyncio.StreamReader) -> Frame:
+    """Read one frame; returns ``(kind, header)`` with the body consumed."""
+    (header_len,) = struct.unpack(">I", await reader.readexactly(4))
+    if header_len == 0 or header_len > MAX_HEADER_BYTES:
+        raise FrameError(f"implausible header length {header_len}")
+    blob = await reader.readexactly(header_len)
+    try:
+        header = json.JSONDecoder().decode(blob.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise FrameError(f"header is not JSON: {exc}")
+    if not isinstance(header, dict) or "kind" not in header:
+        raise FrameError("header must be a JSON object with a 'kind'")
+    body_len = header.get("body_len", 0)
+    if type(body_len) is not int or not 0 <= body_len <= MAX_BODY_BYTES:
+        raise FrameError(f"implausible body length {body_len!r}")
+    remaining = body_len
+    while remaining > 0:
+        chunk = await reader.readexactly(min(remaining, len(CHUNK)))
+        remaining -= len(chunk)
+    kind = header.pop("kind")
+    return str(kind), header
 
 
 def by_read_frame(stream: bytes) -> Outcome:
@@ -89,7 +115,7 @@ def good_frame(index: int, body_len: int) -> bytes:
 def fuzz_corpus() -> List[bytes]:
     """The 3 000 mutated frames ``TestFuzz`` throws at the receive path."""
     rng = random.Random(20220822)
-    fuzz = TestFuzz()
+    fuzz = test_live_wire.TestFuzz()
     seeds = [good_frame(i, 0) for i in range(3)]
     return [fuzz.mutate(rng, rng.choice(seeds)) for _ in range(3000)]
 

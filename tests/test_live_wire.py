@@ -1,14 +1,13 @@
 """The live runtime's length-prefixed wire format.
 
-Framing is pure (no clocks, no RNG), so these tests drive it directly
-through an in-memory :class:`asyncio.StreamReader`: well-formed frames
-round-trip exactly, bodies are consumed without corrupting frame
-boundaries, and every malformed-input class maps to a typed
-:class:`FrameError` (or ``IncompleteReadError`` for mid-frame EOF,
-which the connection layers treat as peer loss, not corruption).
+Framing is pure (no clocks, no RNG, no event loop), so these tests feed
+bytes straight to a :class:`FrameParser`: well-formed frames round-trip
+exactly, bodies are consumed without corrupting frame boundaries, and
+every malformed-input class maps to a typed :class:`FrameError`.  A
+truncated frame yields nothing: the connection layers see the stream
+end and treat it as peer loss, not corruption.
 """
 
-import asyncio
 import dataclasses
 import json
 import random
@@ -23,13 +22,13 @@ from repro.live.wire import (
     MAX_BODY_BYTES,
     MAX_HEADER_BYTES,
     FrameError,
+    FrameParser,
     Request,
     Response,
     compile_flat_encoder,
     decode_header,
     encode_frame,
     field_table,
-    read_frame,
 )
 
 REQUEST = Request(
@@ -50,15 +49,9 @@ TRACEPARENT = "00-" + "ab" * 16 + "-" + "cd" * 8 + "-01"
 
 
 def read_from_bytes(payload: bytes):
-    """Parse one frame out of raw bytes via a fed StreamReader."""
-
-    async def _run():
-        reader = asyncio.StreamReader()
-        reader.feed_data(payload)
-        reader.feed_eof()
-        return await read_frame(reader)
-
-    return asyncio.run(_run())
+    """Parse the one frame that ``payload`` holds."""
+    (frame,) = FrameParser().feed(payload)
+    return frame
 
 
 class TestRoundTrip:
@@ -80,16 +73,7 @@ class TestRoundTrip:
             + bytes(body_len)
             + encode_frame(RESPONSE)
         )
-
-        async def _run():
-            reader = asyncio.StreamReader()
-            reader.feed_data(payload)
-            reader.feed_eof()
-            first = await read_frame(reader)
-            second = await read_frame(reader)
-            return first, second
-
-        (kind1, header1), (kind2, header2) = asyncio.run(_run())
+        (kind1, header1), (kind2, header2) = FrameParser().feed(payload)
         assert decode_header(kind1, header1, Request) == REQUEST
         assert decode_header(kind2, header2, Response) == RESPONSE
         assert header1["body_len"] == body_len
@@ -227,7 +211,7 @@ class TestMalformedInput:
     )
     def test_header_in_another_unicode_encoding_rejected(self, encoding):
         """The header is UTF-8 with no BOM.  ``json.loads(bytes)`` would
-        sniff every one of these and decode it; ``read_frame`` does not."""
+        sniff every one of these and decode it; the parser does not."""
         header = encode_frame(REQUEST)[4:].decode("utf-8")
         assert json.loads(header.encode(encoding))["request_id"] == 3
         with pytest.raises(FrameError, match="not JSON"):
@@ -277,14 +261,13 @@ class TestMalformedInput:
         with pytest.raises(FrameError):
             read_from_bytes(frame_with_header(blob))
 
-    def test_truncated_frame_raises_incomplete_read(self):
-        payload = encode_frame(REQUEST)
-        with pytest.raises(asyncio.IncompleteReadError):
-            read_from_bytes(payload[: len(payload) // 2])
+    def test_truncated_frame_yields_nothing(self):
+        payload = encode_frame(REQUEST, body_len=10) + bytes(10)
+        for length in (len(payload) // 2, len(payload) - 1):
+            assert list(FrameParser().feed(payload[:length])) == []
 
-    def test_truncated_length_prefix_raises_incomplete_read(self):
-        with pytest.raises(asyncio.IncompleteReadError):
-            read_from_bytes(b"\x00\x00")
+    def test_truncated_length_prefix_yields_nothing(self):
+        assert list(FrameParser().feed(b"\x00\x00")) == []
 
 
 class TestDecodeHeader:
@@ -335,8 +318,8 @@ class TestDecodeHeader:
 
 class TestFuzz:
     """ROADMAP fault-plane oracle 3, smallest cut: whatever bytes arrive,
-    the receive path ends in a typed message, ``FrameError`` or
-    ``IncompleteReadError`` — never another exception."""
+    the receive path ends in a typed message, ``FrameError`` or an
+    unfinished frame — never an exception of another type."""
 
     JUNK = (None, True, False, 0, -1, 2**63, 1.5, "", "x", [], [1], {}, {"a": 1})
 
@@ -378,23 +361,16 @@ class TestFuzz:
             ),
             (encode_frame(RESPONSE), Response),
         ]
-        outcomes = {"message": 0, "FrameError": 0, "IncompleteReadError": 0}
-
-        async def _run():
-            for _ in range(3000):
-                frame, cls = rng.choice(seeds)
-                reader = asyncio.StreamReader()
-                reader.feed_data(self.mutate(rng, frame))
-                reader.feed_eof()
-                try:
-                    kind, header = await read_frame(reader)
-                    message = decode_header(kind, header, cls)
-                except (FrameError, asyncio.IncompleteReadError) as exc:
-                    outcomes[type(exc).__name__] += 1
-                else:
-                    assert type(message) is cls
-                    outcomes["message"] += 1
-
-        asyncio.run(_run())
+        outcomes = {"message": 0, "FrameError": 0, "unfinished": 0}
+        for _ in range(3000):
+            frame, cls = rng.choice(seeds)
+            try:
+                frames = list(FrameParser().feed(self.mutate(rng, frame)))
+                messages = [decode_header(kind, header, cls) for kind, header in frames]
+            except FrameError:
+                outcomes["FrameError"] += 1
+            else:
+                assert [type(message) for message in messages] in ([], [cls])
+                outcomes["message" if messages else "unfinished"] += 1
         # The mutations really reach all three outcomes.
         assert all(outcomes.values()), outcomes
