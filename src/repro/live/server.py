@@ -315,15 +315,14 @@ class LiveServer:
                 await self._work_ready.wait()
                 continue
             qos, (request, enqueued_ns, conn) = picked
+            if self._metrics is not None:
+                self._metrics.depth[qos].set(float(len(self._queues[qos])))
             if conn.is_closing():
                 # Its peer left, or stopped reading and was aborted:
                 # nobody is waiting for this, so it costs no service time.
-                if self._metrics is not None:
-                    self._metrics.depth[qos].set(float(len(self._queues[qos])))
                 continue
             dequeued_ns = self._clock.now_ns()
             if self._metrics is not None:
-                self._metrics.depth[qos].set(float(len(self._queues[qos])))
                 self._metrics.wait[qos].observe(float(dequeued_ns - enqueued_ns))
                 self._metrics.served[qos].inc()
             service_ns = self._service_ns_per_mtu * request.size_mtus

@@ -15,6 +15,12 @@ trade-off: the live runtime validates admission *dynamics*, not wire
 throughput, and a self-describing header format keeps the logs and the
 wire mutually greppable.
 
+:class:`FrameParser` and :class:`FrameWriter` are the two ends of a
+connection's framing, and both work per event-loop pass rather than per
+frame: the parser takes the bytes of one ``read`` and yields every frame
+they complete, the writer sends what one pass produced in at most two
+``write`` calls.
+
 Nothing here reads a clock or an RNG — framing is pure — so the module
 needs no simlint suppressions.
 """
