@@ -6,9 +6,10 @@ writes scavenger-class requests as fast as the server takes them and
 never reads a byte, so the responses to it back up, first in the kernel
 and then in the server's transport.  While it does, an honest
 ``AdmissionClient`` issues SLO-class calls for three seconds: every one
-must come back ``ok`` on its only attempt.  (Before the dispatcher stopped awaiting
-``drain()`` it parked on the hostile connection and these timed out.)
-Exits non-zero, with the statuses seen, otherwise.
+must come back ``ok`` on its only attempt.  (A dispatcher that awaits
+``drain()`` parks on the hostile connection, and these time out or are
+rejected from the full queue.)  Exits non-zero, with the statuses seen,
+otherwise.
 """
 
 import asyncio

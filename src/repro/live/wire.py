@@ -353,7 +353,9 @@ class FrameWriter:
         """Whether the unsent backlog has passed the transport's
         high-water mark — what ``drain()`` would wait out."""
         backlog = self.transport.get_write_buffer_size()
-        return backlog > 0 and backlog > self.transport.get_write_buffer_limits()[1]
+        if not backlog:  # the usual case, and one call instead of two
+            return False
+        return backlog > self.transport.get_write_buffer_limits()[1]
 
     def is_closing(self) -> bool:
         return self.transport.is_closing()
@@ -401,16 +403,15 @@ class FrameParser:
                 yield frame
             while end - pos >= _LEN.size:
                 (header_len,) = _LEN.unpack_from(buf, pos)
-                pos += _LEN.size
+                start = pos + _LEN.size
                 if header_len == 0 or header_len > MAX_HEADER_BYTES:
+                    pos = start
                     raise FrameError(f"implausible header length {header_len}")
-                if header_len > end - pos:
-                    pos -= _LEN.size
+                if start + header_len > end:
                     break
-                blob = buf[pos : pos + header_len]
-                pos += header_len
+                pos = start + header_len
                 try:
-                    header = _decode_json(blob.decode("utf-8"))
+                    header = _decode_json(buf[start:pos].decode("utf-8"))
                 except (ValueError, RecursionError) as exc:  # bad bytes / nesting
                     raise FrameError(f"header is not JSON: {exc}")
                 if not isinstance(header, dict) or "kind" not in header:

@@ -603,7 +603,6 @@ class TestStalledPeer:
         assert 0 < backlog < 64 * 1024 and not aborted
 
 
-
 class RecordingTransport(asyncio.Transport):
     """Takes every byte at once and remembers each ``write`` call."""
 
@@ -614,9 +613,6 @@ class RecordingTransport(asyncio.Transport):
 
     def write(self, data):
         self.writes.append(bytes(data))
-
-    def get_write_buffer_size(self):
-        return 0
 
     def is_closing(self):
         return self.closing
