@@ -4,7 +4,7 @@ The single-module rules (SIM001/SIM002/SIM006) see a wall-clock read or
 an unseeded RNG only at the line that performs it.  They are blind to
 the same bug split across a call boundary::
 
-    # helpers.py                      # repro/sim/kernel.py
+    # helpers.py                      # repro/sim/engine.py
     def stamp():                      from helpers import stamp
         return time.time()            class Kernel:
                                           def start(self):
@@ -80,7 +80,7 @@ _RNG_CTOR_NAMES = frozenset(
 def module_name(path: Path) -> str:
     """Dotted module name, walking ``__init__.py`` packages upward.
 
-    ``src/repro/sim/kernel.py`` -> ``repro.sim.kernel``; a file outside
+    ``src/repro/sim/engine.py`` -> ``repro.sim.engine``; a file outside
     any package (a test, a fixture at a tmp root) is its own top-level
     module named after its stem, which is exactly how ``import``
     resolves it with that root on ``sys.path``.

@@ -27,7 +27,7 @@ from repro.core.interface import AdmissionEngine
 from repro.live.client import arrival_schedule
 from repro.live.events import Track
 from repro.live.workload import LiveWorkload
-from repro.sim.backend import active_simulator_class
+from repro.sim.engine import Simulator
 
 
 class _RefServer:
@@ -79,7 +79,7 @@ def run_sim_reference(workload: LiveWorkload) -> Dict[str, Track]:
     per-channel ``p_admit`` adjustment tracks, keyed ``cN->srv/qosM``
     (the same keys :func:`repro.live.events.p_admit_tracks` produces
     from live client logs)."""
-    sim = active_simulator_class()()
+    sim = Simulator()
     slo_map = workload.slo_map()
     tracks: Dict[str, Track] = {}
     server = _RefServer(sim, slo_map.qos_config.num_levels, workload.queue_limit)
