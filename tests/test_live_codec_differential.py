@@ -109,12 +109,14 @@ BODY_LENS = st.one_of(*[st.integers(0, 2**23)] * 3, ANYTHING)
 #: Traced ``**extra``: the real keys, arbitrary keys, and keys that
 #: collide with a span field or with ``type`` (a later key of the
 #: merged dict replaces the value *in place*; it is not appended).
+#: ``self`` and ``span`` are the writers' own parameter names, which no
+#: keyword argument can carry.
 EXTRA_KEYS = st.sampled_from(
     [
         "trace_id", "span_id", "parent_id", "decide_ns", "attempts",
         "type", "rpc_id", "qos", "kind", "node", "terminated", "p_admit",
     ]
-) | st.text(max_size=6)
+) | st.text(max_size=6).filter(lambda key: key not in ("self", "span"))
 EXTRA_VALUES = st.one_of(
     ANYTHING,
     st.lists(ANYTHING, max_size=3),
