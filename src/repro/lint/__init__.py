@@ -3,22 +3,18 @@
 Run it as ``python -m repro lint [paths]`` (or ``python -m repro.lint``).
 Single-module rules live in :mod:`repro.lint.rules`, the asyncio rules
 in :mod:`repro.lint.asyncrules`, the whole-program taint pass in
-:mod:`repro.lint.project`; scoping, the incremental cache, baseline
-handling, SARIF output, and the CLI in :mod:`repro.lint.runner`.  The
-runtime counterpart — SimSanitizer — lives in :mod:`repro.sim.sanitize`.
+:mod:`repro.lint.project`, SARIF output in :mod:`repro.lint.sarif`;
+scoping, suppressions and the CLI in :mod:`repro.lint.runner`, which
+analyzes every file afresh on each run.  The runtime counterpart —
+SimSanitizer — lives in :mod:`repro.sim.sanitize`.
 """
 
-from repro.lint.baseline import finding_fingerprint
-from repro.lint.cache import LintCache
-from repro.lint.rules import RULES, RULESET_VERSION, Finding
+from repro.lint.rules import RULES, RULESET_VERSION, Finding, finding_fingerprint
 from repro.lint.runner import (
     HOST_ALLOWLIST,
     SIM_DOMAIN_PREFIXES,
     LintError,
-    LintReport,
-    analyze_paths,
     classify,
-    lint_file,
     lint_paths,
     lint_source,
     main,
@@ -29,16 +25,12 @@ from repro.lint.sarif import to_sarif
 __all__ = [
     "Finding",
     "HOST_ALLOWLIST",
-    "LintCache",
     "LintError",
-    "LintReport",
     "RULES",
     "RULESET_VERSION",
     "SIM_DOMAIN_PREFIXES",
-    "analyze_paths",
     "classify",
     "finding_fingerprint",
-    "lint_file",
     "lint_paths",
     "lint_source",
     "main",

@@ -19,9 +19,6 @@ whole-program pass:
    import aliases (absolute and relative), top-level functions and
    methods with the *taint atoms* that flow to their return value, and
    every resolvable call site / attribute store / RNG construction.
-   The IR is what the incremental cache persists, so a warm lint run
-   re-runs only this module's cheap global phase over cached IRs —
-   zero re-parses.
 2. **Call resolution** — call targets resolve through import aliases,
    module-local definitions, ``self.method`` within a class, class
    constructors, and locals whose type is known because they were
@@ -61,8 +58,7 @@ import ast
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.baseline import finding_fingerprint
-from repro.lint.rules import Finding, _WALL_CLOCK_CALLS
+from repro.lint.rules import Finding, _WALL_CLOCK_CALLS, finding_fingerprint
 
 #: Taint atoms.  JSON-shaped (lists in the IR, tuples in working sets):
 #:   ["wc", qualified, line]    direct wall-clock read
@@ -482,7 +478,7 @@ class _ModuleExtractor:
 
 
 def extract_module_ir(tree: ast.Module, path: str, scope: str) -> Dict[str, Any]:
-    """Lower one parsed module to its whole-program IR (cacheable)."""
+    """Lower one parsed module to its whole-program IR."""
     return _ModuleExtractor(tree, path, scope).extract()
 
 
@@ -610,7 +606,7 @@ def analyze_project(irs: Sequence[Dict[str, Any]]) -> List[Finding]:
     """Run the taint fixpoint over module IRs and emit SIM012/SIM013.
 
     Findings carry a semantic fingerprint (rule + path + the offending
-    target/store key), so the committed baseline survives line drift.
+    target/store key), so SARIF consumers track them across line drift.
     """
     index = _TaintIndex(irs)
     findings: List[Finding] = []

@@ -69,12 +69,13 @@ SIM016    coroutine or task created but never awaited or stored — the
 from __future__ import annotations
 
 import ast
+import hashlib
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-#: Version of the rule set.  Bump whenever a rule is added, removed, or
-#: its detection logic changes: the incremental cache keys on it, so a
-#: bump invalidates every cached per-file result.
+#: Version of the rule set (the SARIF driver version).  Bump whenever a
+#: rule is added, removed, or its detection logic changes.
 RULESET_VERSION = "2.0.0"
 
 #: rule id -> one-line description (the CLI's ``--explain`` output).
@@ -231,9 +232,10 @@ class Finding:
     """One rule violation at one source location.
 
     ``fingerprint`` is a location-drift-tolerant identity (rule + path +
-    offending source text) assigned by the runner; the baseline and
-    SARIF layers key on it.  Two findings differing only in line number
-    keep the same fingerprint across edits elsewhere in the file.
+    offending source text, see :func:`finding_fingerprint`) assigned by
+    the runner; SARIF emits it as ``partialFingerprints``.  Two findings
+    differing only in line number keep the same fingerprint across edits
+    elsewhere in the file.
     """
 
     path: str
@@ -245,6 +247,19 @@ class Finding:
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
+
+
+def finding_fingerprint(rule: str, path: str, salt: str) -> str:
+    """Stable identity of one finding (rule + posix path + salt).
+
+    The salt identifies the finding without its line number: the
+    stripped offending source line for the single-module rules, the
+    semantic anchor (``call:<target>``, ``store:<self.attr>``, ...) for
+    the whole-program rules.
+    """
+    posix = Path(path).as_posix()
+    digest = hashlib.sha256(f"{rule}|{posix}|{salt}".encode("utf-8"))
+    return digest.hexdigest()[:16]
 
 
 def _terminal_identifier(node: ast.expr) -> Optional[str]:

@@ -1,24 +1,21 @@
-"""simlint driver: discovery, scoping, caching, suppression, reporting.
+"""simlint driver: discovery, scoping, suppression, reporting.
 
-Analysis pipeline (per ``analyze_paths`` run):
+Analysis pipeline (one :func:`lint_paths` pass, nothing kept between
+runs):
 
-1. **Discover** — expand the path arguments into a sorted, de-duplicated
-   ``*.py`` list.
-2. **Per-file phase** (cached) — hash the file's content; on a cache hit
-   (same content, same :data:`~repro.lint.rules.RULESET_VERSION`) reuse
-   the stored result *without re-parsing*.  On a miss: parse, run the
-   single-module rules (SIM001–SIM011), the asyncio rules
-   (SIM014–SIM016), record the per-line suppression map, lower the
-   module to the whole-program IR, and store it all.  Unreadable or
-   unparseable files become structured ``SIM000`` findings — one bad
-   file never aborts the run.
-3. **Global phase** (never cached) — run the taint fixpoint
+1. **Discover** — expand the path arguments into a ``*.py`` list,
+   de-duplicated on the resolved path (the first spelling is the one
+   reported).
+2. **Per file** — parse once, run the single-module rules
+   (SIM001–SIM011) and the asyncio rules (SIM014–SIM016), drop the
+   findings whose line suppresses them, and lower the module to the
+   whole-program IR.  Unreadable or unparseable files become structured
+   ``SIM000`` findings — one bad file never aborts the run.
+3. **Whole program** — run the taint fixpoint
    (:mod:`repro.lint.project`) over every module IR and emit
-   SIM012/SIM013; their suppressions apply through the cached per-line
-   maps, so warm runs stay zero-parse.
-4. **Report** — subtract the committed baseline
-   (:mod:`repro.lint.baseline`), apply ``--select``, and render as text
-   or SARIF 2.1.0 (:mod:`repro.lint.sarif`).
+   SIM012/SIM013, honouring the suppressions of the file each lands in.
+4. **Report** — apply ``--select`` and render as text or SARIF 2.1.0
+   (:mod:`repro.lint.sarif`).
 
 Scoping model
 -------------
@@ -56,28 +53,19 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-import hashlib
-import json
 import re
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.asyncrules import run_async_rules
-from repro.lint.baseline import (
-    apply_baseline,
-    finding_fingerprint,
-    load_baseline,
-    write_baseline,
-)
-from repro.lint.cache import LintCache
 from repro.lint.project import analyze_project, extract_module_ir
 from repro.lint.rules import (
     Finding,
     HOST_EXEMPT,
     RULES,
     SIM_DOMAIN_ONLY,
+    finding_fingerprint,
     parse_rule_list,
     run_rules,
 )
@@ -105,34 +93,16 @@ HOST_ALLOWLIST: Tuple[str, ...] = (
     "repro/lint/",
 )
 
-#: Default on-disk locations (relative to the invocation cwd).
-DEFAULT_CACHE_DIR = ".simlint-cache"
-DEFAULT_BASELINE = ".simlint-baseline.json"
-
 _SUPPRESS_RE = re.compile(
     r"#\s*simlint:\s*ignore(?:\[(?P<rules>[A-Za-z0-9_,\s]+)\])?"
 )
 
+#: Line number -> the rules that line suppresses (``None`` for all).
+Suppressions = Dict[int, Optional[Set[str]]]
+
 
 class LintError(Exception):
     """A path argument could not be analyzed at all (bad invocation)."""
-
-
-@dataclass
-class LintReport:
-    """Everything one ``analyze_paths`` run produced.
-
-    ``findings`` holds every reportable finding *including* ``SIM000``
-    analysis errors; ``errors`` repeats the ``SIM000`` subset rendered
-    as strings (the legacy ``lint_paths`` error channel).  ``stats``
-    carries the incremental-machinery counters: ``files``, ``parses``,
-    ``cache_hits``, ``cache_misses``, ``baseline_suppressed``,
-    ``baselined`` (written by ``--update-baseline``).
-    """
-
-    findings: List[Finding] = field(default_factory=list)
-    errors: List[str] = field(default_factory=list)
-    stats: Dict[str, int] = field(default_factory=dict)
 
 
 def classify(path: str) -> str:
@@ -145,9 +115,9 @@ def classify(path: str) -> str:
     return "general"
 
 
-def rules_for(path: str, select: Optional[Sequence[str]] = None) -> Set[str]:
+def rules_for(path: str) -> Set[str]:
     """The rule ids that apply to one file."""
-    enabled = set(select) if select else set(RULES)
+    enabled = set(RULES)
     kind = classify(path)
     if kind == "host":
         enabled -= HOST_EXEMPT
@@ -167,64 +137,39 @@ def suppressed_rules(line: str) -> Optional[Set[str]]:
     return {part.strip().upper() for part in spec.split(",") if part.strip()}
 
 
-def suppression_map(source_lines: Sequence[str]) -> Dict[str, Any]:
-    """Per-line suppressions as a JSON-shaped map.
-
-    Keys are 1-based line numbers as strings; values are ``"*"`` (bare
-    ``ignore``) or a sorted rule-id list.  Only lines carrying a
-    suppression appear, so the map is tiny and cache-friendly — it is
-    what lets the whole-program rules honor suppressions on warm runs
-    without re-reading the file.
-    """
-    result: Dict[str, Any] = {}
+def suppression_map(source_lines: Sequence[str]) -> Suppressions:
+    """The suppressions of every line (1-based) that carries one."""
+    result: Suppressions = {}
     for number, line in enumerate(source_lines, start=1):
         if "simlint" not in line:
             continue
         rules = suppressed_rules(line)
-        if rules is None:
-            result[str(number)] = "*"
-        elif rules:
-            result[str(number)] = sorted(rules)
+        if rules is None or rules:
+            result[number] = rules
     return result
 
 
-def _is_suppressed(finding: Finding, smap: Dict[str, Any]) -> bool:
-    entry = smap.get(str(finding.line))
-    if entry is None:
+def _is_suppressed(finding: Finding, smap: Suppressions) -> bool:
+    if finding.line not in smap:
         return False
-    return entry == "*" or finding.rule in entry
+    rules = smap[finding.line]
+    return rules is None or finding.rule in rules
 
 
-def apply_suppressions(
-    findings: Iterable[Finding], source_lines: Sequence[str]
-) -> List[Finding]:
-    """Drop findings whose source line carries a matching suppression."""
-    smap = suppression_map(source_lines)
-    return [f for f in findings if not _is_suppressed(f, smap)]
-
-
-def _fingerprinted(
-    findings: Iterable[Finding], source_lines: Sequence[str]
-) -> List[Finding]:
-    """Findings with their drift-tolerant fingerprint filled in.
+def _fingerprinted(finding: Finding, source_lines: Sequence[str]) -> Finding:
+    """The finding with its drift-tolerant fingerprint filled in.
 
     The salt is the stripped offending source line (falling back to the
     message when the line is out of range), so edits elsewhere in the
-    file do not churn baseline entries.
+    file do not change it.
     """
-    result: List[Finding] = []
-    for finding in findings:
-        if 0 < finding.line <= len(source_lines):
-            salt = source_lines[finding.line - 1].strip()
-        else:
-            salt = finding.message
-        result.append(
-            dataclasses.replace(
-                finding,
-                fingerprint=finding_fingerprint(finding.rule, finding.path, salt),
-            )
-        )
-    return result
+    if 0 < finding.line <= len(source_lines):
+        salt = source_lines[finding.line - 1].strip()
+    else:
+        salt = finding.message
+    return dataclasses.replace(
+        finding, fingerprint=finding_fingerprint(finding.rule, finding.path, salt)
+    )
 
 
 def _analysis_error(path: str, line: int, col: int, message: str) -> Finding:
@@ -238,23 +183,12 @@ def _analysis_error(path: str, line: int, col: int, message: str) -> Finding:
     )
 
 
-def _finding_to_dict(finding: Finding) -> Dict[str, Any]:
-    return dataclasses.asdict(finding)
-
-
-def _finding_from_dict(entry: Dict[str, Any]) -> Finding:
-    return Finding(
-        path=str(entry["path"]),
-        line=int(entry["line"]),
-        col=int(entry["col"]),
-        rule=str(entry["rule"]),
-        message=str(entry["message"]),
-        fingerprint=str(entry.get("fingerprint", "")),
-    )
-
-
 def iter_python_files(paths: Sequence[str]) -> List[Path]:
-    """Expand files/directories into a sorted, de-duplicated file list."""
+    """Expand files/directories into a list naming each file once.
+
+    Two spellings of one file (relative and absolute, or through ``..``)
+    count as one; the first spelling met is the one kept.
+    """
     seen: Set[Path] = set()
     ordered: List[Path] = []
     for raw in paths:
@@ -266,132 +200,49 @@ def iter_python_files(paths: Sequence[str]) -> List[Path]:
         else:
             raise LintError(f"{raw}: not a Python file or directory")
         for candidate in candidates:
-            if candidate not in seen:
-                seen.add(candidate)
+            resolved = candidate.resolve()
+            if resolved not in seen:
+                seen.add(resolved)
                 ordered.append(candidate)
     return ordered
 
 
-def _analyze_file(
-    path_str: str, source: str, stats: Dict[str, int]
-) -> Dict[str, Any]:
-    """The cacheable per-file phase: parse, local rules, IR."""
-    lines = source.splitlines()
-    scope = classify(path_str)
-    stats["parses"] += 1
-    try:
-        tree = ast.parse(source, filename=path_str)
-    except SyntaxError as exc:
-        finding = _analysis_error(
-            path_str,
-            exc.lineno or 1,
-            (exc.offset or 1),
-            f"syntax error: {exc.msg}",
-        )
-        return {
-            "scope": scope,
-            "findings": [_finding_to_dict(finding)],
-            "suppressions": {},
-            "ir": None,
-        }
-    enabled = rules_for(path_str)
-    local = run_rules(tree, path_str, enabled)
-    local.extend(run_async_rules(tree, path_str, enabled))
-    smap = suppression_map(lines)
-    kept = [f for f in local if not _is_suppressed(f, smap)]
-    kept = _fingerprinted(kept, lines)
-    kept.sort(key=lambda f: (f.line, f.col, f.rule))
-    return {
-        "scope": scope,
-        "findings": [_finding_to_dict(f) for f in kept],
-        "suppressions": smap,
-        "ir": extract_module_ir(tree, path_str, scope),
-    }
-
-
-def analyze_paths(
-    paths: Sequence[str],
-    select: Optional[Sequence[str]] = None,
-    cache: Optional[LintCache] = None,
-    baseline_path: Optional[Path] = None,
-    update_baseline: bool = False,
-) -> LintReport:
-    """Run the full pipeline over ``paths`` and return the report."""
-    report = LintReport(
-        stats={
-            "files": 0,
-            "parses": 0,
-            "cache_hits": 0,
-            "cache_misses": 0,
-            "baseline_suppressed": 0,
-            "baselined": 0,
-        }
-    )
-    entries: List[Dict[str, Any]] = []
-    files = iter_python_files(paths)
-    report.stats["files"] = len(files)
-    for path in files:
-        path_str = str(path)
+def _lint_modules(modules: Sequence[Tuple[str, str]]) -> List[Finding]:
+    """Every finding in the ``(path, source)`` modules, one program."""
+    findings: List[Finding] = []
+    irs: List[Dict[str, Any]] = []
+    suppressions: Dict[str, Suppressions] = {}
+    for path, source in modules:
         try:
-            data = path.read_bytes()
-        except OSError as exc:
-            finding = _analysis_error(path_str, 1, 1, f"unreadable: {exc}")
-            entries.append(
-                {
-                    "scope": classify(path_str),
-                    "findings": [_finding_to_dict(finding)],
-                    "suppressions": {},
-                    "ir": None,
-                }
+            tree = ast.parse(source, filename=path)
+        except SyntaxError as exc:
+            message = f"syntax error: {exc.msg}"
+            findings.append(
+                _analysis_error(path, exc.lineno or 1, exc.offset or 1, message)
             )
             continue
-        digest = hashlib.sha256(data).hexdigest()
-        cache_key = str(path.resolve())
-        entry = cache.lookup(cache_key, digest) if cache is not None else None
-        if entry is None:
-            source = data.decode("utf-8", errors="replace")
-            entry = _analyze_file(path_str, source, report.stats)
-            entry["digest"] = digest
-            if cache is not None:
-                cache.store(cache_key, entry)
-        entries.append(entry)
-    if cache is not None:
-        report.stats["cache_hits"] = cache.hits
-        report.stats["cache_misses"] = cache.misses
-        cache.save()
-
-    findings = [
-        _finding_from_dict(raw) for entry in entries for raw in entry["findings"]
-    ]
-    irs = [entry["ir"] for entry in entries if entry.get("ir") is not None]
-    smap_by_path = {
-        entry["ir"]["path"]: entry.get("suppressions", {})
-        for entry in entries
-        if entry.get("ir") is not None
-    }
+        lines = source.splitlines()
+        smap = suppressions[path] = suppression_map(lines)
+        enabled = rules_for(path)
+        local = run_rules(tree, path, enabled)
+        local.extend(run_async_rules(tree, path, enabled))
+        findings.extend(
+            _fingerprinted(f, lines) for f in local if not _is_suppressed(f, smap)
+        )
+        irs.append(extract_module_ir(tree, path, classify(path)))
     for finding in analyze_project(irs):
-        if not _is_suppressed(finding, smap_by_path.get(finding.path, {})):
+        if not _is_suppressed(finding, suppressions[finding.path]):
             findings.append(finding)
+    return findings
+
+
+def _report(findings: List[Finding], select: Optional[Sequence[str]]) -> List[Finding]:
+    """Findings sorted by location, ``--select`` applied (never to SIM000)."""
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-
-    if baseline_path is not None:
-        rule_findings = [f for f in findings if f.rule != "SIM000"]
-        if update_baseline:
-            report.stats["baselined"] = write_baseline(baseline_path, rule_findings)
-            findings = [f for f in findings if f.rule == "SIM000"]
-        elif baseline_path.exists():
-            findings, grandfathered = apply_baseline(
-                findings, load_baseline(baseline_path)
-            )
-            report.stats["baseline_suppressed"] = grandfathered
-
     if select:
         wanted = set(select)
         findings = [f for f in findings if f.rule in wanted or f.rule == "SIM000"]
-
-    report.findings = findings
-    report.errors = [f.render() for f in findings if f.rule == "SIM000"]
-    return report
+    return findings
 
 
 def lint_source(
@@ -404,43 +255,29 @@ def lint_source(
     exercise SIM012/SIM013 resolution without touching the filesystem.
     Syntax errors come back as ``SIM000`` findings, never exceptions.
     """
-    stats = {"parses": 0}
-    entry = _analyze_file(path, source, stats)
-    findings = [_finding_from_dict(raw) for raw in entry["findings"]]
-    if entry["ir"] is not None:
-        smap = entry["suppressions"]
-        for finding in analyze_project([entry["ir"]]):
-            if not _is_suppressed(finding, smap):
-                findings.append(finding)
-    findings.sort(key=lambda f: (f.line, f.col, f.rule))
-    if select:
-        wanted = set(select)
-        findings = [f for f in findings if f.rule in wanted or f.rule == "SIM000"]
-    return findings
-
-
-def lint_file(path: Path, select: Optional[Sequence[str]] = None) -> List[Finding]:
-    """Lint one on-disk file; unreadable files become SIM000 findings."""
-    try:
-        source = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        return [_analysis_error(str(path), 1, 1, f"unreadable: {exc}")]
-    return lint_source(source, str(path), select)
+    return _report(_lint_modules([(path, source)]), select)
 
 
 def lint_paths(
     paths: Sequence[str], select: Optional[Sequence[str]] = None
-) -> Tuple[List[Finding], List[str]]:
-    """Lint every file under ``paths`` (uncached, no baseline).
+) -> List[Finding]:
+    """Lint every file under ``paths`` as one program.
 
-    Returns ``(findings, errors)`` — rule findings sorted by location,
-    and analysis errors (``SIM000``) rendered as strings.  This is the
-    library entry point the repo-gate test drives; the CLI adds the
-    cache, baseline, and SARIF layers on top of :func:`analyze_paths`.
+    Returns every finding sorted by location, ``SIM000`` analysis
+    errors included (``--select`` never hides those).  Raises
+    :class:`LintError` for a path that is neither a directory nor a
+    ``.py`` file.
     """
-    report = analyze_paths(paths, select=select)
-    findings = [f for f in report.findings if f.rule != "SIM000"]
-    return findings, report.errors
+    modules: List[Tuple[str, str]] = []
+    unreadable: List[Finding] = []
+    for path in iter_python_files(paths):
+        try:
+            data = path.read_bytes()
+        except OSError as exc:
+            unreadable.append(_analysis_error(str(path), 1, 1, f"unreadable: {exc}"))
+            continue
+        modules.append((str(path), data.decode("utf-8", errors="replace")))
+    return _report(unreadable + _lint_modules(modules), select)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -480,34 +317,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=None,
         help="write the report to FILE instead of stdout",
     )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore and do not update the incremental result cache",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=DEFAULT_CACHE_DIR,
-        help=f"incremental cache directory (default: {DEFAULT_CACHE_DIR})",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=DEFAULT_BASELINE,
-        help=f"committed baseline of grandfathered findings "
-        f"(default: {DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline from this run's findings and exit clean",
-    )
-    parser.add_argument(
-        "--stats",
-        action="store_true",
-        help="print cache/parse statistics to stderr",
-    )
     args = parser.parse_args(argv)
 
     if args.explain:
@@ -517,23 +326,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         select = parse_rule_list(args.select) if args.select else None
-        cache = None if args.no_cache else LintCache(Path(args.cache_dir))
-        report = analyze_paths(
-            args.paths,
-            select=select,
-            cache=cache,
-            baseline_path=Path(args.baseline),
-            update_baseline=args.update_baseline,
-        )
+        report = lint_paths(args.paths, select=select)
     except (LintError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
 
-    errors = [f for f in report.findings if f.rule == "SIM000"]
-    findings = [f for f in report.findings if f.rule != "SIM000"]
+    errors = [f for f in report if f.rule == "SIM000"]
+    findings = [f for f in report if f.rule != "SIM000"]
 
     if args.format == "sarif":
-        payload = render_sarif(report.findings)
+        payload = render_sarif(report)
         if args.output:
             Path(args.output).write_text(payload, encoding="utf-8")
         else:
@@ -554,15 +356,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 print(line)
     for error in errors:
         print(error.render(), file=sys.stderr)
-
-    if args.update_baseline:
-        print(
-            f"simlint: baselined {report.stats.get('baselined', 0)} finding(s)",
-            file=sys.stderr,
-        )
-    if args.stats:
-        stats = json.dumps(report.stats, sort_keys=True)
-        print(f"simlint stats: {stats}", file=sys.stderr)
 
     if errors:
         return 2

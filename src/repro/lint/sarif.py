@@ -13,7 +13,7 @@ load-bearing subset of the spec is emitted:
   ``message.text``, a physical location (relative URI + 1-based
   line/column), and the simlint fingerprint under
   ``partialFingerprints`` so code scanning tracks a finding across
-  line drift exactly like the committed baseline does.
+  line drift.
 
 Findings gate CI through the exit code; SIM000 analysis errors are
 ``error`` level, rule findings ``warning`` (they annotate the diff —
