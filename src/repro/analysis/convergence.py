@@ -2,28 +2,28 @@
 
 Section 6.6 of the paper quotes *convergence times* — how long the
 AIMD-driven ``p_admit`` takes to settle after a load change (10 ms in
-Fig 17, 20 ms at 144 nodes).  This module turns a time series into a
-:class:`SteadyState` verdict: whether it converged, when, to what
-settled value, and how wide the residual oscillation band is — the
-numbers the run reports and the cross-run diff gate on.
+Fig 17, 3 ms in Fig 18, 20 ms at 144 nodes).  This module turns a time
+series into a :class:`SteadyState` verdict: whether it converged, when,
+to what settled value, and how wide the residual oscillation band is —
+the numbers the run reports and the cross-run diff gate on.
 
-It builds on the primitive detector in :mod:`repro.stats.convergence`
-(moving-average smoothing + stay-in-band-from-here-on banding) and adds
-the aggregate views the report needs: per-QoS rollups over many
-per-channel trajectories, each channel detected independently.
+The primitives are a centered moving average (:func:`smooth`), the tail
+mean (:func:`steady_value`) and the stay-in-band-from-here-on rule
+(:func:`convergence_time_ns`).  :func:`detect` combines them into one
+verdict, and :func:`per_qos_convergence` rolls many per-channel
+trajectories, each detected independently, up to per-QoS verdicts.
 
 Inputs are plain ``(time_ns, value)`` sequences — the module is
 deliberately decoupled from :mod:`repro.obs`, so it works equally on
 live tracer output, stored run-series documents, and synthetic traces
-in tests.
+in tests.  numpy is imported inside the functions that call it (see
+:mod:`repro.stats.summary`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
-
-from repro.stats.convergence import convergence_time_ns, smooth, steady_value
 
 #: Default relative tolerance of the steady band.  p_admit moves in
 #: alpha-sized steps (0.01 by default), so 5% of a settled value is
@@ -36,6 +36,70 @@ DEFAULT_TAIL_FRACTION = 0.25
 
 #: Moving-average window (samples) applied before banding.
 DEFAULT_SMOOTH_WINDOW = 5
+
+
+def steady_value(
+    trace: Sequence[Tuple[int, float]], tail_fraction: float = DEFAULT_TAIL_FRACTION
+) -> float:
+    """Mean of the last ``tail_fraction`` of the trace (the settled value)."""
+    if not trace:
+        raise ValueError("empty trace")
+    import numpy as np
+
+    values = [v for _, v in trace]
+    start = int(len(values) * (1.0 - tail_fraction))
+    tail = values[start:] or values[-1:]
+    return float(np.mean(tail))
+
+
+def smooth(
+    trace: Sequence[Tuple[int, float]], window: int = DEFAULT_SMOOTH_WINDOW
+) -> List[Tuple[int, float]]:
+    """Centered moving average — flattens AIMD sawtooth before banding."""
+    if window <= 1 or len(trace) <= window:
+        return list(trace)
+    import numpy as np
+
+    values = [v for _, v in trace]
+    half = window // 2
+    out = []
+    for i, (t, _) in enumerate(trace):
+        lo = max(0, i - half)
+        hi = min(len(values), i + half + 1)
+        out.append((t, float(np.mean(values[lo:hi]))))
+    return out
+
+
+def convergence_time_ns(
+    trace: Sequence[Tuple[int, float]],
+    tolerance: float = 0.2,
+    tail_fraction: float = DEFAULT_TAIL_FRACTION,
+    smooth_window: int = DEFAULT_SMOOTH_WINDOW,
+) -> Optional[int]:
+    """First timestamp after which the (smoothed) trace stays inside a
+    band around its steady value for the rest of the run.
+
+    ``tolerance`` is relative to the steady value (absolute when the
+    steady value is ~0).  AIMD traces oscillate by design, so the trace
+    is moving-average smoothed before banding.  Returns None if the
+    trace never settles.
+    """
+    if not trace:
+        return None
+    trace = smooth(trace, smooth_window)
+    target = steady_value(trace, tail_fraction)
+    band = tolerance if target == 0 else abs(target) * tolerance
+    inside = [abs(v - target) <= band for _, v in trace]
+    # Keep the index of the last excursion outside the band.
+    last_outside = -1
+    for i, ok in enumerate(inside):
+        if not ok:
+            last_outside = i
+    if last_outside == len(trace) - 1:
+        return None
+    if last_outside < 0:
+        return trace[0][0]
+    return trace[last_outside + 1][0]
 
 
 @dataclass(frozen=True)
@@ -65,10 +129,7 @@ class SteadyState:
 
 
 def detect(
-    trace: Sequence[Tuple[int, float]],
-    tolerance: float = DEFAULT_TOLERANCE,
-    tail_fraction: float = DEFAULT_TAIL_FRACTION,
-    smooth_window: int = DEFAULT_SMOOTH_WINDOW,
+    trace: Sequence[Tuple[int, float]], tolerance: float = DEFAULT_TOLERANCE
 ) -> SteadyState:
     """Run steady-state detection on one ``(time_ns, value)`` trajectory.
 
@@ -80,17 +141,12 @@ def detect(
     """
     if not trace:
         raise ValueError("empty trace")
-    settled = steady_value(trace, tail_fraction)
-    when = convergence_time_ns(
-        trace,
-        tolerance=tolerance,
-        tail_fraction=tail_fraction,
-        smooth_window=smooth_window,
-    )
+    settled = steady_value(trace)
+    when = convergence_time_ns(trace, tolerance=tolerance)
     # Residual oscillation: peak deviation from the settled value over
     # the raw (unsmoothed) tail — what the sawtooth actually does once
     # the transient is gone.
-    start = int(len(trace) * (1.0 - tail_fraction))
+    start = int(len(trace) * (1.0 - DEFAULT_TAIL_FRACTION))
     tail = list(trace[start:]) or [trace[-1]]
     band = max(abs(v - settled) for _, v in tail)
     return SteadyState(
@@ -105,20 +161,13 @@ def detect(
 def detect_tracks(
     tracks: Mapping[str, Sequence[Tuple[int, float]]],
     tolerance: float = DEFAULT_TOLERANCE,
-    tail_fraction: float = DEFAULT_TAIL_FRACTION,
-    smooth_window: int = DEFAULT_SMOOTH_WINDOW,
 ) -> Dict[str, SteadyState]:
     """Detect each named trajectory independently (empty tracks skipped)."""
     out: Dict[str, SteadyState] = {}
     for name, trace in tracks.items():
         if not trace:
             continue
-        out[name] = detect(
-            trace,
-            tolerance=tolerance,
-            tail_fraction=tail_fraction,
-            smooth_window=smooth_window,
-        )
+        out[name] = detect(trace, tolerance=tolerance)
     return out
 
 
@@ -168,20 +217,13 @@ def _qos_of_channel(name: str) -> Optional[int]:
 def per_qos_convergence(
     tracks: Mapping[str, Sequence[Tuple[int, float]]],
     tolerance: float = DEFAULT_TOLERANCE,
-    tail_fraction: float = DEFAULT_TAIL_FRACTION,
-    smooth_window: int = DEFAULT_SMOOTH_WINDOW,
 ) -> Dict[int, QosConvergence]:
     """Roll per-channel ``p_admit`` trajectories up to per-QoS verdicts.
 
     ``tracks`` is keyed by the series convention ``src->dst/qosN``;
     keys that do not parse are ignored.
     """
-    verdicts = detect_tracks(
-        tracks,
-        tolerance=tolerance,
-        tail_fraction=tail_fraction,
-        smooth_window=smooth_window,
-    )
+    verdicts = detect_tracks(tracks, tolerance=tolerance)
     by_qos: Dict[int, List[SteadyState]] = {}
     for name, verdict in verdicts.items():
         qos = _qos_of_channel(name)
@@ -214,8 +256,10 @@ __all__ = [
     "DEFAULT_TOLERANCE",
     "QosConvergence",
     "SteadyState",
+    "convergence_time_ns",
     "detect",
     "detect_tracks",
     "per_qos_convergence",
     "smooth",
+    "steady_value",
 ]

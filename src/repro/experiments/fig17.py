@@ -17,15 +17,16 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.convergence import convergence_time_ns, steady_value
 from repro.core.qos import Priority
 from repro.experiments.cluster import ClusterConfig, build_cluster
 from repro.rpc.sizes import FixedSize
 from repro.rpc.workload import OpenLoopSource, steady_pattern
 from repro.runner.point import Point, Row
 from repro.sim.engine import ns_from_ms, ns_from_us
-from repro.stats.convergence import convergence_time_ns, relative_gap, steady_value
 from repro.stats.digest import completed_rpc_digest
 from repro.stats.sampler import PeriodicSampler
+from repro.stats.summary import percentile, relative_gap
 from repro.transport.reliable import Flow
 
 
@@ -42,8 +43,6 @@ class ChannelTrace:
         return steady_value(self.goodput_gbps)
 
     def p_admit_percentile(self, pctl: float) -> float:
-        from repro.stats.summary import percentile
-
         return percentile([v for _, v in self.p_admit], pctl)
 
 

@@ -8,12 +8,13 @@ engines against a server with the same capacity, so AIMD must settle
 each channel's admit probability to the same load-determined value.
 
 :func:`compare_tracks` therefore compares **settled values**, not
-trajectories: each side's raw adjustment tracks are forward-filled
-onto a uniform grid (a channel starts at ``p_admit = 1.0`` and holds
-its last value between adjustments), rolled up per QoS with
-:func:`repro.analysis.convergence.per_qos_convergence`, and the
-per-QoS settled values must agree within an absolute tolerance.  The
-default tolerance (0.2) is wide enough for the AIMD sawtooth plus
+trajectories: each side's raw adjustment tracks are forward-filled onto
+one uniform grid by the series builder's own
+:func:`repro.obs.series.fill_on_grid` (a channel starts at
+``p_admit = 1.0`` and holds its last value between adjustments), rolled
+up per QoS with :func:`repro.analysis.convergence.per_qos_convergence`,
+and the per-QoS settled values must agree within an absolute tolerance.
+The default tolerance (0.2) is wide enough for the AIMD sawtooth plus
 timing-induced drift but far tighter than the throttling signal it
 guards: an overloaded channel settles near ``capacity / offered``
 (≈ 0.55 at the demo's 1.8× overload), so a live runtime that fails to
@@ -27,64 +28,32 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple, Union
 
-from repro.analysis.convergence import per_qos_convergence
-from repro.live.events import Track, merge_tracks, p_admit_tracks, read_events
+from repro.analysis.convergence import QosConvergence, per_qos_convergence
+from repro.live.events import read_events
+from repro.obs.series import Track, fill_on_grid, p_admit_events, uniform_grid
+from repro.obs.trace import AdmissionEvent, span_from_record
 
 #: Absolute tolerance on per-QoS settled p_admit between sim and live.
 DEFAULT_TOLERANCE = 0.2
 
-#: Steady-state detector band for live trajectories: looser than the
-#: analysis default (0.05) because wall-clock AIMD wiggles more.
-DEFAULT_DETECTOR_TOLERANCE = 0.25
+#: Steady-state detector band for both sides: looser than the analysis
+#: default (0.05) because wall-clock AIMD wiggles more.
+DETECTOR_TOLERANCE = 0.25
 
-#: Grid resolution used when forward-filling raw adjustment tracks.
-DEFAULT_GRID_POINTS = 200
-
-
-def fill_track(
-    track: Track,
-    duration_ns: int,
-    points: int = DEFAULT_GRID_POINTS,
-    initial: float = 1.0,
-) -> Track:
-    """Forward-fill a raw adjustment track onto a uniform time grid.
-
-    Channels start at ``p_admit = initial`` (1.0 — Algorithm 1's
-    optimistic start) and hold their last adjusted value, which is
-    exactly how the controller's state behaves between adjustments.
-    A uniform grid also makes the detector's tail-fraction windows mean
-    the same wall-time span on both sides regardless of how many raw
-    adjustments each side recorded.
-    """
-    if points < 2:
-        raise ValueError("need at least two grid points")
-    filled: Track = []
-    value = initial
-    cursor = 0
-    ordered = sorted(track)
-    step = duration_ns / (points - 1)
-    for i in range(points):
-        t = int(i * step)
-        while cursor < len(ordered) and ordered[cursor][0] <= t:
-            value = ordered[cursor][1]
-            cursor += 1
-        filled.append((t, value))
-    return filled
-
-
-def fill_tracks(
-    tracks: Dict[str, Track],
-    duration_ns: int,
-    points: int = DEFAULT_GRID_POINTS,
-) -> Dict[str, Track]:
-    return {
-        key: fill_track(track, duration_ns, points) for key, track in tracks.items()
-    }
+#: Points of the uniform grid both sides are filled onto.  One grid
+#: makes the detector's tail-fraction window the same wall-time span on
+#: both sides, however many raw adjustments each side recorded.
+GRID_POINTS = 200
 
 
 def tracks_from_logs(paths: Sequence[Union[str, Path]]) -> Dict[str, Track]:
     """Raw per-channel adjustment tracks across a run's client logs."""
-    return merge_tracks([p_admit_tracks(read_events(p)) for p in paths])
+    return p_admit_events(
+        span_from_record(AdmissionEvent, record)
+        for path in paths
+        for record in read_events(path)
+        if record.get("type") == "admission"
+    )
 
 
 @dataclass(frozen=True)
@@ -135,13 +104,18 @@ class CompareResult:
         return "\n".join(lines)
 
 
+def _settled(
+    tracks: Dict[str, Track], grid: Sequence[int]
+) -> Dict[int, QosConvergence]:
+    filled = {key: fill_on_grid(track, grid) for key, track in tracks.items()}
+    return per_qos_convergence(filled, tolerance=DETECTOR_TOLERANCE)
+
+
 def compare_tracks(
     sim_tracks: Dict[str, Track],
     live_tracks: Dict[str, Track],
     duration_ns: int,
     tolerance: float = DEFAULT_TOLERANCE,
-    detector_tolerance: float = DEFAULT_DETECTOR_TOLERANCE,
-    grid_points: int = DEFAULT_GRID_POINTS,
 ) -> CompareResult:
     """Gate the live run's settled ``p_admit`` against the sim reference.
 
@@ -154,14 +128,9 @@ def compare_tracks(
         problems.append("simulator reference produced no p_admit tracks")
     if not live_tracks:
         problems.append("live run produced no p_admit tracks")
-    sim_qos = per_qos_convergence(
-        fill_tracks(sim_tracks, duration_ns, grid_points),
-        tolerance=detector_tolerance,
-    )
-    live_qos = per_qos_convergence(
-        fill_tracks(live_tracks, duration_ns, grid_points),
-        tolerance=detector_tolerance,
-    )
+    grid = uniform_grid(duration_ns, GRID_POINTS)
+    sim_qos = _settled(sim_tracks, grid)
+    live_qos = _settled(live_tracks, grid)
     deltas: List[QosDelta] = []
     for qos, sim_verdict in sorted(sim_qos.items()):
         live_verdict = live_qos.get(qos)
@@ -184,13 +153,11 @@ def compare_tracks(
 
 
 __all__ = [
-    "DEFAULT_DETECTOR_TOLERANCE",
-    "DEFAULT_GRID_POINTS",
     "DEFAULT_TOLERANCE",
+    "DETECTOR_TOLERANCE",
+    "GRID_POINTS",
     "CompareResult",
     "QosDelta",
     "compare_tracks",
-    "fill_track",
-    "fill_tracks",
     "tracks_from_logs",
 ]

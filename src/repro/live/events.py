@@ -75,11 +75,6 @@ _RPC_LINE = _span_line("rpc", RpcSpan)
 _QUEUE_LINE = _span_line("queue", QueueSpan)
 _ADMISSION_LINE = _span_line("admission", AdmissionEvent)
 
-#: One p_admit time series: (time_ns, value) points in time order —
-#: the same shape :mod:`repro.obs.series` produces for traced runs.
-Track = List[Tuple[int, float]]
-
-
 class EventLog:
     """Append-only JSONL writer; one per live process.
 
@@ -275,42 +270,7 @@ def read_events(
     return records
 
 
-def p_admit_tracks(records: List[Dict[str, Any]]) -> Dict[str, Track]:
-    """Raw admit-probability adjustments per ``src->dst/qosN`` channel.
-
-    The live twin of :func:`repro.obs.series.p_admit_events`: one point
-    per AIMD adjustment, keyed by the same channel convention the
-    steady-state detector's per-QoS rollup parses.
-    """
-    tracks: Dict[str, Track] = {}
-    for record in records:
-        if record.get("type") != "admission":
-            continue
-        key = f"{record['channel']}/qos{record['qos']}"
-        tracks.setdefault(key, []).append(
-            (int(record["time_ns"]), float(record["p_admit"]))
-        )
-    for track in tracks.values():
-        track.sort(key=lambda point: point[0])
-    return tracks
-
-
-def merge_tracks(per_log: List[Dict[str, Track]]) -> Dict[str, Track]:
-    """Union of per-process track maps (channel keys never collide:
-    each client logs only its own ``client->server`` channels)."""
-    merged: Dict[str, Track] = {}
-    for tracks in per_log:
-        for key, track in tracks.items():
-            merged.setdefault(key, []).extend(track)
-    for track in merged.values():
-        track.sort(key=lambda point: point[0])
-    return merged
-
-
 __all__ = [
     "EventLog",
-    "Track",
-    "merge_tracks",
-    "p_admit_tracks",
     "read_events",
 ]

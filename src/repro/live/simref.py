@@ -25,8 +25,8 @@ from typing import Callable, Deque, Dict, List, Tuple
 
 from repro.core.interface import AdmissionEngine
 from repro.live.client import arrival_schedule
-from repro.live.events import Track
 from repro.live.workload import LiveWorkload
+from repro.obs.series import Track
 from repro.sim.engine import Simulator
 
 
@@ -77,7 +77,7 @@ class _RefServer:
 def run_sim_reference(workload: LiveWorkload) -> Dict[str, Track]:
     """Run the live demo topology in virtual time; returns the raw
     per-channel ``p_admit`` adjustment tracks, keyed ``cN->srv/qosM``
-    (the same keys :func:`repro.live.events.p_admit_tracks` produces
+    (the same keys :func:`repro.live.convergence.tracks_from_logs` reads
     from live client logs)."""
     sim = Simulator()
     slo_map = workload.slo_map()

@@ -27,7 +27,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union, cast
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import SimProfiler
-from repro.obs.trace import Span, Tracer, sim_span_id, sim_trace_id, span_record
+from repro.obs.trace import (
+    Span, Tracer, queue_residency, sim_span_id, sim_trace_id, span_record,
+)
 
 
 def _us(ns: int) -> float:
@@ -356,7 +358,7 @@ def queue_residency_report(tracer: Tracer, top_k: int = 5) -> str:
     queues accumulated the most total residency (and how bad the worst
     single packet got).
     """
-    by_key = tracer.queue_residency_by_node()
+    by_key = queue_residency(tracer.queue_spans)
     if not by_key:
         return "queue residency: no queue spans recorded"
     qos_levels = sorted({qos for (_node, qos) in by_key})

@@ -245,14 +245,6 @@ class MetricsRegistry:
             out[hist.name] = entry
         return out
 
-    def histogram_bounds(self, name: str) -> Optional[Tuple[float, ...]]:
-        """Bucket bounds of the first histogram whose label starts with
-        ``name`` (all instruments of one metric share bounds)."""
-        for hist in self._histograms.values():
-            if hist.name == name or hist.name.startswith(name + "{"):
-                return hist.bounds
-        return None
-
     def install_sampler(
         self,
         sim: "Simulator",

@@ -17,6 +17,7 @@ deliberately small (6 hosts, a few ms) so a trace stays loadable.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Dict, Optional
 
 from repro.core.qos import Priority
@@ -29,7 +30,7 @@ from repro.experiments.cluster import (
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import SimProfiler
 from repro.obs.runtime import ObsContext, activate, deactivate
-from repro.obs.series import build_series
+from repro.obs.series import build_series, slo_miss_rates
 from repro.obs.trace import Tracer
 from repro.runner.registry import UnknownExperimentError, available_experiments
 from repro.sim.engine import ns_from_ms, ns_from_us
@@ -92,7 +93,26 @@ class TracedRun:
         """The JSON-safe analysis series for this run (see
         :mod:`repro.obs.series`): p_admit trajectories, rolling RNL
         percentiles vs. SLO, goodput tracks, flow summary."""
-        doc = build_series(self.tracer, self.registry, self.result.slo_map)
+        # Deferred: repro.analysis sits above repro.obs.
+        from repro.analysis.attribution import attribute_tracer, attribution_block
+
+        tracer, registry = self.tracer, self.registry
+        slo_map = self.result.slo_map
+        doc = build_series(
+            tracer.admission_events,
+            tracer.queue_spans,
+            chain(tracer.flow_cwnd_samples, tracer.flow_retransmits),
+            [registry.series],
+            registry.all_histogram_bounds(),
+            [t for t, _snap in registry.series],
+            slo_ns={
+                str(level): float(slo_map.get(level).latency_target_ns)
+                for level in slo_map.levels()
+            },
+            slo_miss_rate=slo_miss_rates(registry, slo_map),
+            attribution=attribution_block(attribute_tracer(tracer)),
+            alerts=[],
+        )
         doc["figure"] = self.figure
         return doc
 

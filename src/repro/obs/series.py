@@ -1,21 +1,34 @@
-"""First-class time series derived from a traced run.
+"""First-class time series of a run, sim or live, from one builder.
 
-The PR-4 observability stack leaves a traced run as raw material: the
-:class:`~repro.obs.trace.Tracer` holds per-event records (AIMD
-``p_admit`` adjustments, per-flow cwnd/RTT samples) and the
-:class:`~repro.obs.metrics.MetricsRegistry` holds sim-time snapshots of
-every instrument.  This module turns that material into the *analysis*
+A traced simulation leaves its run as raw material: the
+:class:`~repro.obs.trace.Tracer` holds span records (AIMD ``p_admit``
+adjustments, queue residencies, per-flow cwnd samples and retransmits)
+and the :class:`~repro.obs.metrics.MetricsRegistry` holds sim-time
+snapshots of every instrument.  A live run leaves the same material as
+JSONL: its event logs carry the same span dataclasses (written by
+:func:`~repro.obs.trace.span_record`) and every process keeps a metrics
+snapshot log.  :func:`build_series` turns either into the *analysis*
 views the paper's dynamic claims are about:
 
 * **p_admit trajectories** per ``(src->dst, QoS)`` channel — the input
   to the steady-state detector in :mod:`repro.analysis.convergence`
   (Algorithm 1 convergence, Section 6.6);
-* **rolling RNL percentiles** per QoS — windowed between consecutive
-  registry snapshots by differencing cumulative histogram bucket
-  counts, plotted against the per-QoS SLO line (Section 5.1);
+* **rolling RNL percentiles** per QoS — windowed between grid times by
+  differencing cumulative histogram bucket counts, plotted against the
+  per-QoS SLO line (Section 5.1);
 * **goodput tracks** per QoS — windowed completion-byte rates in Gbps;
-* a compact **flow summary** (retransmits per flow, sample counts) —
-  the full cwnd/RTT tracks live in the Chrome trace, not the store.
+* **queue residency** per ``node/qosN`` and a compact **flow summary**
+  (the full cwnd/RTT tracks live in the Chrome trace, not the store).
+
+A simulation is the one-process case: ``TracedRun.series`` passes the
+tracer's span lists, ``[registry.series]`` and the snapshot times as
+the grid.  :func:`build_live_series` rebuilds the spans from the
+records with :func:`~repro.obs.trace.span_from_record` and passes one
+snapshot series per process and a :func:`uniform_grid`.  Each caller
+computes two fields itself, because the two worlds measure different
+things: the SLO miss rate (:func:`slo_miss_rates` interpolates the
+final histogram, :func:`slo_miss_rates_from_spans` counts exact
+``slo_met`` verdicts) and the attribution block.
 
 Everything returned here is JSON-safe (nested dicts / lists / numbers)
 so the runner can embed it verbatim in the result-store document.  The
@@ -26,17 +39,28 @@ untouched.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.slo import SLOMap
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Tracer
+from repro.obs.trace import (
+    AdmissionEvent,
+    FlowCwndSample,
+    FlowRetransmit,
+    QueueSpan,
+    queue_residency,
+    span_from_record,
+)
 
 #: Version of the embedded series schema (bump on breaking change).
 SERIES_SCHEMA = 1
 
-#: One time series: (sim_time_ns, value) points in time order.
+#: One time series: (time_ns, value) points in time order.
 Track = List[Tuple[int, float]]
+
+#: One process's sampled snapshots: (time_ns, snapshot) in time order.
+SnapshotSeries = List[Tuple[int, Dict[str, object]]]
 
 #: Percentiles materialized for the rolling RNL tracks.
 RNL_PERCENTILES: Tuple[float, ...] = (50.0, 99.0)
@@ -54,35 +78,33 @@ def _parse_qos(label: str, metric: str) -> Optional[int]:
     return int(body)
 
 
-def p_admit_events(tracer: Tracer) -> Dict[str, Track]:
+def _time_of(point: Tuple[int, float]) -> int:
+    return point[0]
+
+
+def p_admit_events(events: Iterable[AdmissionEvent]) -> Dict[str, Track]:
     """Raw admit-probability adjustments per ``src->dst/qosN`` channel.
 
-    One point per AIMD adjustment (Algorithm 1 increase/decrease), in
-    event order.
+    One point per AIMD adjustment (Algorithm 1 increase/decrease),
+    stably sorted by time: a tracer's events are in time order already,
+    the merged logs of several live processes are not, and two
+    adjustments in one nanosecond keep the order they were made in.
     """
     tracks: Dict[str, Track] = {}
-    for event in tracer.admission_events:
+    for event in events:
         key = f"{event.channel}/qos{event.qos}"
         tracks.setdefault(key, []).append((event.time_ns, event.p_admit))
+    for track in tracks.values():
+        track.sort(key=_time_of)
     return tracks
 
 
-def p_admit_tracks(
-    tracer: Tracer, grid: Optional[Sequence[int]] = None
-) -> Dict[str, Track]:
-    """Uniform-cadence admit-probability trajectory per channel.
-
-    ``p_admit`` is a step function: it starts at 1.0 and changes only
-    at AIMD adjustments, so forward-filling the adjustment events onto
-    ``grid`` (normally the registry's snapshot timestamps) yields the
-    *time-weighted* trajectory the steady-state detector needs — a
-    channel that stopped adjusting reads as settled, not as silent.
-    Without a grid the raw event tracks are returned.
-    """
-    events = p_admit_events(tracer)
-    if grid is None or not grid:
-        return events
-    return {key: fill_on_grid(track, grid) for key, track in events.items()}
+def uniform_grid(duration_ns: int, points: int = 120) -> List[int]:
+    """A uniform analysis grid over ``[0, duration_ns]``."""
+    if points < 2:
+        raise ValueError("need at least two grid points")
+    step = duration_ns / (points - 1)
+    return [int(i * step) for i in range(points)]
 
 
 def fill_on_grid(track: Track, grid: Sequence[int], initial: float = 1.0) -> Track:
@@ -90,14 +112,18 @@ def fill_on_grid(track: Track, grid: Sequence[int], initial: float = 1.0) -> Tra
 
     ``p_admit`` starts at ``initial`` (1.0 — Algorithm 1's optimistic
     start) and holds its last adjusted value between adjustments, which
-    is exactly how the controller's state behaves.
+    is exactly how the controller's state behaves: a channel that
+    stopped adjusting reads as settled, not as silent.  Points are
+    stably sorted by time first, so of two adjustments in one
+    nanosecond the one made last holds.
     """
+    ordered = sorted(track, key=_time_of)
     filled: Track = []
     value = initial
     i = 0
     for t in grid:
-        while i < len(track) and track[i][0] <= t:
-            value = track[i][1]
+        while i < len(ordered) and ordered[i][0] <= t:
+            value = ordered[i][1]
             i += 1
         filled.append((t, value))
     return filled
@@ -143,290 +169,6 @@ def _snapshot_buckets(
     return [int(b) for b in buckets]
 
 
-def rnl_percentile_tracks(
-    registry: MetricsRegistry,
-    percentiles: Sequence[float] = RNL_PERCENTILES,
-) -> Dict[str, Dict[str, Track]]:
-    """Rolling per-QoS normalized-RNL percentiles between snapshots.
-
-    Requires the sampler to have captured bucket counts
-    (``install_sampler(..., include_buckets=True)``).  Windows with no
-    completions contribute no point, so tracks may be sparse early in
-    a run.  Keys: ``str(qos) -> {"p50": track, "p99": track}``.
-    """
-    out: Dict[str, Dict[str, Track]] = {}
-    labels = {
-        label: qos
-        for _t, snap in registry.series
-        for label in snap
-        if (qos := _parse_qos(label, "rnl_norm_ns")) is not None
-    }
-    for label, qos in sorted(labels.items()):
-        bounds = registry.histogram_bounds(label)
-        if bounds is None:
-            continue
-        prev: Optional[List[int]] = None
-        tracks: Dict[str, Track] = {f"p{p:g}": [] for p in percentiles}
-        for t_ns, snap in registry.series:
-            buckets = _snapshot_buckets(snap, label)
-            if buckets is None:
-                continue
-            if prev is not None:
-                window = [b - a for a, b in zip(prev, buckets)]
-                if sum(window) > 0:
-                    for p in percentiles:
-                        value = _counts_quantile(window, bounds, p / 100.0)
-                        tracks[f"p{p:g}"].append((t_ns, value))
-            prev = buckets
-        out[str(qos)] = tracks
-    return out
-
-
-def goodput_tracks(registry: MetricsRegistry) -> Dict[str, Track]:
-    """Windowed per-QoS goodput in Gbps between snapshots.
-
-    Differenced from the cumulative ``rpc_completed_bytes`` counters;
-    bits-per-nanosecond is numerically equal to Gbps.
-    """
-    out: Dict[str, Track] = {}
-    labels = {
-        label: qos
-        for _t, snap in registry.series
-        for label in snap
-        if (qos := _parse_qos(label, "rpc_completed_bytes")) is not None
-    }
-    for label, qos in sorted(labels.items()):
-        prev_t: Optional[int] = None
-        prev_v: Optional[int] = None
-        track: Track = []
-        for t_ns, snap in registry.series:
-            value = snap.get(label)
-            if not isinstance(value, int):
-                continue
-            if prev_t is not None and prev_v is not None and t_ns > prev_t:
-                gbps = (value - prev_v) * 8.0 / (t_ns - prev_t)
-                track.append((t_ns, gbps))
-            prev_t, prev_v = t_ns, value
-        out[str(qos)] = track
-    return out
-
-
-def slo_miss_rates(
-    registry: MetricsRegistry, slo_map: SLOMap
-) -> Dict[str, float]:
-    """Whole-run fraction of completions above the per-QoS SLO line.
-
-    Computed from the final cumulative ``rnl_norm_ns`` histograms: the
-    count above the normalized target, interpolated within the bucket
-    the target falls into.  Keys are ``str(qos)`` for SLO-carrying
-    levels that saw completions.
-    """
-    if not registry.series:
-        return {}
-    _t, final = registry.series[-1]
-    out: Dict[str, float] = {}
-    for label in final:
-        qos = _parse_qos(label, "rnl_norm_ns")
-        if qos is None or not slo_map.has_slo(qos):
-            continue
-        bounds = registry.histogram_bounds(label)
-        buckets = _snapshot_buckets(final, label)
-        if bounds is None or buckets is None:
-            continue
-        total = sum(buckets)
-        if total == 0:
-            continue
-        target = float(slo_map.get(qos).latency_target_ns)
-        above = 0.0
-        for i, count in enumerate(buckets):
-            lower = bounds[i - 1] if i > 0 else 0.0
-            upper = bounds[i] if i < len(bounds) else float("inf")
-            if lower >= target:
-                above += count
-            elif upper > target and count:
-                # Target splits this bucket: apportion linearly.
-                if upper == float("inf"):
-                    above += count
-                else:
-                    above += count * (upper - target) / (upper - lower)
-        out[str(qos)] = above / total
-    return out
-
-
-def queue_residency(tracer: Tracer) -> Dict[str, List[float]]:
-    """Aggregate queue residency per ``node/qosN``:
-    ``[packets, total_ns, max_ns]`` — the top-contributors panel input.
-    """
-    out: Dict[str, List[float]] = {}
-    for (node, qos), (count, total, peak) in tracer.queue_residency_by_node().items():
-        out[f"{node}/qos{qos}"] = [float(count), float(total), float(peak)]
-    return out
-
-
-def flow_summary(tracer: Tracer) -> Dict[str, object]:
-    """Compact per-flow transport digest for the stored series."""
-    retransmits: Dict[str, int] = {}
-    for event in tracer.flow_retransmits:
-        retransmits[event.flow] = retransmits.get(event.flow, 0) + 1
-    return {
-        "cwnd_samples": len(tracer.flow_cwnd_samples),
-        "flows": len({s.flow for s in tracer.flow_cwnd_samples}),
-        "retransmits": retransmits,
-    }
-
-
-def build_series(
-    tracer: Tracer,
-    registry: MetricsRegistry,
-    slo_map: Optional[SLOMap] = None,
-) -> Dict[str, object]:
-    """Assemble the full JSON-safe series document for one traced run."""
-    # Deferred import, mirroring load_live_run's pattern: repro.analysis
-    # sits above repro.obs, so the dependency stays out of module scope.
-    from repro.analysis.attribution import attribute_tracer, attribution_block
-
-    rnl = rnl_percentile_tracks(registry)
-    slo_ns: Dict[str, float] = {}
-    miss_rates: Dict[str, float] = {}
-    if slo_map is not None:
-        for level in slo_map.levels():
-            slo_ns[str(level)] = float(slo_map.get(level).latency_target_ns)
-        miss_rates = slo_miss_rates(registry, slo_map)
-    grid = [t for t, _snap in registry.series]
-    return {
-        "schema": SERIES_SCHEMA,
-        "p_admit": p_admit_tracks(tracer, grid),
-        "p_admit_events": p_admit_events(tracer),
-        "rnl": rnl,
-        "slo_ns": slo_ns,
-        "slo_miss_rate": miss_rates,
-        "goodput_gbps": goodput_tracks(registry),
-        "queue_residency": queue_residency(tracer),
-        "flows": flow_summary(tracer),
-        "snapshots": len(registry.series),
-        "attribution": attribution_block(attribute_tracer(tracer)),
-    }
-
-
-# ----------------------------------------------------------------------
-# Live-run ingestion: record- and snapshot-level builders
-# ----------------------------------------------------------------------
-# The live runtime leaves a run as JSONL records (the obs span
-# vocabulary) plus per-process metrics snapshot logs.  The builders
-# below consume those plain structures — no repro.live import, so the
-# layering stays obs -> live-agnostic — and produce the *same* series
-# document shape as :func:`build_series`, which is what lets
-# ``repro report`` render sim and live runs through one code path.
-
-#: One process's sampled snapshots: (wall_time_ns, snapshot) in order.
-SnapshotSeries = List[Tuple[int, Dict[str, object]]]
-
-
-def uniform_grid(duration_ns: int, points: int = 120) -> List[int]:
-    """A uniform analysis grid over ``[0, duration_ns]``."""
-    if points < 2:
-        raise ValueError("need at least two grid points")
-    step = duration_ns / (points - 1)
-    return [int(i * step) for i in range(points)]
-
-
-def admission_tracks_from_records(
-    records: Sequence[Mapping[str, Any]],
-) -> Dict[str, Track]:
-    """Raw AIMD adjustment tracks per ``src->dst/qosN`` channel from
-    ``"admission"`` JSONL records (any number of processes merged)."""
-    tracks: Dict[str, Track] = {}
-    for record in records:
-        if record.get("type") != "admission":
-            continue
-        key = f"{record['channel']}/qos{record['qos']}"
-        tracks.setdefault(key, []).append(
-            (int(record["time_ns"]), float(record["p_admit"]))
-        )
-    for track in tracks.values():
-        track.sort(key=lambda point: point[0])
-    return tracks
-
-
-def slo_miss_rates_from_spans(
-    records: Sequence[Mapping[str, Any]],
-) -> Dict[str, float]:
-    """Whole-run SLO miss rate per requested QoS from ``"rpc"`` records.
-
-    Live spans carry an explicit ``slo_met`` verdict (terminated RPCs
-    included, unlike the histogram-derived sim rate which only sees
-    completions), so this is exact, not interpolated.
-    """
-    tracked: Dict[int, int] = {}
-    missed: Dict[int, int] = {}
-    for record in records:
-        if record.get("type") != "rpc":
-            continue
-        met = record.get("slo_met")
-        if met is None:
-            continue
-        qos = int(record["qos_requested"])
-        tracked[qos] = tracked.get(qos, 0) + 1
-        if not met:
-            missed[qos] = missed.get(qos, 0) + 1
-    return {
-        str(qos): missed.get(qos, 0) / count
-        for qos, count in sorted(tracked.items())
-        if count
-    }
-
-
-def queue_residency_from_records(
-    records: Sequence[Mapping[str, Any]],
-) -> Dict[str, List[float]]:
-    """Aggregate ``node/qosN`` residency from ``"queue"`` records —
-    the live twin of :func:`queue_residency`."""
-    out: Dict[str, List[float]] = {}
-    for record in records:
-        if record.get("type") != "queue":
-            continue
-        key = f"{record['node']}/qos{record['qos']}"
-        wait = float(int(record["dequeued_ns"]) - int(record["enqueued_ns"]))
-        entry = out.setdefault(key, [0.0, 0.0, 0.0])
-        entry[0] += 1.0
-        entry[1] += wait
-        entry[2] = max(entry[2], wait)
-    return out
-
-
-def alerts_from_records(
-    records: Sequence[Mapping[str, Any]],
-) -> List[Dict[str, Any]]:
-    """All ``"alert"`` records (burn-rate state transitions), in time
-    order."""
-    alerts = [dict(r) for r in records if r.get("type") == "alert"]
-    alerts.sort(key=lambda r: int(r.get("time_ns", 0)))
-    return alerts
-
-
-def snapshot_series_from_records(
-    records: Sequence[Mapping[str, Any]],
-) -> Tuple[SnapshotSeries, Dict[str, List[float]]]:
-    """One process's ``"metrics"`` log parsed into a snapshot series
-    plus the accumulated histogram bucket bounds (bounds ride on a
-    snapshot line only when they change)."""
-    series: SnapshotSeries = []
-    bounds: Dict[str, List[float]] = {}
-    for record in records:
-        if record.get("type") != "metrics":
-            continue
-        snap = record.get("metrics")
-        if not isinstance(snap, dict):
-            continue
-        series.append((int(record["time_ns"]), snap))
-        carried = record.get("bounds")
-        if isinstance(carried, dict):
-            for label, edges in carried.items():
-                bounds[label] = [float(e) for e in edges]
-    series.sort(key=lambda point: point[0])
-    return series, bounds
-
-
 def _latest_at(series: SnapshotSeries, t_ns: int) -> Optional[Dict[str, object]]:
     """Youngest snapshot taken at or before ``t_ns`` (None if none)."""
     latest: Optional[Dict[str, object]] = None
@@ -453,14 +195,18 @@ def rnl_tracks_from_snapshots(
     grid: Sequence[int],
     percentiles: Sequence[float] = RNL_PERCENTILES,
 ) -> Dict[str, Dict[str, Track]]:
-    """Rolling per-QoS RNL percentiles from per-process snapshot logs.
+    """Rolling per-QoS normalized-RNL percentiles between grid times.
 
-    Cumulative bucket counts are summable across processes, so at each
-    grid time every process contributes its youngest snapshot at or
-    before that time; consecutive merged totals are then differenced
-    into windowed histograms exactly as the sim-side
-    :func:`rnl_percentile_tracks` does (each process's contribution
-    lags by at most one sampling interval).
+    Needs snapshots that carry bucket counts
+    (``install_sampler(..., include_buckets=True)``).  Cumulative bucket
+    counts are summable across processes, so at each grid time every
+    process contributes its youngest snapshot at or before that time;
+    consecutive merged totals are then differenced into windowed
+    histograms (a process's contribution lags by at most one sampling
+    interval; a simulation gridded on its own snapshot times lags by
+    none).  Windows with no completions contribute no point, so tracks
+    may be sparse early in a run.  Keys: ``str(qos) -> {"p50": track,
+    "p99": track}``.
     """
     out: Dict[str, Dict[str, Track]] = {}
     for label, qos in sorted(_labels_in(series_list, "rnl_norm_ns").items()):
@@ -498,9 +244,9 @@ def rnl_tracks_from_snapshots(
 def goodput_tracks_from_snapshots(
     series_list: Sequence[SnapshotSeries], grid: Sequence[int]
 ) -> Dict[str, Track]:
-    """Windowed per-QoS goodput in Gbps from per-process snapshot logs
-    (cumulative ``rpc_completed_bytes`` counters summed across
-    processes at each grid time, then differenced)."""
+    """Windowed per-QoS goodput in Gbps between grid times: cumulative
+    ``rpc_completed_bytes`` counters summed across processes, then
+    differenced (bits per nanosecond is numerically Gbps)."""
     out: Dict[str, Track] = {}
     for label, qos in sorted(
         _labels_in(series_list, "rpc_completed_bytes").items()
@@ -528,22 +274,175 @@ def goodput_tracks_from_snapshots(
     return out
 
 
-def live_flow_summary(
+def slo_miss_rates(
+    registry: MetricsRegistry, slo_map: SLOMap
+) -> Dict[str, float]:
+    """A simulation's whole-run fraction of completions above the
+    per-QoS SLO line.
+
+    Computed from the final cumulative ``rnl_norm_ns`` histograms: the
+    count above the normalized target, interpolated within the bucket
+    the target falls into.  Keys are ``str(qos)`` for SLO-carrying
+    levels that saw completions.
+    """
+    if not registry.series:
+        return {}
+    _t, final = registry.series[-1]
+    all_bounds = registry.all_histogram_bounds()
+    out: Dict[str, float] = {}
+    for label in final:
+        qos = _parse_qos(label, "rnl_norm_ns")
+        if qos is None or not slo_map.has_slo(qos):
+            continue
+        bounds = all_bounds.get(label)
+        buckets = _snapshot_buckets(final, label)
+        if bounds is None or buckets is None:
+            continue
+        total = sum(buckets)
+        if total == 0:
+            continue
+        target = float(slo_map.get(qos).latency_target_ns)
+        above = 0.0
+        for i, count in enumerate(buckets):
+            lower = bounds[i - 1] if i > 0 else 0.0
+            upper = bounds[i] if i < len(bounds) else float("inf")
+            if lower >= target:
+                above += count
+            elif upper > target and count:
+                # Target splits this bucket: apportion linearly.
+                if upper == float("inf"):
+                    above += count
+                else:
+                    above += count * (upper - target) / (upper - lower)
+        out[str(qos)] = above / total
+    return out
+
+
+def slo_miss_rates_from_spans(
     records: Sequence[Mapping[str, Any]],
-) -> Dict[str, object]:
-    """The transport digest of a live run, in the :func:`flow_summary`
-    shape: one "flow" per connection peer, retries as the live analog
-    of retransmits."""
-    retries: Dict[str, int] = {}
-    peers = set()
+) -> Dict[str, float]:
+    """A live run's whole-run SLO miss rate per requested QoS from
+    ``"rpc"`` records.
+
+    Live spans carry an explicit ``slo_met`` verdict (terminated RPCs
+    included, unlike the histogram-derived sim rate which only sees
+    completions), so this is exact, not interpolated.
+    """
+    tracked: Dict[int, int] = {}
+    missed: Dict[int, int] = {}
     for record in records:
-        kind = record.get("type")
-        if kind == "retry":
-            key = str(record.get("reason", "retry"))
-            retries[key] = retries.get(key, 0) + 1
-        elif kind == "conn":
-            peers.add(str(record.get("peer", "?")))
-    return {"cwnd_samples": 0, "flows": len(peers), "retransmits": retries}
+        if record.get("type") != "rpc":
+            continue
+        met = record.get("slo_met")
+        if met is None:
+            continue
+        qos = int(record["qos_requested"])
+        tracked[qos] = tracked.get(qos, 0) + 1
+        if not met:
+            missed[qos] = missed.get(qos, 0) + 1
+    return {
+        str(qos): missed.get(qos, 0) / count
+        for qos, count in sorted(tracked.items())
+        if count
+    }
+
+
+def flow_summary(records: Iterable[Any]) -> Dict[str, object]:
+    """Compact transport digest: cwnd samples, flows, retransmits.
+
+    One walker over either world's records.  A simulation passes its
+    :class:`~repro.obs.trace.FlowCwndSample` and
+    :class:`~repro.obs.trace.FlowRetransmit` spans; a live run passes
+    its client log records, where every ``"conn"`` peer is a flow and
+    every ``"retry"`` (keyed by reason) is the live analog of a
+    retransmit.  Other records are ignored.
+    """
+    samples = 0
+    flows = set()
+    retransmits: Dict[str, int] = {}
+    for record in records:
+        if isinstance(record, FlowCwndSample):
+            samples += 1
+            flows.add(record.flow)
+        elif isinstance(record, FlowRetransmit):
+            retransmits[record.flow] = retransmits.get(record.flow, 0) + 1
+        elif record.get("type") == "retry":
+            reason = str(record.get("reason", "retry"))
+            retransmits[reason] = retransmits.get(reason, 0) + 1
+        elif record.get("type") == "conn":
+            flows.add(str(record.get("peer", "?")))
+    return {
+        "cwnd_samples": samples,
+        "flows": len(flows),
+        "retransmits": retransmits,
+    }
+
+
+def snapshot_series_from_records(
+    records: Sequence[Mapping[str, Any]],
+) -> Tuple[SnapshotSeries, Dict[str, List[float]]]:
+    """One process's ``"metrics"`` log parsed into a snapshot series
+    plus the accumulated histogram bucket bounds (bounds ride on a
+    snapshot line only when they change)."""
+    series: SnapshotSeries = []
+    bounds: Dict[str, List[float]] = {}
+    for record in records:
+        if record.get("type") != "metrics":
+            continue
+        snap = record.get("metrics")
+        if not isinstance(snap, dict):
+            continue
+        series.append((int(record["time_ns"]), snap))
+        carried = record.get("bounds")
+        if isinstance(carried, dict):
+            for label, edges in carried.items():
+                bounds[label] = [float(e) for e in edges]
+    series.sort(key=lambda point: point[0])
+    return series, bounds
+
+
+def build_series(
+    admission_events: Iterable[AdmissionEvent],
+    queue_spans: Iterable[QueueSpan],
+    flow_records: Iterable[Any],
+    snapshots: Sequence[SnapshotSeries],
+    bounds: Mapping[str, Sequence[float]],
+    grid: Sequence[int],
+    *,
+    slo_ns: Mapping[str, float],
+    slo_miss_rate: Mapping[str, float],
+    attribution: Dict[str, Any],
+    alerts: Sequence[Dict[str, Any]],
+) -> Dict[str, object]:
+    """Assemble the JSON-safe series document of one run, sim or live.
+
+    ``snapshots`` holds one snapshot series per process and ``bounds``
+    the histogram bucket bounds per instrument label; ``grid`` is the
+    analysis time grid every track is windowed or filled onto.  The
+    caller computes ``slo_miss_rate`` and ``attribution`` (see the module
+    docstring) and passes the run's burn-rate ``alerts`` in time order.
+    """
+    events = p_admit_events(admission_events)
+    residency = queue_residency(queue_spans)
+    return {
+        "schema": SERIES_SCHEMA,
+        "p_admit": {
+            key: fill_on_grid(track, grid) for key, track in events.items()
+        },
+        "p_admit_events": events,
+        "rnl": rnl_tracks_from_snapshots(snapshots, bounds, grid),
+        "slo_ns": dict(slo_ns),
+        "slo_miss_rate": dict(slo_miss_rate),
+        "goodput_gbps": goodput_tracks_from_snapshots(snapshots, grid),
+        "queue_residency": {
+            f"{node}/qos{qos}": [float(count), float(total), float(peak)]
+            for (node, qos), (count, total, peak) in residency.items()
+        },
+        "flows": flow_summary(flow_records),
+        "snapshots": sum(len(series) for series in snapshots),
+        "alerts": list(alerts),
+        "attribution": attribution,
+    }
 
 
 def build_live_series(
@@ -553,59 +452,58 @@ def build_live_series(
     *,
     duration_ns: int,
     slo_ns: Optional[Mapping[str, float]] = None,
-    grid_points: int = 120,
 ) -> Dict[str, object]:
-    """Assemble the sim-shaped series document for one live run.
+    """The series document of one live run, from its parsed logs.
 
     ``client_records`` / ``server_records`` are parsed event logs;
     ``metrics_records`` the parsed per-process metrics snapshot logs
     (empty when the run had telemetry off — the snapshot-derived panels
-    degrade to empty tracks, everything event-derived still works).
+    degrade to empty tracks, everything event-derived still works).  A
+    burn-rate alert lands in both the event and the metrics log, so
+    each one is kept once.
     """
+    # Deferred: repro.analysis sits above repro.obs.
     from repro.analysis.attribution import attribute_live, attribution_block
 
-    all_client: List[Mapping[str, Any]] = [
-        record for records in client_records for record in records
-    ]
-    grid = uniform_grid(max(1, duration_ns), grid_points)
-    raw_tracks = admission_tracks_from_records(all_client)
-    snapshot_series: List[SnapshotSeries] = []
-    bounds_by_label: Dict[str, List[float]] = {}
+    all_client = [record for records in client_records for record in records]
+    snapshots: List[SnapshotSeries] = []
+    bounds: Dict[str, List[float]] = {}
     for records in metrics_records:
-        series, bounds = snapshot_series_from_records(records)
+        series, carried = snapshot_series_from_records(records)
         if series:
-            snapshot_series.append(series)
-        bounds_by_label.update(bounds)
-    alerts = alerts_from_records(all_client) + [
-        dict(r)
-        for records in metrics_records
-        for r in records
-        if r.get("type") == "alert"
-    ]
-    seen_alerts = set()
-    unique_alerts: List[Dict[str, Any]] = []
-    for alert in sorted(alerts, key=lambda r: int(r.get("time_ns", 0))):
+            snapshots.append(series)
+        bounds.update(carried)
+    alerts: List[Dict[str, Any]] = []
+    seen = set()
+    logged = chain(all_client, *metrics_records)
+    in_time_order = sorted(
+        (r for r in logged if r.get("type") == "alert"),
+        key=lambda r: int(r.get("time_ns", 0)),
+    )
+    for alert in in_time_order:
         key = (alert.get("time_ns"), alert.get("qos"), alert.get("state"))
-        if key in seen_alerts:
-            continue
-        seen_alerts.add(key)
-        unique_alerts.append(alert)
-    return {
-        "schema": SERIES_SCHEMA,
-        "p_admit": {
-            key: fill_on_grid(track, grid)
-            for key, track in raw_tracks.items()
-        },
-        "p_admit_events": raw_tracks,
-        "rnl": rnl_tracks_from_snapshots(snapshot_series, bounds_by_label, grid),
-        "slo_ns": dict(slo_ns) if slo_ns else {},
-        "slo_miss_rate": slo_miss_rates_from_spans(all_client),
-        "goodput_gbps": goodput_tracks_from_snapshots(snapshot_series, grid),
-        "queue_residency": queue_residency_from_records(server_records),
-        "flows": live_flow_summary(all_client),
-        "snapshots": sum(len(s) for s in snapshot_series),
-        "alerts": unique_alerts,
-        "attribution": attribution_block(
+        if key not in seen:
+            seen.add(key)
+            alerts.append(dict(alert))
+    return build_series(
+        [
+            span_from_record(AdmissionEvent, r)
+            for r in all_client
+            if r.get("type") == "admission"
+        ],
+        [
+            span_from_record(QueueSpan, r)
+            for r in server_records
+            if r.get("type") == "queue"
+        ],
+        all_client,
+        snapshots,
+        bounds,
+        uniform_grid(max(1, duration_ns)),
+        slo_ns=slo_ns or {},
+        slo_miss_rate=slo_miss_rates_from_spans(all_client),
+        attribution=attribution_block(
             attribute_live(client_records, server_records)
         ),
-    }
+        alerts=alerts,
+    )

@@ -27,7 +27,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union, get_args
+from typing import (
+    TYPE_CHECKING, Any, Dict, Iterable, List, Mapping, Optional, Tuple, Type,
+    TypeVar, Union, get_args,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.packet import Packet
@@ -222,6 +225,34 @@ def span_record(span: Span) -> Dict[str, Any]:
     return {name: getattr(span, name) for name in _FIELDS_OF[type(span)]}
 
 
+_S = TypeVar("_S")
+
+
+def span_from_record(cls: Type[_S], record: Mapping[str, Any]) -> _S:
+    """The inverse of :func:`span_record`: one span rebuilt from a flat
+    record, such as a parsed JSONL line.  Keys that name no field of
+    ``cls`` (the ``"type"`` tag, trace context) are ignored; a field the
+    record lacks keeps its dataclass default."""
+    names = _FIELDS_OF[cls]
+    return cls(**{name: record[name] for name in names if name in record})
+
+
+def queue_residency(
+    spans: Iterable[QueueSpan],
+) -> Dict[Tuple[str, int], Tuple[int, int, int]]:
+    """Aggregate residency per ``(node, qos)``:
+    ``(packets, total_residency_ns, max_ns)`` — the input of the series
+    document's ``queue_residency`` block and of the trace CLI's
+    top-contributors report."""
+    agg: Dict[Tuple[str, int], Tuple[int, int, int]] = {}
+    for span in spans:
+        key = (span.node, span.qos)
+        count, total, peak = agg.get(key, (0, 0, 0))
+        residency = span.residency_ns
+        agg[key] = (count + 1, total + residency, max(peak, residency))
+    return agg
+
+
 class Tracer:
     """Collects lifecycle spans from instrumented simulator components.
 
@@ -407,21 +438,3 @@ class Tracer:
             s for s in self.tx_spans if s.rpc_id not in self._rpc_spans
         ]
         return orphan_queues, orphan_txs
-
-    def queue_residency_by_node(
-        self, qos: Optional[int] = None
-    ) -> Dict[Tuple[str, int], Tuple[int, int, int]]:
-        """Aggregate residency per ``(node, qos)``.
-
-        Returns ``(node, qos) -> (packets, total_residency_ns, max_ns)``,
-        optionally restricted to one QoS class.
-        """
-        agg: Dict[Tuple[str, int], Tuple[int, int, int]] = {}
-        for span in self.queue_spans:
-            if qos is not None and span.qos != qos:
-                continue
-            key = (span.node, span.qos)
-            count, total, peak = agg.get(key, (0, 0, 0))
-            residency = span.residency_ns
-            agg[key] = (count + 1, total + residency, max(peak, residency))
-        return agg

@@ -1,4 +1,4 @@
 """Statistics helpers: summaries (:mod:`repro.stats.summary`),
-time-series samplers (:mod:`repro.stats.sampler`), convergence
-(:mod:`repro.stats.convergence`), determinism digests
-(:mod:`repro.stats.digest`).  Import from the defining module."""
+time-series samplers (:mod:`repro.stats.sampler`), determinism digests
+(:mod:`repro.stats.digest`).  Convergence detection lives in
+:mod:`repro.analysis.convergence`.  Import from the defining module."""

@@ -63,3 +63,11 @@ def summarize(samples: Sequence[float]) -> Dict[str, float]:
         "p999": float(np.percentile(arr, 99.9)),
         "max": float(arr.max()),
     }
+
+
+def relative_gap(a: float, b: float) -> float:
+    """|a-b| / max(|a|,|b|) — scale-free closeness used in fairness checks."""
+    denom = max(abs(a), abs(b))
+    if denom == 0:
+        return 0.0
+    return abs(a - b) / denom

@@ -1,8 +1,9 @@
 """The sim-vs-live convergence gate and its simulator reference.
 
-Three layers under test: the forward-fill that turns raw AIMD
-adjustment tracks into detector-ready grids, the settled-value
-comparison (:func:`compare_tracks`) the CI job gates on, and the
+Three layers under test: the forward-fill and grid the gate shares with
+the series builder (:func:`repro.obs.series.fill_on_grid`,
+:func:`repro.obs.series.uniform_grid`), the settled-value comparison
+(:func:`compare_tracks`) the CI job gates on, and the
 simulator reference itself — which must be deterministic (same
 workload, same tracks, bit-for-bit) and must actually *throttle* under
 the demo's engineered overload, or the gate would pass vacuously.
@@ -12,15 +13,16 @@ import pytest
 
 from repro.analysis.convergence import per_qos_convergence
 from repro.live.convergence import (
+    DETECTOR_TOLERANCE,
+    GRID_POINTS,
     CompareResult,
     compare_tracks,
-    fill_track,
-    fill_tracks,
     tracks_from_logs,
 )
 from repro.live.events import EventLog
 from repro.live.simref import run_sim_reference
 from repro.live.workload import LiveWorkload
+from repro.obs.series import build_series, fill_on_grid, uniform_grid
 from repro.obs.trace import AdmissionEvent
 
 SECOND = 1_000_000_000
@@ -28,7 +30,7 @@ SECOND = 1_000_000_000
 
 class TestFillTrack:
     def test_empty_track_holds_initial_value(self):
-        filled = fill_track([], SECOND, points=5)
+        filled = fill_on_grid([], uniform_grid(SECOND, 5))
         assert filled == [
             (0, 1.0), (SECOND // 4, 1.0), (SECOND // 2, 1.0),
             (3 * SECOND // 4, 1.0), (SECOND, 1.0),
@@ -36,22 +38,32 @@ class TestFillTrack:
 
     def test_forward_fill_holds_last_adjustment(self):
         track = [(SECOND // 2, 0.4)]
-        filled = fill_track(track, SECOND, points=5)
+        filled = fill_on_grid(track, uniform_grid(SECOND, 5))
         assert [v for _, v in filled] == [1.0, 1.0, 0.4, 0.4, 0.4]
 
     def test_unsorted_input_is_ordered_first(self):
         track = [(750_000_000, 0.2), (250_000_000, 0.8)]
-        filled = fill_track(track, SECOND, points=5)
+        filled = fill_on_grid(track, uniform_grid(SECOND, 5))
         assert [v for _, v in filled] == [1.0, 0.8, 0.8, 0.2, 0.2]
 
     def test_needs_two_grid_points(self):
         with pytest.raises(ValueError):
-            fill_track([], SECOND, points=1)
+            uniform_grid(SECOND, 1)
 
-    def test_fill_tracks_preserves_keys(self):
-        filled = fill_tracks({"c0->srv/qos0": [(0, 0.5)]}, SECOND, points=3)
-        assert set(filled) == {"c0->srv/qos0"}
-        assert len(filled["c0->srv/qos0"]) == 3
+    def test_same_instant_adjustments_keep_the_last_made(self):
+        """Two adjustments of one channel in one nanosecond: the one made
+        last holds, in the gate and in the series alike."""
+        track = [(0, 0.9), (500, 0.5), (500, 0.4)]
+        gate = compare_tracks(
+            {"c0->srv/qos0": track}, {"c0->srv/qos0": [(0, 0.4)]}, 1_000
+        )
+        assert gate.deltas[0].sim_settled == pytest.approx(0.4)
+        series = build_series(
+            [AdmissionEvent(t, "c0->srv", 0, p, "decrease") for t, p in track],
+            [], [], [], {}, [0, 500, 1_000],
+            slo_ns={}, slo_miss_rate={}, attribution={}, alerts=[],
+        )
+        assert series["p_admit"]["c0->srv/qos0"][-1] == (1_000, 0.4)
 
 
 def settled_tracks(value: float, channels: int = 2, qos: int = 0):
@@ -144,8 +156,10 @@ class TestSimReference:
         """At 1.8x engineered overload the reference must settle the
         admit probability well below 1.0 — and off the 0.01 floor, or
         the demo would be showing collapse rather than control."""
+        grid = uniform_grid(workload.duration_ns, GRID_POINTS)
         verdicts = per_qos_convergence(
-            fill_tracks(tracks, workload.duration_ns), tolerance=0.25
+            {key: fill_on_grid(track, grid) for key, track in tracks.items()},
+            tolerance=DETECTOR_TOLERANCE,
         )
         settled = verdicts[0].settled_value
         assert 0.05 < settled < 0.9

@@ -18,12 +18,8 @@ from dataclasses import asdict, fields
 
 import pytest
 
-from repro.live.events import (
-    EventLog,
-    merge_tracks,
-    p_admit_tracks,
-    read_events,
-)
+from repro.live.convergence import tracks_from_logs
+from repro.live.events import EventLog, read_events
 from repro.obs.trace import AdmissionEvent, QueueSpan, RpcSpan
 
 RPC = RpcSpan(
@@ -275,11 +271,11 @@ def test_sigtermed_child_log_still_parses(tmp_path):
 
 class TestTrackExtraction:
     def test_p_admit_tracks_keyed_by_channel_and_qos(self, tmp_path):
-        records = read_events(write_sample_log(tmp_path / "log.jsonl"))
-        tracks = p_admit_tracks(records)
+        tracks = tracks_from_logs([write_sample_log(tmp_path / "log.jsonl")])
         assert tracks == {"c0->srv/qos0": [(150, 0.5)]}
 
-    def test_points_sorted_by_time(self):
+    def test_points_sorted_by_time(self, tmp_path):
+        path = tmp_path / "log.jsonl"
         records = [
             {"type": "admission", "channel": "c0->srv", "qos": 0,
              "p_admit": 0.4, "time_ns": 300, "kind": "decrease"},
@@ -287,15 +283,26 @@ class TestTrackExtraction:
              "p_admit": 0.9, "time_ns": 100, "kind": "decrease"},
             {"type": "rpc", "rpc_id": 1},  # non-admission lines ignored
         ]
-        tracks = p_admit_tracks(records)
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        tracks = tracks_from_logs([path])
         assert tracks["c0->srv/qos0"] == [(100, 0.9), (300, 0.4)]
 
-    def test_merge_tracks_unions_and_sorts(self):
-        merged = merge_tracks(
-            [
-                {"c0->srv/qos0": [(200, 0.8)], "c1->srv/qos0": [(50, 0.9)]},
-                {"c0->srv/qos0": [(100, 1.0)]},
-            ]
-        )
+    def test_merge_tracks_unions_and_sorts(self, tmp_path):
+        logs = [
+            [("c0->srv", 200, 0.8), ("c1->srv", 50, 0.9)],
+            [("c0->srv", 100, 1.0)],
+        ]
+        paths = []
+        for i, adjustments in enumerate(logs):
+            paths.append(tmp_path / f"c{i}.jsonl")
+            with EventLog(paths[-1]) as log:
+                for channel, time_ns, p_admit in adjustments:
+                    log.admission(
+                        AdmissionEvent(
+                            time_ns=time_ns, channel=channel, qos=0,
+                            p_admit=p_admit, kind="decrease",
+                        )
+                    )
+        merged = tracks_from_logs(paths)
         assert merged["c0->srv/qos0"] == [(100, 1.0), (200, 0.8)]
         assert merged["c1->srv/qos0"] == [(50, 0.9)]

@@ -50,6 +50,7 @@ from repro.obs.trace import (
     RpcSpan,
     Tracer,
     TxSpan,
+    queue_residency,
 )
 from repro.rpc.sizes import FixedSize
 from repro.rpc.stack import MetricsCollector, RpcStack
@@ -190,13 +191,11 @@ def test_queue_and_tx_spans_cover_the_fabric(traced_run):
     assert any(not node.startswith("nic") for node in nodes)
 
     # The aggregate view sums exactly over the raw spans.
-    agg = tracer.queue_residency_by_node()
+    agg = queue_residency(tracer.queue_spans)
     assert sum(count for count, _t, _m in agg.values()) == len(tracer.queue_spans)
     assert sum(total for _c, total, _m in agg.values()) == sum(
         s.residency_ns for s in tracer.queue_spans
     )
-    qos0 = tracer.queue_residency_by_node(qos=0)
-    assert set(qos0) == {key for key in agg if key[1] == 0}
 
 
 def test_admission_events_record_aimd_decreases(traced_run):

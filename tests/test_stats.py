@@ -4,15 +4,18 @@ import math
 
 import pytest
 
+from repro.analysis.convergence import convergence_time_ns, smooth, steady_value
 from repro.sim.engine import Simulator
-from repro.stats.convergence import (
-    convergence_time_ns,
-    relative_gap,
-    smooth,
-    steady_value,
-)
 from repro.stats.sampler import PeriodicSampler, RateMeter
-from repro.stats.summary import cdf_points, mean, p99, p999, percentile, summarize
+from repro.stats.summary import (
+    cdf_points,
+    mean,
+    p99,
+    p999,
+    percentile,
+    relative_gap,
+    summarize,
+)
 
 
 def test_percentile_basic():

@@ -1,4 +1,5 @@
-"""Literal goldens for the numeric helpers in ``repro.stats``.
+"""Literal goldens for the numeric helpers in ``repro.stats.summary`` and
+``repro.analysis.convergence``.
 
 ``percentile`` / ``p99`` / ``p999`` / ``mean`` / ``summarize`` /
 ``cdf_points`` and ``steady_value`` / ``smooth`` / ``convergence_time_ns``
@@ -21,7 +22,7 @@ from typing import Any, Dict, List, Tuple
 
 import pytest
 
-from repro.stats.convergence import convergence_time_ns, smooth, steady_value
+from repro.analysis.convergence import convergence_time_ns, smooth, steady_value
 from repro.stats.summary import cdf_points, mean, p99, p999, percentile, summarize
 
 _LENGTHS = (0, 1, 7, 8, 129, 1000)
