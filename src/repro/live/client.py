@@ -443,7 +443,7 @@ class AdmissionClient:
             trace_id = derive_trace_id(key)
             span_id = derive_span_id(key)
         if self._metrics is not None:
-            self._metrics.issued[outcome.qos_run].inc()
+            self._metrics.issued[outcome.qos_requested].inc()
             if outcome.downgraded:
                 self._metrics.downgraded[outcome.qos_requested].inc()
 

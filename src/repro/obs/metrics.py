@@ -4,8 +4,9 @@ Instruments are keyed by ``(metric, qos, node)`` — the label axes every
 per-QoS, per-hop question in this reproduction decomposes into.  The
 histogram uses fixed log-spaced bucket bounds so observation cost is a
 single bisect (no per-sample allocation) and memory is constant no
-matter how many RPCs a run issues — the streaming-collector complement
-to exact percentiles over retained records.
+matter how many RPCs a run issues.  Histograms serve time series and
+OpenMetrics scrapes; exact windowed figure statistics come from the
+records :class:`repro.rpc.stack.MetricsCollector` retains.
 
 A :class:`MetricsRegistry` can additionally snapshot every instrument
 at a configurable *sim-time* cadence (:meth:`install_sampler`), giving
@@ -287,8 +288,8 @@ OPENMETRICS_CONTENT_TYPE = (
 _HELP_TEXTS: Dict[str, str] = {
     "rnl_norm_ns": "Per-MTU-normalized RPC network latency in nanoseconds.",
     "rpc_completed_bytes": "Payload bytes of completed RPCs.",
-    "rpc_issued": "Logical RPCs issued (post-admission).",
-    "rpc_downgraded": "RPCs downgraded below their requested QoS.",
+    "rpc_issued": "Logical RPCs issued, by requested QoS.",
+    "rpc_downgraded": "RPCs downgraded below their requested QoS, by requested QoS.",
     "rpc_completed": "Logical RPCs that received a response.",
     "rpc_terminated": "Logical RPCs abandoned (deadline or retry budget).",
     "attempt_latency_ns": "Wall-clock latency of individual RPC attempts.",

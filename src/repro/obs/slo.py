@@ -262,7 +262,7 @@ class SloMonitor:
         return max(0.0, d_missed) / d_tracked
 
     # ------------------------------------------------------------------
-    # the streaming interface
+    # the online interface: one snapshot at a time
     # ------------------------------------------------------------------
     def observe(self, time_ns: int, snapshot: Snapshot) -> List[Alert]:
         """Ingest one snapshot; returns any state-transition alerts."""

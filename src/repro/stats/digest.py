@@ -6,19 +6,21 @@ compresses one run's outcome — completed-RPC count, total RNL, and the
 per-QoS byte mix — into a small, stable structure that can be compared
 across runs and across code versions: same seed, same digest.
 
-Digests work against both :class:`~repro.rpc.stack.MetricsCollector`
-modes (full object retention and streaming aggregates), because they
-only rely on counters both modes maintain.
+A digest reads the :class:`~repro.rpc.stack.MetricsCollector`'s retained
+records, the same ones every figure statistic is computed from.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, Mapping
+from typing import TYPE_CHECKING, Any, Dict, Mapping
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.rpc.stack import MetricsCollector
 
 
-def completed_rpc_digest(metrics: Any) -> Dict[str, Any]:
+def completed_rpc_digest(metrics: "MetricsCollector") -> Dict[str, Any]:
     """Summarize one run's completed-RPC outcome.
 
     Returns a JSON-serializable dict with:
@@ -29,20 +31,15 @@ def completed_rpc_digest(metrics: Any) -> Dict[str, Any]:
     * ``completed_by_qos`` — completions per QoS the RPC ran at;
     * ``run_bytes_by_qos`` — the per-QoS byte mix of issued traffic.
     """
-    if getattr(metrics, "streaming", False):
-        completed = metrics.completed_count
-        rnl_sum = sum(metrics.rnl_sum_by_qos.values())
-        by_qos = dict(metrics.completed_by_qos)
-    else:
-        completed = len(metrics.completed)
-        rnl_sum = sum(rpc.rnl_ns for rpc in metrics.completed)
-        by_qos = {}
-        for rpc in metrics.completed:
-            by_qos[rpc.qos_run] = by_qos.get(rpc.qos_run, 0) + 1
+    rnl_sum = 0
+    by_qos: Dict[Any, int] = {}
+    for rpc in metrics.completed:
+        rnl_sum += rpc.rnl_ns or 0
+        by_qos[rpc.qos_run] = by_qos.get(rpc.qos_run, 0) + 1
     return {
         "issued": metrics.issued_count,
-        "completed": completed,
-        "rnl_sum_ns": int(rnl_sum),
+        "completed": len(metrics.completed),
+        "rnl_sum_ns": rnl_sum,
         "completed_by_qos": {str(q): n for q, n in sorted(by_qos.items())},
         "run_bytes_by_qos": {
             str(q): b for q, b in sorted(metrics.run_bytes_by_qos.items())

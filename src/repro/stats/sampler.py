@@ -47,43 +47,3 @@ class PeriodicSampler:
     def times_ns(self) -> List[int]:
         return [t for t, _ in self.samples]
 
-
-class RateMeter:
-    """Turns a monotonically increasing byte counter into Gbps samples.
-
-    ``counter()`` must return cumulative bytes; each poll yields the
-    average rate over the last interval.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        interval_ns: int,
-        counter: Callable[[], int],
-        start_ns: int = 0,
-    ):
-        self._last_bytes = 0
-        self._first = True
-
-        def probe() -> float:
-            nonlocal_vals = self._step(counter())
-            return nonlocal_vals
-
-        self.interval_ns = interval_ns
-        self.sampler = PeriodicSampler(sim, interval_ns, probe, start_ns=start_ns)
-
-    def _step(self, current_bytes: int) -> float:
-        if self._first:
-            self._first = False
-            self._last_bytes = current_bytes
-            return 0.0
-        delta = current_bytes - self._last_bytes
-        self._last_bytes = current_bytes
-        return delta * 8.0 / self.interval_ns  # bytes per ns*8 == Gbps
-
-    @property
-    def samples(self) -> List[Tuple[int, float]]:
-        return self.sampler.samples
-
-    def values_gbps(self) -> List[float]:
-        return self.sampler.values()

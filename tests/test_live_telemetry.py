@@ -16,6 +16,7 @@ import re
 import pytest
 
 from repro.core.qos import QoSConfig, WEIGHTS_2_QOS
+from repro.core.quota import QuotaReservation, QuotaServer
 from repro.core.slo import SLO, SLOMap
 from repro.live.client import AdmissionClient, RetryPolicy
 from repro.live.events import EventLog, read_events
@@ -135,6 +136,47 @@ class TestZeroOverheadOff:
     def test_off_run_writes_no_metrics_sidecar(self, tmp_path):
         run_sequential_calls(tmp_path, with_telemetry=False)
         assert not (tmp_path / "metrics.jsonl").exists()
+
+
+class TestClientInstruments:
+    def test_issued_and_downgraded_share_the_requested_label(self, tmp_path):
+        """A quota that denies QoS 0 downgrades every QoS-0 call to the
+        scavenger class.  ``rpc_issued`` and ``rpc_downgraded`` both count
+        it under the requested QoS, as the simulator does, so their ratio
+        per label is the downgrade share."""
+        registry = MetricsRegistry()
+
+        async def _main():
+            with EventLog(tmp_path / "server.jsonl") as server_log, EventLog(
+                tmp_path / "client.jsonl"
+            ) as client_log:
+                server = LiveServer(
+                    SteppingClock(), server_log, service_ns_per_mtu=1 * MS,
+                    queue_limit=16,
+                )
+                port = await server.start()
+                client = AdmissionClient(
+                    "c0", "127.0.0.1", port, slo_map(), seed=1,
+                    clock=SteppingClock(), log=client_log, registry=registry,
+                )
+                # QoS 0 is reserved to another tenant and nothing spills
+                # over, so this client's QoS-0 calls are all denied.
+                quota = QuotaServer(lambda: 0, {0: 1e9}, work_conserving=False)
+                quota.reserve(QuotaReservation("other", 0, 1e9))
+                client.engine.quota_server = quota
+                try:
+                    for _ in range(3):
+                        result = await client.call(0, payload_bytes=4096)
+                        assert result.ok and result.outcome.downgraded
+                finally:
+                    await client.aclose()
+                    await server.stop()
+
+        asyncio.run(_main())
+        snapshot = registry.snapshot()
+        assert snapshot["rpc_issued{qos=0}"] == 3
+        assert snapshot["rpc_downgraded{qos=0}"] == 3
+        assert snapshot["rpc_issued{qos=1}"] == 0
 
 
 # ----------------------------------------------------------------------

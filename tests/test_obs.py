@@ -135,6 +135,17 @@ def traced_run():
         deactivate()
 
 
+@pytest.fixture(scope="module")
+def short_traced_run():
+    """The same scenario over 0.5 ms, for the tests that render a whole
+    Chrome trace: rendering cost grows with the record count."""
+    deactivate()
+    try:
+        return _run_two_tier(traced=True, duration_ms=0.5)
+    finally:
+        deactivate()
+
+
 # ----------------------------------------------------------------------
 # Span completeness
 # ----------------------------------------------------------------------
@@ -145,20 +156,24 @@ def test_rpc_spans_are_complete_against_collector(traced_run):
 
     assert len(spans) == metrics.issued_count > 0
     completed = [s for s in spans if s.completed]
-    assert len(completed) == metrics.completed_count > 0
+    assert len(completed) == len(metrics.completed) > 0
     assert sum(1 for s in spans if s.downgraded) == metrics.downgrades > 0
     assert sum(1 for s in spans if s.terminated) == metrics.terminated
 
-    # Spans independently reconstruct the collector's digest aggregates.
-    rnl_by_qos = {}
-    count_by_qos = {}
+    # Spans independently reconstruct the collector's per-QoS sums.
+    def per_qos(records):
+        rnl_by_qos = {}
+        count_by_qos = {}
+        for record in records:
+            qos = record.qos_run
+            rnl_by_qos[qos] = rnl_by_qos.get(qos, 0) + record.rnl_ns
+            count_by_qos[qos] = count_by_qos.get(qos, 0) + 1
+        return rnl_by_qos, count_by_qos
+
     for span in completed:
         assert span.rnl_ns is not None and span.rnl_ns > 0
         assert span.completed_ns >= span.issued_ns
-        rnl_by_qos[span.qos_run] = rnl_by_qos.get(span.qos_run, 0) + span.rnl_ns
-        count_by_qos[span.qos_run] = count_by_qos.get(span.qos_run, 0) + 1
-    assert rnl_by_qos == metrics.rnl_sum_by_qos
-    assert count_by_qos == metrics.completed_by_qos
+    assert per_qos(completed) == per_qos(metrics.completed)
 
     # Downgraded RPCs run below their requested class and, because the
     # requested class carries an SLO, always count as verdict misses.
@@ -350,8 +365,8 @@ def test_profiler_standalone_counts_match_engine():
 # ----------------------------------------------------------------------
 # Exporters
 # ----------------------------------------------------------------------
-def test_chrome_trace_schema(traced_run):
-    context, _metrics = traced_run
+def test_chrome_trace_schema(short_traced_run):
+    context, _metrics = short_traced_run
     doc = chrome_trace(context.tracer, context.registry)
     json.dumps(doc)  # must be serializable as-is
 
@@ -420,8 +435,8 @@ def test_chrome_trace_flow_events_join_children_to_rpcs(traced_run):
         assert event["args"]["trace_id"] == f"{event['args']['rpc_id']:032x}"
 
 
-def test_chrome_trace_ordering_is_deterministic(traced_run):
-    context, _metrics = traced_run
+def test_chrome_trace_ordering_is_deterministic(short_traced_run):
+    context, _metrics = short_traced_run
     doc_a = chrome_trace(context.tracer)
     doc_b = chrome_trace(context.tracer)
     assert json.dumps(doc_a, sort_keys=True) == json.dumps(doc_b, sort_keys=True)
@@ -453,8 +468,8 @@ def test_tracer_counts_spans_dropped_instead_of_losing_them():
     assert doc["otherData"]["spans_dropped"] == 2
 
 
-def test_export_writers_round_trip(tmp_path, traced_run):
-    context, _metrics = traced_run
+def test_export_writers_round_trip(tmp_path, short_traced_run):
+    context, _metrics = short_traced_run
     tracer = context.tracer
 
     trace_path = write_chrome_trace(tmp_path / "t" / "run.trace.json", tracer)

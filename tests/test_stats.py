@@ -6,7 +6,7 @@ import pytest
 
 from repro.analysis.convergence import convergence_time_ns, smooth, steady_value
 from repro.sim.engine import Simulator
-from repro.stats.sampler import PeriodicSampler, RateMeter
+from repro.stats.sampler import PeriodicSampler
 from repro.stats.summary import (
     cdf_points,
     mean,
@@ -68,22 +68,6 @@ def test_periodic_sampler_stop():
 def test_sampler_validation():
     with pytest.raises(ValueError):
         PeriodicSampler(Simulator(), 0, lambda: 1.0)
-
-
-def test_rate_meter_converts_bytes_to_gbps():
-    sim = Simulator()
-    counter = {"bytes": 0}
-    meter = RateMeter(sim, 1000, lambda: counter["bytes"])
-    # 125 bytes per 1000 ns == 1 Gbps.
-    def feed():
-        counter["bytes"] += 125
-        sim.schedule(1000, feed)
-    sim.schedule(500, feed)
-    sim.run(until=5000)
-    values = meter.values_gbps()
-    assert values[0] == 0.0  # first sample establishes the baseline
-    for v in values[2:]:
-        assert v == pytest.approx(1.0)
 
 
 def test_steady_value_uses_tail():
