@@ -39,9 +39,9 @@ SIM009    ``print()`` inside simulator-domain code — hot-path I/O skews
           ``repro.obs`` instruments (or return data) instead
 SIM010    per-event ``self.<list>.append/extend`` inside a sim-domain
           event handler (``on_*``/``record_*``/``receive``/...) —
-          unbounded per-event retention belongs in the registry /
-          reservoir abstractions; deliberate, gated retention sites
-          carry an explicit suppression
+          unbounded per-event retention belongs in registry
+          instruments; deliberate retention sites carry an explicit
+          suppression
 SIM011    ``self.<cache>[key] = value`` store into a cache/memo dict in
           sim-domain code with no eviction in the same function (no
           ``clear``/``pop``/``del``/``len`` bound) — memo tables keyed
@@ -92,7 +92,7 @@ RULES: Dict[str, str] = {
     "SIM009": "print() in simulator-domain code (use repro.obs instruments)",
     "SIM010": (
         "unbounded per-event list accumulation in a sim-domain event "
-        "handler (use registry/reservoir abstractions)"
+        "handler (use registry instruments)"
     ),
     "SIM011": (
         "unbounded cache/memo dict store in sim-domain code (no "
@@ -454,9 +454,9 @@ class RuleVisitor(ast.NodeVisitor):
 
         Per-event Python lists grow with the event count, not the
         configuration, so a long simulation's memory and GC cost scale
-        with simulated traffic.  Bounded retention belongs in the
-        registry / reservoir abstractions; a deliberately gated
-        batch-mode list carries a ``# simlint: ignore[SIM010]``.
+        with simulated traffic.  Bounded retention belongs in registry
+        instruments; a deliberate store of per-event records carries a
+        ``# simlint: ignore[SIM010]``.
         """
         if not (self._function_names
                 and self._is_per_event_handler(self._function_names[-1])):
@@ -476,8 +476,8 @@ class RuleVisitor(ast.NodeVisitor):
                 node,
                 f"`self.{target.attr}.{func.attr}()` in per-event handler "
                 f"`{self._function_names[-1]}` accumulates one entry per "
-                "event — use a registry counter/histogram or a reservoir, "
-                "or gate and suppress deliberately",
+                "event — use a registry counter/histogram, or suppress a "
+                "deliberate store",
             )
 
     # ------------------------------------------------------------------

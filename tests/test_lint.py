@@ -827,7 +827,7 @@ GOLDEN_SARIF_RESULTS = [
     ("SIM012", "tree/repro/sim/kernel.py", 21, 19, "c19366b4609f7ed8"),
 ]
 
-GOLDEN_SARIF_SHA256 = "d78c74234ea405e0297e6a73ae8d2f8a2af4d5706bedd13c36ff1c64246ddafe"
+GOLDEN_SARIF_SHA256 = "ab7951879a39bf9d14e5279ef7ee22269992f9132fa45b45562531cc5065078a"
 
 
 @pytest.fixture
