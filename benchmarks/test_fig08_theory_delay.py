@@ -6,18 +6,23 @@ mu(1-1/rho)=0.133; QoS_l delay starts at 0.133 and falls to zero.
 """
 
 from repro.experiments import fig08
+from repro.runner.point import Point
 
 
 def test_fig08_theory_delay(run_once):
-    result = run_once(fig08.run)
+    points = [
+        Point("fig08", {"mu": 0.8, "rho": 1.2, "phi": 4.0, "share": i / 40})
+        for i in range(41)
+    ]
+    rows = run_once(lambda: [fig08.run_point(p, 0) for p in points])
     print()
-    print(result.table())
-    assert result.inversion_share == 0.8
-    rows = {round(x, 3): (dh, dl) for x, dh, dl in result.rows}
-    assert rows[0.5][0] == 0.0  # delay-free region
-    assert abs(rows[1.0][0] - 0.1333) < 1e-3  # saturation value
-    assert abs(rows[0.0][1] - 0.1333) < 1e-3
-    assert rows[1.0][1] == 0.0
+    print(fig08.table(rows))
+    assert rows[0]["inversion_share"] == 0.8
+    by_share = {round(r["share"], 3): (r["delay_h"], r["delay_l"]) for r in rows}
+    assert by_share[0.5][0] == 0.0  # delay-free region
+    assert abs(by_share[1.0][0] - 0.1333) < 1e-3  # saturation value
+    assert abs(by_share[0.0][1] - 0.1333) < 1e-3
+    assert by_share[1.0][1] == 0.0
     # Priority inversion beyond the boundary.
-    assert rows[0.9][0] > rows[0.9][1]
-    assert rows[0.75][0] < rows[0.75][1]
+    assert by_share[0.9][0] > by_share[0.9][1]
+    assert by_share[0.75][0] < by_share[0.75][1]

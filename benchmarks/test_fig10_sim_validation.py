@@ -6,14 +6,17 @@ which is slightly higher in the simulation" — both properties checked.
 """
 
 from repro.experiments import fig10
+from repro.runner.point import Point
 
 
 def test_fig10_sim_validation(run_once):
-    result = run_once(fig10.run)
+    params = {"mu": 0.8, "rho": 1.2, "phi": 4.0, "period_us": 500.0, "periods": 2}
+    points = [Point("fig10", {**params, "share": 0.05 * i}) for i in range(1, 20)]
+    rows = run_once(lambda: [fig10.run_point(p, 0) for p in points])
     print()
-    print(result.table())
-    assert result.max_abs_error_h() < 0.01
-    for x, sim_h, sim_l, thy_h, thy_l in result.rows:
-        assert abs(sim_h - thy_h) < 0.01
-        assert sim_l >= thy_l - 0.01  # packetization never undershoots
-        assert abs(sim_l - thy_l) < 0.02
+    print(fig10.table(rows))
+    assert fig10.max_error_h(rows) < 0.01
+    for r in rows:
+        assert abs(r["sim_h"] - r["theory_h"]) < 0.01
+        assert r["sim_l"] >= r["theory_l"] - 0.01  # packetization never undershoots
+        assert abs(r["sim_l"] - r["theory_l"]) < 0.02

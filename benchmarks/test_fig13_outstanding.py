@@ -7,15 +7,19 @@ behind the non-zero-sum latency result.
 """
 
 from repro.experiments import fig13
+from repro.runner.point import Point
 
 
 def test_fig13_outstanding(run_once):
-    result = run_once(fig13.run, num_hosts=8, duration_ms=30.0, warmup_ms=15.0)
+    spec = {"num_hosts": 8, "duration_ms": 30.0, "warmup_ms": 15.0, "sample_us": 100.0}
+    points = [
+        Point("fig13", {"scheme": scheme, **spec}) for scheme in ("wfq", "aequitas")
+    ]
+    rows = run_once(lambda: [fig13.run_point(p, 13) for p in points])
     print()
-    print(result.table())
-    hm_without, hm_with = result.tail_outstanding("hm", 99.0)
-    l_without, l_with = result.tail_outstanding("l", 99.0)
+    print(fig13.table(rows))
+    without, with_aequitas = rows
     # High/medium outstanding shrinks with admission control...
-    assert hm_with < hm_without
+    assert with_aequitas["p99_high_medium"] < without["p99_high_medium"]
     # ...while the scavenger class absorbs the downgraded work.
-    assert l_with >= l_without
+    assert with_aequitas["p99_low"] >= without["p99_low"]

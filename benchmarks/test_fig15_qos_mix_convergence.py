@@ -7,20 +7,33 @@ the SLO throughout — the antidote to the race to the top.
 """
 
 from repro.experiments import fig15
+from repro.runner.point import Point
 
 
 def test_fig15_qos_mix_convergence(run_once):
-    result = run_once(
-        fig15.run, num_hosts=8, duration_ms=30.0, warmup_ms=15.0
+    spec = {
+        "num_hosts": 8,
+        "duration_ms": 30.0,
+        "warmup_ms": 15.0,
+        "slo_high_us": 15.0,
+        "slo_med_us": 25.0,
+    }
+    mixes = (
+        [0.25, 0.25, 0.50],
+        [0.60, 0.30, 0.10],
+        [0.50, 0.30, 0.20],
+        [0.40, 0.40, 0.20],
     )
+    points = [Point("fig15", {"input_mix": mix, **spec}) for mix in mixes]
+    rows = run_once(lambda: [fig15.run_point(p, 15) for p in points])
     print()
-    print(result.table())
+    print(fig15.table(rows))
     # Admitted QoS_h share varies little across wildly different inputs.
-    assert result.spread_of_admitted_high() < 0.15
+    assert fig15.admitted_spread(rows) < 0.15
     # Self-consistency: input == sustainable mix -> almost no downgrades.
-    self_consistent = result.cases[0]
-    assert self_consistent.input_mix == (0.25, 0.25, 0.50)
-    assert self_consistent.downgrade_fraction < 0.05
+    self_consistent = rows[0]
+    assert self_consistent["input_mix"] == [0.25, 0.25, 0.50]
+    assert self_consistent["downgrade_fraction"] < 0.05
     # SLO compliance for every input mix.
-    for case in result.cases:
-        assert case.qos_h_tail_us < 1.5 * result.slo_high_us
+    for r in rows:
+        assert r["qos_h_tail_us"] < 1.5 * spec["slo_high_us"]

@@ -6,20 +6,17 @@ X_i <= g_i * mu / rho made visible.
 """
 
 from repro.experiments import fig16
+from repro.runner.point import Point
 
 
 def test_fig16_burstiness(run_once):
-    result = run_once(
-        fig16.run,
-        rhos=(1.4, 1.8, 2.2),
-        num_hosts=8,
-        duration_ms=25.0,
-        warmup_ms=12.0,
-    )
+    spec = {"num_hosts": 8, "duration_ms": 25.0, "warmup_ms": 12.0}
+    points = [Point("fig16", {"rho": rho, **spec}) for rho in (1.4, 1.8, 2.2)]
+    rows = run_once(lambda: [fig16.run_point(p, 16) for p in points])
     print()
-    print(result.table())
-    shares = [share for _, share in result.rows]
+    print(fig16.table(rows))
+    shares = [r["admitted_qos_h_share"] for r in rows]
     # Monotone decrease with burstiness.
     assert shares[0] > shares[-1]
     # The C/rho fit holds to ~25% mean relative error.
-    assert result.fit_error() < 0.25
+    assert fig16.fit_error(rows) < 0.25

@@ -6,16 +6,17 @@ channel reclaims the slack.  Paper's 1st-percentile p_admit: 0.82.
 """
 
 from repro.experiments import fig18
+from repro.runner.point import Point
 
 
 def test_fig18_inquota(run_once):
-    result = run_once(fig18.run, duration_ms=60.0)
+    params = {"share_a": 0.1, "share_b": 0.8, "alpha": 0.05, "beta": 0.01}
+    point = Point("fig18", {**params, "duration_ms": 60.0})
+    row = run_once(fig18.run_point, point, 18)
     print()
-    print(result.table())
-    a = result.channel_a
-    print(f"Channel A p1(p_admit) = {a.p_admit_percentile(1.0):.2f} (paper: 0.82)")
-    assert a.steady_p_admit() > 0.9
-    assert a.p_admit_percentile(1.0) > 0.6
+    print(fig18.table([row]))
+    assert row["p_admit_a"] > 0.9
+    assert row["p_admit_a_p1"] > 0.6
     # A keeps its demand; B reclaims the excess (max-min, not equal).
-    assert a.steady_goodput_gbps() > 8.0
-    assert result.channel_b.steady_goodput_gbps() > a.steady_goodput_gbps()
+    assert row["goodput_a_gbps"] > 8.0
+    assert row["goodput_b_gbps"] > row["goodput_a_gbps"]

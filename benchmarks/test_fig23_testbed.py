@@ -7,20 +7,34 @@ input toward the target.
 """
 
 from repro.experiments import fig23
+from repro.runner.point import Point
 
 
 def test_fig23_testbed(run_once):
-    result = run_once(
-        fig23.run, num_hosts=8, duration_ms=25.0, warmup_ms=12.0
+    spec = {"num_hosts": 8, "duration_ms": 25.0, "warmup_ms": 12.0}
+    target_mix = [0.2, 0.3, 0.5]
+    roles = (
+        ("reference", "wfq", target_mix),
+        ("without", "wfq", [0.5, 0.35, 0.15]),
+        ("with", "aequitas", [0.5, 0.35, 0.15]),
     )
+    points = [
+        Point("fig23", {"role": role, "scheme": scheme, "mix": mix, **spec})
+        for role, scheme, mix in roles
+    ]
+    rows = run_once(lambda: [fig23.run_point(p, 23) for p in points])
     print()
-    print(result.table())
-    for qos in (0, 1):
+    print(fig23.table(rows))
+    by = {r["role"]: r for r in rows}
+    with_norm = fig23.normalized_tails(by, "with")
+    without_norm = fig23.normalized_tails(by, "without")
+    for qos in ("0", "1"):
         # Aequitas improves every SLO class relative to the baseline...
-        assert result.with_norm[qos] < result.without_norm[qos]
+        assert with_norm[qos] < without_norm[qos]
     # ...and lands within a small factor of the reference (paper ~1.0).
-    assert result.with_norm[0] < 5.0
+    assert with_norm["0"] < 5.0
     # The admitted mix moves from the input toward the target mix.
-    input_h, target_h = 0.5, result.target_mix[0]
-    assert result.with_mix[0] < result.without_mix[0]
-    assert abs(result.with_mix[0] - target_h) < abs(input_h - target_h)
+    input_h, target_h = 0.5, target_mix[0]
+    with_h, without_h = by["with"]["admitted_mix"][0], by["without"]["admitted_mix"][0]
+    assert with_h < without_h
+    assert abs(with_h - target_h) < abs(input_h - target_h)

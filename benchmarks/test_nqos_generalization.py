@@ -7,13 +7,16 @@ each class meeting its own target under a top-heavy overload.
 """
 
 from repro.experiments import nqos
+from repro.runner.point import Point
 
 
 def test_nqos_generalization(run_once):
-    result = run_once(nqos.run)
+    point = Point("nqos", {"num_hosts": 4, "duration_ms": 25.0, "warmup_ms": 12.0})
+    row = run_once(nqos.run_point, point, 55)
     print()
-    print(result.table())
-    for qos, slo in result.slo_us.items():
-        assert result.tails_us[qos] < 1.5 * slo
-    tails = [result.tails_us[q] for q in range(4)]
-    assert tails == sorted(tails)  # strict class ordering preserved
+    print(nqos.table([row]))
+    tails = {int(q): v for q, v in row["tails_us"].items()}
+    for qos, slo in nqos.SLO_TARGETS_US.items():
+        assert tails[qos] < 1.5 * slo
+    ordered = [tails[q] for q in range(4)]
+    assert ordered == sorted(ordered)  # strict class ordering preserved

@@ -9,6 +9,7 @@ reclaims the slack (max-min fairness).
 Run:  python examples/fairness_demo.py
 """
 
+from repro.experiments import fig17
 from repro.experiments.fig17 import FairnessResult, run_two_channels
 
 SPARK_CHARS = " .:-=+*#%@"
@@ -28,7 +29,7 @@ def sparkline(values, width: int = 60) -> str:
 
 def show(result: FairnessResult, title: str) -> None:
     print(f"\n=== {title} ===")
-    print(result.table())
+    print(fig17.table([result.summary()]))
     for name, tr in (("A", result.channel_a), ("B", result.channel_b)):
         values = [v for _, v in tr.p_admit]
         print(f"p_admit[{name}] |{sparkline(values)}|")

@@ -3,9 +3,9 @@
 Usage::
 
     python -m repro list                 # show available experiments
-    python -m repro fig12                # run one figure, print its table
-    python -m repro fig11 --quick        # smaller/faster parameters
-    python -m repro all --quick          # everything (the bench payload)
+    python -m repro fig12                # paper-profile sweep, print its table
+    python -m repro fig11 --quick        # the fast profile instead
+    python -m repro all --quick          # every figure
 
     python -m repro run fig11 --profile fast --workers 4
     python -m repro run fig11 --resume 20260806-101500-00042
@@ -19,9 +19,11 @@ Usage::
     python -m repro live --telemetry     # + /metrics endpoint, SLO alerts
     python -m repro lint src tests    # simlint static determinism checks
 
-The ``run`` subcommand goes through :mod:`repro.runner`: sweep points
-are sharded across a worker pool, cached on disk, checked against the
-figure's shape assertions, and the rows land in ``results/<figure>/``.
+The bare form runs the figure's sweep inline (per-point seeds, like
+``run``), prints ``driver.table(rows)`` and writes nothing.  The ``run``
+subcommand goes through :mod:`repro.runner`: sweep points are sharded
+across a worker pool, cached on disk, checked against the figure's
+shape assertions, and the rows land in ``results/<figure>/``.
 The ``lint`` subcommand runs :mod:`repro.lint` (see
 ``docs/correctness.md`` for the rule catalogue).
 
@@ -35,112 +37,31 @@ import argparse
 import os
 import sys
 import time
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence
 
-#: name -> (description, full-run kwargs, quick-run kwargs) for the
-#: figure driver's ``run`` (fig09: ``run_both_panels``, which takes
-#: none).  Data only, so importing the CLI loads no figure module; the
-#: name resolves to its driver through ``repro.runner.registry`` (same
-#: keys, test-enforced) on dispatch.
-_EXPERIMENTS: Dict[str, Tuple[str, Dict[str, Any], Dict[str, Any]]] = {
-    "fig08": (
-        "theoretical 2-QoS worst-case delay",
-        {},
-        {"points": 21},
-    ),
-    "fig09": (
-        "fluid 3-QoS delay, weights 8:4:1 and 50:4:1",
-        {},
-        {},
-    ),
-    "fig10": (
-        "packet simulator vs theory",
-        {},
-        {"shares": [0.1, 0.4, 0.7, 0.85]},
-    ),
-    "fig11": (
-        "achieved RNL tracks the SLO (3-node)",
-        {},
-        {"slos_us": (15.0, 40.0)},
-    ),
-    "fig12": (
-        "cluster tails w/ vs w/o Aequitas",
-        {},
-        {"num_hosts": 6, "duration_ms": 24.0, "warmup_ms": 12.0},
-    ),
-    "fig13": (
-        "outstanding RPCs per switch port",
-        {},
-        {"num_hosts": 6, "duration_ms": 24.0, "warmup_ms": 12.0},
-    ),
-    "fig14": (
-        "baseline tail vs QoS_h-share",
-        {},
-        {"shares": (0.1, 0.3, 0.5), "num_hosts": 6},
-    ),
-    "fig15": (
-        "admitted QoS-mix vs input mix",
-        {},
-        {"num_hosts": 6, "duration_ms": 24.0, "warmup_ms": 12.0},
-    ),
-    "fig16": (
-        "admitted traffic vs burstiness (C/rho)",
-        {},
-        {"rhos": (1.4, 1.8, 2.2), "num_hosts": 6},
-    ),
-    "fig17": (
-        "fairness across unequal channels",
-        {"duration_ms": 100.0},
-        {"duration_ms": 50.0},
-    ),
-    "fig18": (
-        "in-quota channel protection (max-min)",
-        {},
-        {"duration_ms": 40.0},
-    ),
-    "fig19": (
-        "Aequitas vs strict priority queuing",
-        {},
-        {"shares": (0.5, 0.8), "num_hosts": 6, "duration_ms": 20.0,
-         "warmup_ms": 10.0},
-    ),
-    "fig20": (
-        "mixed 32/64 KB RPC sizes",
-        {},
-        {"num_hosts": 6, "duration_ms": 20.0, "warmup_ms": 10.0},
-    ),
-    "fig21": (
-        "production sizes under extreme overload",
-        {"burst_rho": 2.5},
-        {"num_hosts": 6, "duration_ms": 20.0, "warmup_ms": 10.0,
-         "burst_rho": 2.5},
-    ),
-    "fig22": (
-        "comparison vs pFabric/QJump/D3/PDQ/Homa",
-        {},
-        {"num_hosts": 5, "duration_ms": 10.0, "warmup_ms": 4.0},
-    ),
-    "fig23": (
-        "simulated testbed deployment",
-        {},
-        {"num_hosts": 6, "duration_ms": 20.0, "warmup_ms": 10.0},
-    ),
-    "fig24": (
-        "Phase-1 rollout across a cluster ensemble",
-        {},
-        {"num_clusters": 3, "num_hosts": 5, "duration_ms": 8.0,
-         "warmup_ms": 3.0},
-    ),
-    "fig28": (
-        "alpha/beta sensitivity (Appendix C)",
-        {},
-        {"duration_ms": 40.0},
-    ),
-    "nqos": (
-        "five-QoS-level generalization",
-        {},
-        {"duration_ms": 15.0, "warmup_ms": 7.0},
-    ),
+#: name -> one-line description.  Data only, so importing the CLI loads
+#: no figure module; the name resolves to its driver through
+#: ``repro.runner.registry`` (same keys, test-enforced) on dispatch.
+_EXPERIMENTS: Dict[str, str] = {
+    "fig08": "theoretical 2-QoS worst-case delay",
+    "fig09": "fluid 3-QoS delay, weights 8:4:1 and 50:4:1",
+    "fig10": "packet simulator vs theory",
+    "fig11": "achieved RNL tracks the SLO (3-node)",
+    "fig12": "cluster tails w/ vs w/o Aequitas",
+    "fig13": "outstanding RPCs per switch port",
+    "fig14": "baseline tail vs QoS_h-share",
+    "fig15": "admitted QoS-mix vs input mix",
+    "fig16": "admitted traffic vs burstiness (C/rho)",
+    "fig17": "fairness across unequal channels",
+    "fig18": "in-quota channel protection (max-min)",
+    "fig19": "Aequitas vs strict priority queuing",
+    "fig20": "mixed 32/64 KB RPC sizes",
+    "fig21": "production sizes under extreme overload",
+    "fig22": "comparison vs pFabric/QJump/D3/PDQ/Homa",
+    "fig23": "simulated testbed deployment",
+    "fig24": "Phase-1 rollout across a cluster ensemble",
+    "fig28": "alpha/beta sensitivity (Appendix C)",
+    "nqos": "five-QoS-level generalization",
 }
 
 
@@ -201,15 +122,7 @@ def _run_main(argv: Sequence[str]) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.workers < 1:
-        print("--workers must be >= 1", file=sys.stderr)
-        return 2
-
-    from repro.runner import (
-        UnknownExperimentError,
-        UnknownProfileError,
-        run_experiment,
-    )
+    from repro.runner import run_experiment
 
     try:
         report = run_experiment(
@@ -224,10 +137,9 @@ def _run_main(argv: Sequence[str]) -> int:
             trace=args.trace,
             log=print,
         )
-    except (UnknownExperimentError, UnknownProfileError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ValueError, FileNotFoundError) as exc:
+        # Bad name, profile, --workers or --replicates (run_experiment
+        # validates them all), or an unknown --resume id.
         print(str(exc), file=sys.stderr)
         return 2
     except RuntimeError as exc:
@@ -716,13 +628,13 @@ def _dispatch(argv: Optional[Sequence[str]]) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="smaller parameters for a fast look",
+        help="the 'fast' profile's sweep instead of the 'paper' one",
     )
     args = parser.parse_args(argv)
 
     if args.experiment == "list":
         width = max(len(name) for name in _EXPERIMENTS)
-        for name, (desc, _, __) in _EXPERIMENTS.items():
+        for name, desc in _EXPERIMENTS.items():
             print(f"{name:<{width}}  {desc}")
         return 0
 
@@ -735,18 +647,15 @@ def _dispatch(argv: Optional[Sequence[str]]) -> int:
 
     from repro.runner.registry import driver_for
 
+    profile = "fast" if args.quick else "paper"
     for name in names:
-        desc, full, quick = _EXPERIMENTS[name]
         driver = driver_for(name)
-        print(f"== {name}: {desc} ==")
+        print(f"== {name}: {_EXPERIMENTS[name]} ==")
         # perf_counter, not time(): monotonic, so a wall-clock step
         # (NTP, suspend) can never print a negative figure duration.
         start = time.perf_counter()
-        if name == "fig09":  # one table per panel
-            panels = driver.run_both_panels()
-        else:
-            panels = (driver.run(**(quick if args.quick else full)),)
-        print("\n\n".join(panel.table() for panel in panels))
+        rows = [driver.run_point(p, p.seed) for p in driver.sweep(profile)]
+        print(driver.table(rows))
         print(f"[{time.perf_counter() - start:.1f}s]\n")
     return 0
 

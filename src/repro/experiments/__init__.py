@@ -1,8 +1,10 @@
 """Experiment drivers — one module per paper figure.
 
-Each module exposes ``run(...)`` returning a result dataclass with a
-``table()`` method that prints the same rows/series the paper reports.
-``cluster`` holds the shared harness all simulation figures build on.
+Every figure driver *is* its sweep: ``PROFILES``, ``sweep(profile)``,
+``run_point(point, seed)``, ``check(rows, profile)`` and
+``table(rows)``, all required (see :mod:`repro.runner`).  ``table``
+prints the same rows/series the paper reports.  ``cluster`` holds the
+shared harness all simulation figures build on.
 
 This package init imports nothing: a closed-form figure (fig08, fig09)
 loads neither the cluster harness nor the baselines, and the CLI loads

@@ -8,8 +8,7 @@ at x = phi / (phi + 1) = 0.8 beyond which QoS_h delay exceeds QoS_l's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.analysis.delay_bounds import (
     TrafficModel,
@@ -19,42 +18,8 @@ from repro.analysis.delay_bounds import (
 )
 from repro.runner.point import Point, Row
 
+_MODEL = {"mu": 0.8, "rho": 1.2, "phi": 4.0}
 
-@dataclass
-class Fig8Result:
-    model: TrafficModel
-    rows: List[Tuple[float, float, float]]  # (share, delay_h, delay_l)
-    inversion_share: float
-
-    def table(self) -> str:
-        lines = [
-            f"Fig 8 — theoretical WFQ delay (phi={self.model.phi:g}, "
-            f"mu={self.model.mu:g}, rho={self.model.rho:g})",
-            f"{'QoSh-share':>10} {'delay_h':>10} {'delay_l':>10}",
-        ]
-        for x, dh, dl in self.rows:
-            lines.append(f"{x:10.2f} {dh:10.4f} {dl:10.4f}")
-        lines.append(f"priority inversion beyond share = {self.inversion_share:.3f}")
-        return "\n".join(lines)
-
-
-def run(
-    mu: float = 0.8,
-    rho: float = 1.2,
-    phi: float = 4.0,
-    points: int = 41,
-) -> Fig8Result:
-    model = TrafficModel(mu=mu, rho=rho, phi=phi)
-    shares = [i / (points - 1) for i in range(points)]
-    rows = [(x, delay_h(x, model), delay_l(x, model)) for x in shares]
-    return Fig8Result(
-        model=model, rows=rows, inversion_share=priority_inversion_share(model)
-    )
-
-
-# ----------------------------------------------------------------------
-# Sweep interface (repro.runner)
-# ----------------------------------------------------------------------
 PROFILES = {
     "paper": {"points": 41},
     "fast": {"points": 11},
@@ -63,10 +28,7 @@ PROFILES = {
 
 def sweep(profile: str = "paper") -> List[Point]:
     n = PROFILES[profile]["points"]
-    return [
-        Point("fig08", {"mu": 0.8, "rho": 1.2, "phi": 4.0, "share": i / (n - 1)})
-        for i in range(n)
-    ]
+    return [Point("fig08", {**_MODEL, "share": i / (n - 1)}) for i in range(n)]
 
 
 def run_point(point: Point, seed: int) -> Row:
@@ -79,6 +41,20 @@ def run_point(point: Point, seed: int) -> Row:
         "delay_l": delay_l(x, model),
         "inversion_share": priority_inversion_share(model),
     }
+
+
+def table(rows: Sequence[Row]) -> str:
+    lines = [
+        f"Fig 8 — theoretical WFQ delay (phi={_MODEL['phi']:g}, "
+        f"mu={_MODEL['mu']:g}, rho={_MODEL['rho']:g})",
+        f"{'QoSh-share':>10} {'delay_h':>10} {'delay_l':>10}",
+    ]
+    for r in rows:
+        lines.append(f"{r['share']:10.2f} {r['delay_h']:10.4f} {r['delay_l']:10.4f}")
+    lines.append(
+        f"priority inversion beyond share = {rows[0]['inversion_share']:.3f}"
+    )
+    return "\n".join(lines)
 
 
 def check(

@@ -12,57 +12,11 @@ mu = 0.8, rho = 1.4, for two weight settings: 8:4:1 (panel a) and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.fluid import sweep_three_qos
 from repro.runner.point import Point, Row
 
-
-@dataclass
-class Fig9Result:
-    weights: Tuple[float, ...]
-    rows: List[Tuple[float, float, float, float]]  # (x, d_h, d_m, d_l)
-
-    def inversion_share(self) -> float:
-        """First swept share where some higher class is slower than a
-        lower one (the right edge of the admissible region)."""
-        for x, dh, dm, dl in self.rows:
-            if dh > dm + 1e-9 or dm > dl + 1e-9:
-                return x
-        return 1.0
-
-    def table(self) -> str:
-        lines = [
-            f"Fig 9 — fluid 3-QoS worst-case delay, weights {self.weights}",
-            f"{'QoSh-share':>10} {'delay_h':>9} {'delay_m':>9} {'delay_l':>9}",
-        ]
-        for x, dh, dm, dl in self.rows:
-            lines.append(f"{x:10.2f} {dh:9.4f} {dm:9.4f} {dl:9.4f}")
-        lines.append(f"admissible region ends near share = {self.inversion_share():.2f}")
-        return "\n".join(lines)
-
-
-def run(
-    weights: Sequence[float] = (8, 4, 1),
-    mu: float = 0.8,
-    rho: float = 1.4,
-    shares: Optional[Sequence[float]] = None,
-) -> Fig9Result:
-    if shares is None:
-        shares = [0.05 + 0.05 * i for i in range(18)]  # 5% .. 90%
-    rows = sweep_three_qos(shares, weights=weights, mu=mu, rho=rho)
-    return Fig9Result(weights=tuple(weights), rows=rows)
-
-
-def run_both_panels() -> Tuple[Fig9Result, Fig9Result]:
-    """Panels (a) 8:4:1 and (b) 50:4:1 of Figure 9."""
-    return run(weights=(8, 4, 1)), run(weights=(50, 4, 1))
-
-
-# ----------------------------------------------------------------------
-# Sweep interface (repro.runner)
-# ----------------------------------------------------------------------
 _PANELS = ([8, 4, 1], [50, 4, 1])
 
 PROFILES = {
@@ -94,11 +48,41 @@ def run_point(point: Point, seed: int) -> Row:
     }
 
 
-def _panel_inversion(rows: Sequence[Row]) -> float:
+def panels(rows: Sequence[Row]) -> Dict[Tuple[int, ...], List[Row]]:
+    """The rows of each weight setting, keyed by the weight tuple."""
+    return {
+        tuple(weights): [r for r in rows if r["weights"] == weights]
+        for weights in _PANELS
+    }
+
+
+def inversion_share(rows: Sequence[Row]) -> float:
+    """First swept share of one panel where some higher class is slower
+    than a lower one (the right edge of the admissible region)."""
     for r in sorted(rows, key=lambda r: r["share"]):
         if r["delay_h"] > r["delay_m"] + 1e-9 or r["delay_m"] > r["delay_l"] + 1e-9:
             return r["share"]
     return 1.0
+
+
+def table(rows: Sequence[Row]) -> str:
+    """One table per panel, (a) 8:4:1 then (b) 50:4:1."""
+    tables = []
+    for weights, panel in panels(rows).items():
+        lines = [
+            f"Fig 9 — fluid 3-QoS worst-case delay, weights {weights}",
+            f"{'QoSh-share':>10} {'delay_h':>9} {'delay_m':>9} {'delay_l':>9}",
+        ]
+        for r in panel:
+            lines.append(
+                f"{r['share']:10.2f} {r['delay_h']:9.4f} "
+                f"{r['delay_m']:9.4f} {r['delay_l']:9.4f}"
+            )
+        lines.append(
+            f"admissible region ends near share = {inversion_share(panel):.2f}"
+        )
+        tables.append("\n".join(lines))
+    return "\n\n".join(tables)
 
 
 def check(
@@ -131,12 +115,9 @@ def check(
                     "fig09: 50:4:1 weighting should keep channels fully "
                     f"admitted, but settled p_admit dipped: {low}"
                 )
-    panels = {
-        tuple(weights): [r for r in rows if r["weights"] == weights]
-        for weights in _PANELS
-    }
-    inv_a = _panel_inversion(panels[(8, 4, 1)])
-    inv_b = _panel_inversion(panels[(50, 4, 1)])
+    by_weights = panels(rows)
+    inv_a = inversion_share(by_weights[(8, 4, 1)])
+    inv_b = inversion_share(by_weights[(50, 4, 1)])
     if not 0.45 <= inv_a <= 0.70:
         failures.append(
             f"fig09: 8:4:1 admissible region ends at {inv_a:.2f}, expected ~0.57"
@@ -151,11 +132,11 @@ def check(
     # past the 8:4:1 boundary).
     mid = 0.5
     dm_a = min(
-        (r["delay_m"] for r in panels[(8, 4, 1)] if abs(r["share"] - mid) < 0.06),
+        (r["delay_m"] for r in by_weights[(8, 4, 1)] if abs(r["share"] - mid) < 0.06),
         default=None,
     )
     dm_b = min(
-        (r["delay_m"] for r in panels[(50, 4, 1)] if abs(r["share"] - mid) < 0.06),
+        (r["delay_m"] for r in by_weights[(50, 4, 1)] if abs(r["share"] - mid) < 0.06),
         default=None,
     )
     if dm_a is not None and dm_b is not None and not dm_b > dm_a:

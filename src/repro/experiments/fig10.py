@@ -13,8 +13,7 @@ reports).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.analysis.delay_bounds import TrafficModel, delay_h, delay_l
 from repro.runner.point import Point, Row
@@ -36,26 +35,6 @@ class _DelaySink(Node):
         delay = self.sim.now - pkt.sent_time_ns
         if delay > self.worst_ns[pkt.qos]:
             self.worst_ns[pkt.qos] = delay
-
-
-@dataclass
-class Fig10Result:
-    model: TrafficModel
-    rows: List[Tuple[float, float, float, float, float]]
-    # (share, sim_delay_h, sim_delay_l, theory_delay_h, theory_delay_l)
-
-    def max_abs_error_h(self) -> float:
-        return max(abs(s - t) for _, s, __, t, ___ in self.rows)
-
-    def table(self) -> str:
-        lines = [
-            f"Fig 10 — packet sim vs theory (phi={self.model.phi:g}, "
-            f"mu={self.model.mu:g}, rho={self.model.rho:g})",
-            f"{'share':>6} {'sim_h':>8} {'thy_h':>8} {'sim_l':>8} {'thy_l':>8}",
-        ]
-        for x, sh, sl, th, tl in self.rows:
-            lines.append(f"{x:6.2f} {sh:8.4f} {th:8.4f} {sl:8.4f} {tl:8.4f}")
-        return "\n".join(lines)
 
 
 def _run_single_share(
@@ -106,29 +85,8 @@ def _inject(port: Port, qos: int, size: int, sim: Simulator) -> None:
     port.send(pkt)
 
 
-def run(
-    mu: float = 0.8,
-    rho: float = 1.2,
-    phi: float = 4.0,
-    shares: Optional[Sequence[float]] = None,
-    period_us: float = 500.0,
-    periods: int = 2,
-    line_rate_bps: float = 100e9,
-) -> Fig10Result:
-    model = TrafficModel(mu=mu, rho=rho, phi=phi)
-    if shares is None:
-        shares = [0.05 * i for i in range(1, 20)]  # 5% .. 95%
-    period_ns = ns_from_us(period_us)
-    rows = []
-    for x in shares:
-        sim_h, sim_l = _run_single_share(x, model, period_ns, periods, line_rate_bps)
-        rows.append((x, sim_h, sim_l, delay_h(x, model), delay_l(x, model)))
-    return Fig10Result(model=model, rows=rows)
+_MODEL = {"mu": 0.8, "rho": 1.2, "phi": 4.0}
 
-
-# ----------------------------------------------------------------------
-# Sweep interface (repro.runner)
-# ----------------------------------------------------------------------
 PROFILES = {
     "paper": {"shares": [round(0.05 * i, 2) for i in range(1, 20)]},
     "fast": {"shares": [0.1, 0.4, 0.7, 0.85]},
@@ -137,17 +95,7 @@ PROFILES = {
 
 def sweep(profile: str = "paper") -> List[Point]:
     return [
-        Point(
-            "fig10",
-            {
-                "mu": 0.8,
-                "rho": 1.2,
-                "phi": 4.0,
-                "share": x,
-                "period_us": 500.0,
-                "periods": 2,
-            },
-        )
+        Point("fig10", {**_MODEL, "share": x, "period_us": 500.0, "periods": 2})
         for x in PROFILES[profile]["shares"]
     ]
 
@@ -167,11 +115,30 @@ def run_point(point: Point, seed: int) -> Row:
     }
 
 
+def max_error_h(rows: Sequence[Row]) -> float:
+    """Largest QoS_h sim-vs-theory gap, as a fraction of the period."""
+    return max(abs(r["sim_h"] - r["theory_h"]) for r in rows)
+
+
+def table(rows: Sequence[Row]) -> str:
+    lines = [
+        f"Fig 10 — packet sim vs theory (phi={_MODEL['phi']:g}, "
+        f"mu={_MODEL['mu']:g}, rho={_MODEL['rho']:g})",
+        f"{'share':>6} {'sim_h':>8} {'thy_h':>8} {'sim_l':>8} {'thy_l':>8}",
+    ]
+    for r in rows:
+        lines.append(
+            f"{r['share']:6.2f} {r['sim_h']:8.4f} {r['theory_h']:8.4f} "
+            f"{r['sim_l']:8.4f} {r['theory_l']:8.4f}"
+        )
+    return "\n".join(lines)
+
+
 def check(rows: Sequence[Row], profile: str) -> List[str]:
     """Validation shape: packet sim tracks theory, QoS_l only ever
     slightly above it (the packetization artifact)."""
     failures: List[str] = []
-    err_h = max(abs(r["sim_h"] - r["theory_h"]) for r in rows)
+    err_h = max_error_h(rows)
     if err_h > 0.01:
         failures.append(
             f"fig10: QoS_h sim-vs-theory error {err_h:.4f} of the period "

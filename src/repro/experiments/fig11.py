@@ -5,13 +5,21 @@ server, 70% requested at QoS_h and 30% at QoS_l, so QoS_h alone offers
 1.4x the server link.  Sweeping the QoS_h SLO from strict to loose
 shows (1) achieved tail RNL hugging the SLO and (2) the
 SLO-versus-admitted-traffic trade-off: stricter SLOs admit less.
+
+The sweep is scaled for laptop runs: the additive-increase constant is
+raised from the paper's 0.01 to 0.05 so AIMD converges within tens of
+milliseconds instead of multiple seconds (the equilibrium it converges
+*to* is set by the SLO and the admissible region, not by alpha —
+Appendix C studies exactly this stability/compliance trade-off).
+Looser SLOs oscillate on a longer AIMD period (the queue must grow to a
+larger budget before misses push back), so the run length scales with
+the SLO.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 from repro.core.qos import Priority
 from repro.experiments.cluster import ClusterConfig, run_cluster
@@ -21,31 +29,6 @@ from repro.rpc.workload import OpenLoopSource, steady_pattern
 from repro.runner.point import Point, Row
 from repro.sim.engine import Simulator, ns_from_ms
 from repro.stats.digest import completed_rpc_digest
-
-
-@dataclass
-class Fig11Point:
-    slo_us: float
-    achieved_tail_us: float
-    qos_h_admitted_share: float
-
-
-@dataclass
-class Fig11Result:
-    points: List[Fig11Point]
-    target_percentile: float
-
-    def table(self) -> str:
-        lines = [
-            "Fig 11 — achieved RNL vs QoS_h SLO (3-node, 2x persistent overload)",
-            f"{'SLO(us)':>8} {'RNL(us)':>9} {'QoSh-share(%)':>14}",
-        ]
-        for p in self.points:
-            lines.append(
-                f"{p.slo_us:8.0f} {p.achieved_tail_us:9.1f} "
-                f"{100 * p.qos_h_admitted_share:14.1f}"
-            )
-        return "\n".join(lines)
 
 
 def _three_node_traffic(
@@ -74,84 +57,9 @@ def _three_node_traffic(
     return traffic
 
 
-def run(
-    slos_us: Sequence[float] = (15.0, 25.0, 40.0, 60.0),
-    duration_ms: Optional[float] = None,
-    warmup_ms: Optional[float] = None,
-    target_percentile: float = 99.0,
-    alpha: float = 0.05,
-    seed: int = 11,
-) -> Fig11Result:
-    """The SLO sweep.
-
-    Defaults are scaled for laptop runs: the additive-increase constant
-    is raised from the paper's 0.01 to 0.05 so AIMD converges within
-    tens of milliseconds instead of multiple seconds (the equilibrium
-    it converges *to* is set by the SLO and the admissible region, not
-    by alpha — Appendix C studies exactly this stability/compliance
-    trade-off).  Looser SLOs oscillate on a longer AIMD period (the
-    queue must grow to a larger budget before misses push back), so the
-    run length scales with the SLO when not given explicitly.
-    """
-    points = []
-    for slo_us in slos_us:
-        dur = duration_ms if duration_ms is not None else max(60.0, 3.0 * slo_us)
-        warm = warmup_ms if warmup_ms is not None else dur / 3.0
-        row = _run_slo_point(
-            slo_us=slo_us,
-            duration_ms=dur,
-            warmup_ms=warm,
-            target_percentile=target_percentile,
-            alpha=alpha,
-            seed=seed,
-        )
-        points.append(
-            Fig11Point(
-                slo_us=slo_us,
-                achieved_tail_us=row["achieved_tail_us"],
-                qos_h_admitted_share=row["qos_h_admitted_share"],
-            )
-        )
-    return Fig11Result(points=points, target_percentile=target_percentile)
-
-
-def _run_slo_point(
-    slo_us: float,
-    duration_ms: float,
-    warmup_ms: float,
-    target_percentile: float,
-    alpha: float,
-    seed: int,
-) -> Row:
-    """One SLO coordinate of the sweep, reduced to a metrics row."""
-    cfg = ClusterConfig(
-        scheme="aequitas",
-        num_hosts=3,
-        slo_high_us=slo_us,
-        slo_med_us=slo_us + 10.0,
-        target_percentile=target_percentile,
-        alpha=alpha,
-        size_dist=FixedSize(32 * 1024),
-        duration_ms=duration_ms,
-        warmup_ms=warmup_ms,
-        seed=seed,
-        traffic_fn=_three_node_traffic(),
-    )
-    result = run_cluster(cfg)
-    return {
-        "slo_us": slo_us,
-        "achieved_tail_us": result.rnl_tail_us(0),
-        "qos_h_admitted_share": result.admitted_mix().get(0, 0.0),
-        "digest": completed_rpc_digest(result.metrics),
-    }
-
-
-# ----------------------------------------------------------------------
-# Sweep interface (repro.runner)
-# ----------------------------------------------------------------------
 PROFILES = {
     # Paper-style sweep: four SLOs, run length scaling with the SLO's
-    # AIMD relaxation period (see the run() docstring).
+    # AIMD relaxation period (see the module docstring).
     "paper": {
         "slos_us": (15.0, 25.0, 40.0, 60.0),
         "duration_rule": (60.0, 3.0),  # max(60, 3*slo) ms
@@ -192,14 +100,39 @@ def sweep(profile: str = "paper") -> List[Point]:
 
 def run_point(point: Point, seed: int) -> Row:
     p = point.params
-    return _run_slo_point(
-        slo_us=p["slo_us"],
-        duration_ms=p["duration_ms"],
-        warmup_ms=p["warmup_ms"],
+    cfg = ClusterConfig(
+        scheme="aequitas",
+        num_hosts=3,
+        slo_high_us=p["slo_us"],
+        slo_med_us=p["slo_us"] + 10.0,
         target_percentile=p["target_percentile"],
         alpha=p["alpha"],
+        size_dist=FixedSize(32 * 1024),
+        duration_ms=p["duration_ms"],
+        warmup_ms=p["warmup_ms"],
         seed=seed,
+        traffic_fn=_three_node_traffic(),
     )
+    result = run_cluster(cfg)
+    return {
+        "slo_us": p["slo_us"],
+        "achieved_tail_us": result.rnl_tail_us(0),
+        "qos_h_admitted_share": result.admitted_mix().get(0, 0.0),
+        "digest": completed_rpc_digest(result.metrics),
+    }
+
+
+def table(rows: Sequence[Row]) -> str:
+    lines = [
+        "Fig 11 — achieved RNL vs QoS_h SLO (3-node, 2x persistent overload)",
+        f"{'SLO(us)':>8} {'RNL(us)':>9} {'QoSh-share(%)':>14}",
+    ]
+    for r in rows:
+        lines.append(
+            f"{r['slo_us']:8.0f} {r['achieved_tail_us']:9.1f} "
+            f"{100 * r['qos_h_admitted_share']:14.1f}"
+        )
+    return "\n".join(lines)
 
 
 def check(rows: Sequence[Row], profile: str) -> List[str]:

@@ -10,41 +10,13 @@ because fewer RPCs contend overall (Little's law).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.qos import Priority
-from repro.experiments.cluster import ClusterConfig, ClusterResult, run_cluster
+from repro.experiments.cluster import ClusterConfig, run_cluster
 from repro.rpc.sizes import FixedSize, SizeDistribution
 from repro.runner.point import Point, Row
 from repro.stats.digest import completed_rpc_digest
-
-
-@dataclass
-class Fig12Result:
-    slo_us: Dict[int, float]
-    without: Dict[int, float]  # per-QoS tail RNL (us/MTU), scheme="wfq"
-    with_aequitas: Dict[int, float]
-    without_result: ClusterResult
-    with_result: ClusterResult
-
-    def improvement(self, qos: int) -> float:
-        """Tail RNL reduction factor from enabling Aequitas."""
-        return self.without[qos] / max(self.with_aequitas[qos], 1e-9)
-
-    def table(self) -> str:
-        lines = [
-            "Fig 12 — per-QoS tail RNL (us/MTU), w/o vs w/ Aequitas",
-            f"{'QoS':>6} {'SLO':>7} {'w/o':>9} {'w/':>9} {'factor':>7}",
-        ]
-        for qos in (0, 1, 2):
-            slo = self.slo_us.get(qos)
-            lines.append(
-                f"{qos:>6} {slo if slo is not None else '-':>7} "
-                f"{self.without[qos]:9.1f} {self.with_aequitas[qos]:9.1f} "
-                f"{self.improvement(qos):7.2f}"
-            )
-        return "\n".join(lines)
 
 
 def make_config(
@@ -77,36 +49,6 @@ def make_config(
     return ClusterConfig(**params)
 
 
-def run(
-    num_hosts: int = 10,
-    duration_ms: float = 40.0,
-    warmup_ms: float = 20.0,
-    report_percentile: float = 99.9,
-    seed: int = 12,
-) -> Fig12Result:
-    results: Dict[str, ClusterResult] = {}
-    for scheme in ("wfq", "aequitas"):
-        cfg = make_config(
-            scheme, num_hosts=num_hosts, duration_ms=duration_ms,
-            warmup_ms=warmup_ms, seed=seed,
-        )
-        results[scheme] = run_cluster(cfg)
-    tails = {
-        scheme: {q: res.rnl_tail_us(q, report_percentile) for q in (0, 1, 2)}
-        for scheme, res in results.items()
-    }
-    return Fig12Result(
-        slo_us={0: 15.0, 1: 25.0},
-        without=tails["wfq"],
-        with_aequitas=tails["aequitas"],
-        without_result=results["wfq"],
-        with_result=results["aequitas"],
-    )
-
-
-# ----------------------------------------------------------------------
-# Sweep interface (repro.runner)
-# ----------------------------------------------------------------------
 PROFILES = {
     "paper": {"num_hosts": 10, "duration_ms": 40.0, "warmup_ms": 20.0},
     "fast": {"num_hosts": 6, "duration_ms": 24.0, "warmup_ms": 12.0},
@@ -140,6 +82,23 @@ def run_point(point: Point, seed: int) -> Row:
 
 def _by_scheme(rows: Sequence[Row]) -> Dict[str, Row]:
     return {r["scheme"]: r for r in rows}
+
+
+def table(rows: Sequence[Row]) -> str:
+    by = _by_scheme(rows)
+    lines = [
+        "Fig 12 — per-QoS tail RNL (us/MTU), w/o vs w/ Aequitas",
+        f"{'QoS':>6} {'SLO':>7} {'w/o':>9} {'w/':>9} {'factor':>7}",
+    ]
+    for qos in ("0", "1", "2"):
+        slo = by["aequitas"]["slo_us"].get(qos)
+        wo = by["wfq"]["tail_us"][qos]
+        w = by["aequitas"]["tail_us"][qos]
+        lines.append(
+            f"{qos:>6} {slo if slo is not None else '-':>7} "
+            f"{wo:9.1f} {w:9.1f} {wo / max(w, 1e-9):7.2f}"
+        )
+    return "\n".join(lines)
 
 
 def check(rows: Sequence[Row], profile: str) -> List[str]:

@@ -14,14 +14,14 @@ across (port, sample) pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.experiments.cluster import attach_traffic, build_cluster
 from repro.experiments.fig12 import make_config
 from repro.rpc.message import Rpc
 from repro.runner.point import Point, Row
 from repro.sim.engine import ns_from_ms, ns_from_us
-from repro.stats.summary import cdf_points, percentile
+from repro.stats.summary import percentile
 
 
 @dataclass
@@ -30,40 +30,6 @@ class OutstandingTrace:
 
     high_medium: List[int]
     low: List[int]
-
-
-@dataclass
-class Fig13Result:
-    without: OutstandingTrace
-    with_aequitas: OutstandingTrace
-
-    def tail_outstanding(self, group: str, pctl: float = 99.0) -> Tuple[float, float]:
-        """(w/o, w/) tail outstanding count for 'hm' or 'l'."""
-        if group == "hm":
-            return (
-                percentile(self.without.high_medium, pctl),
-                percentile(self.with_aequitas.high_medium, pctl),
-            )
-        return (
-            percentile(self.without.low, pctl),
-            percentile(self.with_aequitas.low, pctl),
-        )
-
-    def cdf(self, group: str, with_aequitas: bool) -> List[Tuple[float, float]]:
-        trace = self.with_aequitas if with_aequitas else self.without
-        return cdf_points(trace.high_medium if group == "hm" else trace.low)
-
-    def table(self) -> str:
-        hm = self.tail_outstanding("hm")
-        lo = self.tail_outstanding("l")
-        return "\n".join(
-            [
-                "Fig 13 — p99 outstanding RPCs per switch port",
-                f"{'group':>8} {'w/o':>8} {'w/':>8}",
-                f"{'h+m':>8} {hm[0]:8.1f} {hm[1]:8.1f}",
-                f"{'l':>8} {lo[0]:8.1f} {lo[1]:8.1f}",
-            ]
-        )
 
 
 def _run_with_tracking(
@@ -114,21 +80,6 @@ def _run_with_tracking(
     return OutstandingTrace(high_medium=samples_hm, low=samples_l)
 
 
-def run(
-    num_hosts: int = 10,
-    duration_ms: float = 40.0,
-    warmup_ms: float = 20.0,
-    sample_us: float = 100.0,
-    seed: int = 13,
-) -> Fig13Result:
-    without = _run_with_tracking("wfq", num_hosts, duration_ms, warmup_ms, sample_us, seed)
-    with_aeq = _run_with_tracking("aequitas", num_hosts, duration_ms, warmup_ms, sample_us, seed)
-    return Fig13Result(without=without, with_aequitas=with_aeq)
-
-
-# ----------------------------------------------------------------------
-# Sweep interface (repro.runner)
-# ----------------------------------------------------------------------
 PROFILES = {
     "paper": {"num_hosts": 10, "duration_ms": 40.0, "warmup_ms": 20.0},
     "fast": {"num_hosts": 6, "duration_ms": 24.0, "warmup_ms": 12.0},
@@ -159,6 +110,19 @@ def run_point(point: Point, seed: int) -> Row:
         "p99_low": percentile(trace.low, 99.0),
         "samples": len(trace.high_medium),
     }
+
+
+def table(rows: Sequence[Row]) -> str:
+    by = {r["scheme"]: r for r in rows}
+    wo, w = by["wfq"], by["aequitas"]
+    return "\n".join(
+        [
+            "Fig 13 — p99 outstanding RPCs per switch port",
+            f"{'group':>8} {'w/o':>8} {'w/':>8}",
+            f"{'h+m':>8} {wo['p99_high_medium']:8.1f} {w['p99_high_medium']:8.1f}",
+            f"{'l':>8} {wo['p99_low']:8.1f} {w['p99_low']:8.1f}",
+        ]
+    )
 
 
 def check(rows: Sequence[Row], profile: str) -> List[str]:

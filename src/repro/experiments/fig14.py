@@ -9,8 +9,7 @@ step an operator (and Figure 15) uses to pick SLO targets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.core.qos import Priority
 from repro.experiments.cluster import run_cluster
@@ -19,71 +18,6 @@ from repro.runner.point import Point, Row
 from repro.stats.digest import completed_rpc_digest
 
 
-@dataclass
-class Fig14Result:
-    rows: List[Tuple[float, float, float, float]]
-    # (qos_h_share, tail_h, tail_m, tail_l) in us/MTU
-
-    def share_at_slo(self, slo_us: float) -> float:
-        """Interpolated QoS_h share where the QoS_h tail hits the SLO."""
-        prev_share, prev_tail = self.rows[0][0], self.rows[0][1]
-        for share, tail_h, _, __ in self.rows[1:]:
-            if prev_tail <= slo_us <= tail_h:
-                if tail_h == prev_tail:
-                    return share
-                frac = (slo_us - prev_tail) / (tail_h - prev_tail)
-                return prev_share + frac * (share - prev_share)
-            prev_share, prev_tail = share, tail_h
-        return self.rows[-1][0] if self.rows[-1][1] <= slo_us else self.rows[0][0]
-
-    def table(self) -> str:
-        lines = [
-            "Fig 14 — baseline (w/o Aequitas) tail RNL vs QoS_h-share",
-            f"{'share(%)':>9} {'tail_h':>8} {'tail_m':>8} {'tail_l':>8}",
-        ]
-        for share, th, tm, tl in self.rows:
-            lines.append(f"{100 * share:9.0f} {th:8.1f} {tm:8.1f} {tl:8.1f}")
-        return "\n".join(lines)
-
-
-def run(
-    shares: Sequence[float] = (0.05, 0.15, 0.25, 0.40, 0.55, 0.70),
-    num_hosts: int = 10,
-    duration_ms: float = 15.0,
-    warmup_ms: float = 5.0,
-    report_percentile: float = 99.9,
-    seed: int = 14,
-) -> Fig14Result:
-    rows = []
-    for share in shares:
-        mix = {
-            Priority.PC: share,
-            Priority.NC: 0.25,
-            Priority.BE: max(0.0, 1.0 - share - 0.25) or 1e-6,
-        }
-        cfg = make_config(
-            "wfq",
-            num_hosts=num_hosts,
-            duration_ms=duration_ms,
-            warmup_ms=warmup_ms,
-            priority_mix=mix,
-            seed=seed,
-        )
-        result = run_cluster(cfg)
-        rows.append(
-            (
-                share,
-                result.rnl_tail_us(0, report_percentile),
-                result.rnl_tail_us(1, report_percentile),
-                result.rnl_tail_us(2, report_percentile),
-            )
-        )
-    return Fig14Result(rows=rows)
-
-
-# ----------------------------------------------------------------------
-# Sweep interface (repro.runner)
-# ----------------------------------------------------------------------
 PROFILES = {
     "paper": {
         "shares": [0.05, 0.15, 0.25, 0.40, 0.55, 0.70],
@@ -140,6 +74,35 @@ def run_point(point: Point, seed: int) -> Row:
         "tail_l_us": result.rnl_tail_us(2, 99.9),
         "digest": completed_rpc_digest(result.metrics),
     }
+
+
+def share_at_slo(rows: Sequence[Row], slo_us: float) -> float:
+    """Interpolated QoS_h share where the QoS_h tail hits the SLO: the
+    maximal admissible QoS_h traffic for that SLO."""
+    ordered = sorted(rows, key=lambda r: r["qos_h_share"])
+    points = [(r["qos_h_share"], r["tail_h_us"]) for r in ordered]
+    prev_share, prev_tail = points[0]
+    for share, tail_h in points[1:]:
+        if prev_tail <= slo_us <= tail_h:
+            if tail_h == prev_tail:
+                return share
+            frac = (slo_us - prev_tail) / (tail_h - prev_tail)
+            return prev_share + frac * (share - prev_share)
+        prev_share, prev_tail = share, tail_h
+    return points[-1][0] if points[-1][1] <= slo_us else points[0][0]
+
+
+def table(rows: Sequence[Row]) -> str:
+    lines = [
+        "Fig 14 — baseline (w/o Aequitas) tail RNL vs QoS_h-share",
+        f"{'share(%)':>9} {'tail_h':>8} {'tail_m':>8} {'tail_l':>8}",
+    ]
+    for r in rows:
+        lines.append(
+            f"{100 * r['qos_h_share']:9.0f} {r['tail_h_us']:8.1f} "
+            f"{r['tail_m_us']:8.1f} {r['tail_l_us']:8.1f}"
+        )
+    return "\n".join(lines)
 
 
 def check(rows: Sequence[Row], profile: str) -> List[str]:

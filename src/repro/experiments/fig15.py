@@ -12,8 +12,7 @@ equals the target, almost nothing is downgraded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.core.qos import Priority
 from repro.experiments.cluster import run_cluster
@@ -22,101 +21,14 @@ from repro.runner.point import Point, Row
 from repro.stats.digest import completed_rpc_digest
 
 
-@dataclass
-class Fig15Case:
-    input_mix: Tuple[float, float, float]
-    admitted_mix: Tuple[float, float, float]
-    qos_h_tail_us: float
-    downgrade_fraction: float
-
-
-@dataclass
-class Fig15Result:
-    cases: List[Fig15Case]
-    slo_high_us: float
-
-    def admitted_high_shares(self) -> List[float]:
-        return [case.admitted_mix[0] for case in self.cases]
-
-    def spread_of_admitted_high(self) -> float:
-        """Max-min of the admitted QoS_h share across input mixes —
-        small means the admitted mix is input-independent."""
-        shares = self.admitted_high_shares()
-        return max(shares) - min(shares)
-
-    def table(self) -> str:
-        lines = [
-            "Fig 15 — admitted QoS-mix vs input QoS-mix (SLO_h = "
-            f"{self.slo_high_us:g} us)",
-            f"{'input h/m/l':>16} {'admitted h/m/l':>18} {'tail_h':>7} {'downgr':>7}",
-        ]
-        for c in self.cases:
-            inp = "/".join(f"{100 * v:.0f}" for v in c.input_mix)
-            adm = "/".join(f"{100 * v:.0f}" for v in c.admitted_mix)
-            lines.append(
-                f"{inp:>16} {adm:>18} {c.qos_h_tail_us:7.1f} "
-                f"{100 * c.downgrade_fraction:6.1f}%"
-            )
-        return "\n".join(lines)
-
-
-def run(
-    input_mixes: Sequence[Tuple[float, float, float]] = (
-        (0.25, 0.25, 0.50),
-        (0.60, 0.30, 0.10),
-        (0.50, 0.30, 0.20),
-        (0.40, 0.40, 0.20),
-    ),
-    num_hosts: int = 10,
-    duration_ms: float = 40.0,
-    warmup_ms: float = 20.0,
-    slo_high_us: float = 15.0,
-    slo_med_us: float = 25.0,
-    seed: int = 15,
-) -> Fig15Result:
-    cases = []
-    for mix in input_mixes:
-        cfg = make_config(
-            "aequitas",
-            num_hosts=num_hosts,
-            duration_ms=duration_ms,
-            warmup_ms=warmup_ms,
-            priority_mix={
-                Priority.PC: mix[0],
-                Priority.NC: mix[1],
-                Priority.BE: mix[2],
-            },
-            seed=seed,
-            slo_high_us=slo_high_us,
-            slo_med_us=slo_med_us,
-        )
-        result = run_cluster(cfg)
-        admitted = result.admitted_mix()
-        total_issued = max(result.metrics.issued_count, 1)
-        cases.append(
-            Fig15Case(
-                input_mix=mix,
-                admitted_mix=(
-                    admitted.get(0, 0.0),
-                    admitted.get(1, 0.0),
-                    admitted.get(2, 0.0),
-                ),
-                qos_h_tail_us=result.rnl_tail_us(0, 99.0),
-                downgrade_fraction=result.metrics.downgrades / total_issued,
-            )
-        )
-    return Fig15Result(cases=cases, slo_high_us=slo_high_us)
-
-
-# ----------------------------------------------------------------------
-# Sweep interface (repro.runner)
-# ----------------------------------------------------------------------
 _INPUT_MIXES = (
     (0.25, 0.25, 0.50),
     (0.60, 0.30, 0.10),
     (0.50, 0.30, 0.20),
     (0.40, 0.40, 0.20),
 )
+
+_SLO_HIGH_US = 15.0
 
 PROFILES = {
     "paper": {"num_hosts": 10, "duration_ms": 40.0, "warmup_ms": 20.0},
@@ -131,7 +43,7 @@ def sweep(profile: str = "paper") -> List[Point]:
             "fig15",
             {
                 "input_mix": list(mix),
-                "slo_high_us": 15.0,
+                "slo_high_us": _SLO_HIGH_US,
                 "slo_med_us": 25.0,
                 **spec,
             },
@@ -165,12 +77,33 @@ def run_point(point: Point, seed: int) -> Row:
     }
 
 
+def admitted_spread(rows: Sequence[Row]) -> float:
+    """Max-min of the admitted QoS_h share across input mixes — small
+    means the admitted mix is input-independent."""
+    shares = [r["admitted_mix"][0] for r in rows]
+    return max(shares) - min(shares)
+
+
+def table(rows: Sequence[Row]) -> str:
+    lines = [
+        f"Fig 15 — admitted QoS-mix vs input QoS-mix (SLO_h = {_SLO_HIGH_US:g} us)",
+        f"{'input h/m/l':>16} {'admitted h/m/l':>18} {'tail_h':>7} {'downgr':>7}",
+    ]
+    for r in rows:
+        inp = "/".join(f"{100 * v:.0f}" for v in r["input_mix"])
+        adm = "/".join(f"{100 * v:.0f}" for v in r["admitted_mix"])
+        lines.append(
+            f"{inp:>16} {adm:>18} {r['qos_h_tail_us']:7.1f} "
+            f"{100 * r['downgrade_fraction']:6.1f}%"
+        )
+    return "\n".join(lines)
+
+
 def check(rows: Sequence[Row], profile: str) -> List[str]:
     """Race-to-the-top defusal: the admitted QoS_h share is (nearly)
     input-independent, and an already-admissible input is left alone."""
     failures: List[str] = []
-    shares = [r["admitted_mix"][0] for r in rows]
-    spread = max(shares) - min(shares)
+    spread = admitted_spread(rows)
     if spread > 0.25:
         failures.append(
             f"fig15: admitted QoS_h share spread {spread:.2f} across input "

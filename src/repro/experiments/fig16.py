@@ -9,8 +9,7 @@ plus the fit's relative error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.experiments.cluster import run_cluster
 from repro.experiments.fig12 import make_config
@@ -18,57 +17,6 @@ from repro.runner.point import Point, Row
 from repro.stats.digest import completed_rpc_digest
 
 
-@dataclass
-class Fig16Result:
-    rows: List[Tuple[float, float]]  # (rho, admitted QoS_h share)
-    fit_c: float
-
-    def fit_error(self) -> float:
-        """Mean relative deviation of the shares from the C/rho curve."""
-        errs = [
-            abs(share - self.fit_c / rho) / share for rho, share in self.rows if share > 0
-        ]
-        return sum(errs) / len(errs) if errs else float("nan")
-
-    def table(self) -> str:
-        lines = [
-            "Fig 16 — admitted QoS_h share vs burst load rho",
-            f"{'rho':>5} {'share(%)':>9} {'C/rho(%)':>9}",
-        ]
-        for rho, share in self.rows:
-            lines.append(f"{rho:5.1f} {100 * share:9.1f} {100 * self.fit_c / rho:9.1f}")
-        lines.append(f"fitted C = {self.fit_c:.3f}, mean rel. error = {self.fit_error():.1%}")
-        return "\n".join(lines)
-
-
-def run(
-    rhos: Sequence[float] = (1.4, 1.6, 1.8, 2.0, 2.2),
-    num_hosts: int = 8,
-    duration_ms: float = 30.0,
-    warmup_ms: float = 15.0,
-    seed: int = 16,
-) -> Fig16Result:
-    rows = []
-    for rho in rhos:
-        cfg = make_config(
-            "aequitas",
-            num_hosts=num_hosts,
-            duration_ms=duration_ms,
-            warmup_ms=warmup_ms,
-            seed=seed,
-            rho=rho,
-        )
-        result = run_cluster(cfg)
-        rows.append((rho, result.admitted_mix().get(0, 0.0)))
-    # Least squares for share ~ C / rho:  C = sum(s/rho) / sum(1/rho^2).
-    num = sum(share / rho for rho, share in rows)
-    den = sum(1.0 / rho**2 for rho, _ in rows)
-    return Fig16Result(rows=rows, fit_c=num / den)
-
-
-# ----------------------------------------------------------------------
-# Sweep interface (repro.runner)
-# ----------------------------------------------------------------------
 PROFILES = {
     "paper": {
         "rhos": [1.4, 1.6, 1.8, 2.0, 2.2],
@@ -117,6 +65,39 @@ def run_point(point: Point, seed: int) -> Row:
         "admitted_qos_h_share": result.admitted_mix().get(0, 0.0),
         "digest": completed_rpc_digest(result.metrics),
     }
+
+
+def fit_c(rows: Sequence[Row]) -> float:
+    """Least-squares C for share ~ C / rho: sum(s/rho) / sum(1/rho^2)."""
+    num = sum(r["admitted_qos_h_share"] / r["rho"] for r in rows)
+    den = sum(1.0 / r["rho"] ** 2 for r in rows)
+    return num / den
+
+
+def fit_error(rows: Sequence[Row]) -> float:
+    """Mean relative deviation of the shares from the C/rho curve."""
+    c = fit_c(rows)
+    errs = [
+        abs(r["admitted_qos_h_share"] - c / r["rho"]) / r["admitted_qos_h_share"]
+        for r in rows
+        if r["admitted_qos_h_share"] > 0
+    ]
+    return sum(errs) / len(errs) if errs else float("nan")
+
+
+def table(rows: Sequence[Row]) -> str:
+    c = fit_c(rows)
+    lines = [
+        "Fig 16 — admitted QoS_h share vs burst load rho",
+        f"{'rho':>5} {'share(%)':>9} {'C/rho(%)':>9}",
+    ]
+    for r in rows:
+        lines.append(
+            f"{r['rho']:5.1f} {100 * r['admitted_qos_h_share']:9.1f} "
+            f"{100 * c / r['rho']:9.1f}"
+        )
+    lines.append(f"fitted C = {c:.3f}, mean rel. error = {fit_error(rows):.1%}")
+    return "\n".join(lines)
 
 
 def check(rows: Sequence[Row], profile: str) -> List[str]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.convergence import convergence_time_ns, steady_value
 from repro.core.qos import Priority
@@ -85,21 +85,20 @@ class FairnessResult:
             times.append(t)
         return max(times) / 1e6
 
-    def table(self) -> str:
+    def summary(self) -> Row:
+        """Both channels' settled figures: a fig17 row minus its digest,
+        which :func:`table` prints."""
         a, b = self.channel_a, self.channel_b
-        conv = self.convergence_ms()
-        return "\n".join(
-            [
-                f"Fairness run (alpha={self.alpha}, beta={self.beta})",
-                f"{'channel':>8} {'QoSh-req':>9} {'p_admit':>8} {'goodput(Gbps)':>14}",
-                f"{'A':>8} {100 * a.qos_h_fraction:8.0f}% {a.steady_p_admit():8.2f} "
-                f"{a.steady_goodput_gbps():14.1f}",
-                f"{'B':>8} {100 * b.qos_h_fraction:8.0f}% {b.steady_p_admit():8.2f} "
-                f"{b.steady_goodput_gbps():14.1f}",
-                f"throughput gap = {self.throughput_gap():.1%}, "
-                f"convergence ~ {conv if conv is None else round(conv, 1)} ms",
-            ]
-        )
+        return {
+            "share_a": a.qos_h_fraction,
+            "share_b": b.qos_h_fraction,
+            "p_admit_a": a.steady_p_admit(),
+            "p_admit_b": b.steady_p_admit(),
+            "goodput_a_gbps": a.steady_goodput_gbps(),
+            "goodput_b_gbps": b.steady_goodput_gbps(),
+            "throughput_gap": self.throughput_gap(),
+            "convergence_ms": self.convergence_ms(),
+        }
 
 
 def run_two_channels(
@@ -179,18 +178,13 @@ def run_two_channels(
     )
 
 
-def run(**kwargs: Any) -> FairnessResult:
-    """Figure 17 defaults: 40% vs 80% QoS_h demand."""
-    return run_two_channels(**kwargs)
-
-
-# ----------------------------------------------------------------------
-# Sweep interface (repro.runner)
-# ----------------------------------------------------------------------
 PROFILES = {
     "paper": {"duration_ms": 100.0},
     "fast": {"duration_ms": 50.0},
 }
+
+
+_ALPHA, _BETA = 0.05, 0.01
 
 
 def sweep(profile: str = "paper") -> List[Point]:
@@ -201,8 +195,8 @@ def sweep(profile: str = "paper") -> List[Point]:
             {
                 "share_a": 0.4,
                 "share_b": 0.8,
-                "alpha": 0.05,
-                "beta": 0.01,
+                "alpha": _ALPHA,
+                "beta": _BETA,
                 "duration_ms": spec["duration_ms"],
             },
         )
@@ -219,18 +213,31 @@ def run_point(point: Point, seed: int) -> Row:
         duration_ms=p["duration_ms"],
         seed=seed,
     )
-    conv = result.convergence_ms()
-    return {
-        "share_a": p["share_a"],
-        "share_b": p["share_b"],
-        "p_admit_a": result.channel_a.steady_p_admit(),
-        "p_admit_b": result.channel_b.steady_p_admit(),
-        "goodput_a_gbps": result.channel_a.steady_goodput_gbps(),
-        "goodput_b_gbps": result.channel_b.steady_goodput_gbps(),
-        "throughput_gap": result.throughput_gap(),
-        "convergence_ms": conv,
-        "digest": completed_rpc_digest(result.metrics),
-    }
+    return {**result.summary(), "digest": completed_rpc_digest(result.metrics)}
+
+
+def channel_lines(row: Row) -> List[str]:
+    """Header plus one line per channel: QoS_h demand, settled admit
+    probability and goodput."""
+    return [
+        f"{'channel':>8} {'QoSh-req':>9} {'p_admit':>8} {'goodput(Gbps)':>14}",
+        f"{'A':>8} {100 * row['share_a']:8.0f}% {row['p_admit_a']:8.2f} "
+        f"{row['goodput_a_gbps']:14.1f}",
+        f"{'B':>8} {100 * row['share_b']:8.0f}% {row['p_admit_b']:8.2f} "
+        f"{row['goodput_b_gbps']:14.1f}",
+    ]
+
+
+def table(rows: Sequence[Row]) -> str:
+    lines = [f"Fairness run (alpha={_ALPHA}, beta={_BETA})"]
+    for r in rows:
+        conv = r["convergence_ms"]
+        lines += channel_lines(r)
+        lines.append(
+            f"throughput gap = {r['throughput_gap']:.1%}, "
+            f"convergence ~ {conv if conv is None else round(conv, 1)} ms"
+        )
+    return "\n".join(lines)
 
 
 def check(rows: Sequence[Row], profile: str) -> List[str]:

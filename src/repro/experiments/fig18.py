@@ -9,36 +9,12 @@ than equal division.
 
 from __future__ import annotations
 
-from typing import Any, List, Sequence
+from typing import List, Sequence
 
-from repro.experiments.fig17 import FairnessResult, run_two_channels
+from repro.experiments.fig17 import channel_lines, run_two_channels
 from repro.runner.point import Point, Row
 from repro.stats.digest import completed_rpc_digest
 
-
-def run(
-    share_a: float = 0.1,
-    share_b: float = 0.8,
-    alpha: float = 0.05,
-    beta: float = 0.01,
-    duration_ms: float = 60.0,
-    seed: int = 18,
-    **kwargs: Any,
-) -> FairnessResult:
-    return run_two_channels(
-        share_a=share_a,
-        share_b=share_b,
-        alpha=alpha,
-        beta=beta,
-        duration_ms=duration_ms,
-        seed=seed,
-        **kwargs,
-    )
-
-
-# ----------------------------------------------------------------------
-# Sweep interface (repro.runner)
-# ----------------------------------------------------------------------
 PROFILES = {
     "paper": {"duration_ms": 60.0},
     "fast": {"duration_ms": 40.0},
@@ -63,7 +39,7 @@ def sweep(profile: str = "paper") -> List[Point]:
 
 def run_point(point: Point, seed: int) -> Row:
     p = point.params
-    result = run(
+    result = run_two_channels(
         share_a=p["share_a"],
         share_b=p["share_b"],
         alpha=p["alpha"],
@@ -81,6 +57,16 @@ def run_point(point: Point, seed: int) -> Row:
         "goodput_b_gbps": result.channel_b.steady_goodput_gbps(),
         "digest": completed_rpc_digest(result.metrics),
     }
+
+
+def table(rows: Sequence[Row]) -> str:
+    lines = ["Fig 18 — in-quota channel vs a heavy one"]
+    for r in rows:
+        lines += channel_lines(r)
+        lines.append(
+            f"Channel A p1(p_admit) = {r['p_admit_a_p1']:.2f} (paper: 0.82)"
+        )
+    return "\n".join(lines)
 
 
 def check(rows: Sequence[Row], profile: str) -> List[str]:

@@ -9,7 +9,6 @@ Aequitas downgrades the excess, keeping both SLO classes predictable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.core.qos import Priority
@@ -19,80 +18,6 @@ from repro.runner.point import Point, Row
 from repro.stats.digest import completed_rpc_digest
 
 
-@dataclass
-class Fig19Row:
-    qos_h_share: float
-    aequitas_h_us: float
-    aequitas_m_us: float
-    spq_h_us: float
-    spq_m_us: float
-
-
-@dataclass
-class Fig19Result:
-    rows: List[Fig19Row]
-    slo_h_us: float
-    slo_m_us: float
-
-    def table(self) -> str:
-        lines = [
-            "Fig 19 — Aequitas vs SPQ as QoS_h-share grows (tail RNL, us/MTU)",
-            f"{'share(%)':>9} {'aeq_h':>7} {'aeq_m':>7} {'spq_h':>7} {'spq_m':>7}",
-        ]
-        for r in self.rows:
-            lines.append(
-                f"{100 * r.qos_h_share:9.0f} {r.aequitas_h_us:7.1f} "
-                f"{r.aequitas_m_us:7.1f} {r.spq_h_us:7.1f} {r.spq_m_us:7.1f}"
-            )
-        lines.append(f"SLOs: QoS_h {self.slo_h_us:g} us, QoS_m {self.slo_m_us:g} us")
-        return "\n".join(lines)
-
-
-def run(
-    shares: Sequence[float] = (0.5, 0.6, 0.7, 0.8),
-    num_hosts: int = 8,
-    duration_ms: float = 30.0,
-    warmup_ms: float = 15.0,
-    report_percentile: float = 99.9,
-    seed: int = 19,
-) -> Fig19Result:
-    rows = []
-    for share in shares:
-        mix = {
-            Priority.PC: share,
-            Priority.NC: 0.2,
-            Priority.BE: max(1.0 - share - 0.2, 1e-6),
-        }
-        tails = {}
-        for scheme in ("aequitas", "spq"):
-            cfg = make_config(
-                scheme,
-                num_hosts=num_hosts,
-                duration_ms=duration_ms,
-                warmup_ms=warmup_ms,
-                priority_mix=mix,
-                seed=seed,
-            )
-            result = run_cluster(cfg)
-            tails[scheme] = (
-                result.rnl_tail_us(0, report_percentile),
-                result.rnl_tail_us(1, report_percentile),
-            )
-        rows.append(
-            Fig19Row(
-                qos_h_share=share,
-                aequitas_h_us=tails["aequitas"][0],
-                aequitas_m_us=tails["aequitas"][1],
-                spq_h_us=tails["spq"][0],
-                spq_m_us=tails["spq"][1],
-            )
-        )
-    return Fig19Result(rows=rows, slo_h_us=15.0, slo_m_us=25.0)
-
-
-# ----------------------------------------------------------------------
-# Sweep interface (repro.runner)
-# ----------------------------------------------------------------------
 PROFILES = {
     "paper": {
         "shares": [0.5, 0.6, 0.7, 0.8],
@@ -151,6 +76,23 @@ def run_point(point: Point, seed: int) -> Row:
         "tail_m_us": result.rnl_tail_us(1, 99.9),
         "digest": completed_rpc_digest(result.metrics),
     }
+
+
+def table(rows: Sequence[Row]) -> str:
+    lines = [
+        "Fig 19 — Aequitas vs SPQ as QoS_h-share grows (tail RNL, us/MTU)",
+        f"{'share(%)':>9} {'aeq_h':>7} {'aeq_m':>7} {'spq_h':>7} {'spq_m':>7}",
+    ]
+    shares = sorted({r["qos_h_share"] for r in rows})
+    for share in shares:
+        by = {r["scheme"]: r for r in rows if r["qos_h_share"] == share}
+        aeq, spq = by["aequitas"], by["spq"]
+        lines.append(
+            f"{100 * share:9.0f} {aeq['tail_h_us']:7.1f} {aeq['tail_m_us']:7.1f} "
+            f"{spq['tail_h_us']:7.1f} {spq['tail_m_us']:7.1f}"
+        )
+    lines.append("SLOs: QoS_h 15 us, QoS_m 25 us")
+    return "\n".join(lines)
 
 
 def check(rows: Sequence[Row], profile: str) -> List[str]:

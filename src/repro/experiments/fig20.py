@@ -11,10 +11,9 @@ class, with and without Aequitas.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
-from repro.experiments.cluster import ClusterConfig, ClusterResult, run_cluster
+from repro.experiments.cluster import ClusterConfig, run_cluster
 from repro.experiments.fig12 import make_config
 from repro.rpc.sizes import FixedSize
 from repro.rpc.stack import RpcStack
@@ -49,84 +48,6 @@ def _mixed_size_traffic(
         )
 
 
-@dataclass
-class Fig20Result:
-    # tails[scheme][size_label][qos] = normalized tail RNL in us/MTU;
-    # size_label in ("total", "32KB", "64KB").
-    tails: Dict[str, Dict[str, Dict[int, float]]]
-    slo_h_us: float
-    slo_m_us: float
-
-    def table(self) -> str:
-        lines = [
-            "Fig 20 — normalized tail RNL (us/MTU) with mixed 32/64 KB RPCs",
-            f"{'slice':>7} {'scheme':>9} {'qos_h':>7} {'qos_m':>7} {'qos_l':>8}",
-        ]
-        for size_label in ("total", "32KB", "64KB"):
-            for scheme in ("wfq", "aequitas"):
-                t = self.tails[scheme][size_label]
-                lines.append(
-                    f"{size_label:>7} {scheme:>9} {t[0]:7.1f} {t[1]:7.1f} {t[2]:8.1f}"
-                )
-        lines.append(f"SLOs: {self.slo_h_us:g}/{self.slo_m_us:g} us per MTU")
-        return "\n".join(lines)
-
-
-def _run_scheme(
-    scheme: str,
-    num_hosts: int,
-    duration_ms: float,
-    warmup_ms: float,
-    report_percentile: float,
-    seed: int,
-) -> Tuple[Dict[str, Dict[int, float]], ClusterResult]:
-    """One scheme's run, reduced to per-(size-slice, QoS) tails."""
-    cfg = make_config(
-        scheme,
-        num_hosts=num_hosts,
-        duration_ms=duration_ms,
-        warmup_ms=warmup_ms,
-        seed=seed,
-        traffic_fn=_mixed_size_traffic,
-    )
-    result = run_cluster(cfg)
-    warm = result.warmup_ns
-    by_slice: Dict[str, Dict[int, float]] = {}
-    for label, selector in (
-        ("total", lambda rpc: True),
-        ("32KB", lambda rpc: rpc.payload_bytes == _SIZES[0]),
-        ("64KB", lambda rpc: rpc.payload_bytes == _SIZES[1]),
-    ):
-        per_qos = {}
-        for qos in (0, 1, 2):
-            samples = [
-                rpc.rnl_ns / rpc.size_mtus
-                for rpc in result.metrics.completed
-                if rpc.qos_run == qos and rpc.issued_ns >= warm and selector(rpc)
-            ]
-            per_qos[qos] = percentile(samples, report_percentile) / 1000.0
-        by_slice[label] = per_qos
-    return by_slice, result
-
-
-def run(
-    num_hosts: int = 8,
-    duration_ms: float = 30.0,
-    warmup_ms: float = 15.0,
-    report_percentile: float = 99.9,
-    seed: int = 20,
-) -> Fig20Result:
-    tails: Dict[str, Dict[str, Dict[int, float]]] = {}
-    for scheme in ("wfq", "aequitas"):
-        tails[scheme], _ = _run_scheme(
-            scheme, num_hosts, duration_ms, warmup_ms, report_percentile, seed
-        )
-    return Fig20Result(tails=tails, slo_h_us=15.0, slo_m_us=25.0)
-
-
-# ----------------------------------------------------------------------
-# Sweep interface (repro.runner)
-# ----------------------------------------------------------------------
 PROFILES = {
     "paper": {"num_hosts": 8, "duration_ms": 30.0, "warmup_ms": 15.0},
     "fast": {"num_hosts": 6, "duration_ms": 20.0, "warmup_ms": 10.0},
@@ -141,18 +62,54 @@ def sweep(profile: str = "paper") -> List[Point]:
 
 
 def run_point(point: Point, seed: int) -> Row:
+    """One scheme's run, reduced to per-(size-slice, QoS) tails."""
     p = point.params
-    by_slice, result = _run_scheme(
-        p["scheme"], p["num_hosts"], p["duration_ms"], p["warmup_ms"], 99.9, seed
+    cfg = make_config(
+        p["scheme"],
+        num_hosts=p["num_hosts"],
+        duration_ms=p["duration_ms"],
+        warmup_ms=p["warmup_ms"],
+        seed=seed,
+        traffic_fn=_mixed_size_traffic,
     )
+    result = run_cluster(cfg)
+    warm = result.warmup_ns
+    tails: Dict[str, Dict[str, float]] = {}
+    for label, selector in (
+        ("total", lambda rpc: True),
+        ("32KB", lambda rpc: rpc.payload_bytes == _SIZES[0]),
+        ("64KB", lambda rpc: rpc.payload_bytes == _SIZES[1]),
+    ):
+        per_qos = {}
+        for qos in (0, 1, 2):
+            samples = [
+                rpc.rnl_ns / rpc.size_mtus
+                for rpc in result.metrics.completed
+                if rpc.qos_run == qos and rpc.issued_ns >= warm and selector(rpc)
+            ]
+            per_qos[str(qos)] = percentile(samples, 99.9) / 1000.0
+        tails[label] = per_qos
     return {
         "scheme": p["scheme"],
-        "tails_us": {
-            label: {str(q): v for q, v in per_qos.items()}
-            for label, per_qos in by_slice.items()
-        },
+        "tails_us": tails,
         "digest": completed_rpc_digest(result.metrics),
     }
+
+
+def table(rows: Sequence[Row]) -> str:
+    by = {r["scheme"]: r for r in rows}
+    lines = [
+        "Fig 20 — normalized tail RNL (us/MTU) with mixed 32/64 KB RPCs",
+        f"{'slice':>7} {'scheme':>9} {'qos_h':>7} {'qos_m':>7} {'qos_l':>8}",
+    ]
+    for size_label in ("total", "32KB", "64KB"):
+        for scheme in ("wfq", "aequitas"):
+            t = by[scheme]["tails_us"][size_label]
+            lines.append(
+                f"{size_label:>7} {scheme:>9} {t['0']:7.1f} {t['1']:7.1f} {t['2']:8.1f}"
+            )
+    lines.append("SLOs: 15/25 us per MTU")
+    return "\n".join(lines)
 
 
 def check(rows: Sequence[Row], profile: str) -> List[str]:

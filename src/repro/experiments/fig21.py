@@ -17,11 +17,10 @@ shift toward the scavenger class — are preserved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.core.qos import Priority
-from repro.experiments.cluster import ClusterResult, run_cluster
+from repro.experiments.cluster import run_cluster
 from repro.experiments.fig12 import make_config
 from repro.rpc.sizes import production_mixture
 from repro.rpc.workload import byte_mix_to_rpc_mix
@@ -29,83 +28,6 @@ from repro.runner.point import Point, Row
 from repro.stats.digest import completed_rpc_digest
 
 
-@dataclass
-class Fig21Result:
-    without_tails: Dict[int, float]  # us/MTU at the report percentile
-    with_tails: Dict[int, float]
-    without_mix: Tuple[float, float, float]
-    with_mix: Tuple[float, float, float]
-    slo_h_us: float
-    slo_m_us: float
-
-    def improvement(self, qos: int) -> float:
-        return self.without_tails[qos] / max(self.with_tails[qos], 1e-9)
-
-    def table(self) -> str:
-        lines = [
-            "Fig 21 — production sizes under extreme overload",
-            f"{'QoS':>5} {'w/o':>9} {'w/':>9} {'factor':>7}",
-        ]
-        for qos in (0, 1, 2):
-            lines.append(
-                f"{qos:>5} {self.without_tails[qos]:9.1f} "
-                f"{self.with_tails[qos]:9.1f} {self.improvement(qos):7.1f}"
-            )
-        wo = "/".join(f"{100 * v:.0f}" for v in self.without_mix)
-        w = "/".join(f"{100 * v:.0f}" for v in self.with_mix)
-        lines.append(f"QoS-mix w/o: {wo}   w/: {w}")
-        return "\n".join(lines)
-
-
-def run(
-    num_hosts: int = 12,
-    burst_rho: float = 4.0,
-    mu: float = 0.6,
-    duration_ms: float = 40.0,
-    warmup_ms: float = 20.0,
-    slo_h_us: float = 20.0,
-    slo_m_us: float = 30.0,
-    report_percentile: float = 99.9,
-    seed: int = 21,
-) -> Fig21Result:
-    sizes = production_mixture()
-    byte_mix = {Priority.PC: 0.6, Priority.NC: 0.3, Priority.BE: 0.1}
-    results = {}
-    for scheme in ("wfq", "aequitas"):
-        cfg = make_config(
-            scheme,
-            num_hosts=num_hosts,
-            duration_ms=duration_ms,
-            warmup_ms=warmup_ms,
-            size_dist=sizes,
-            priority_mix=byte_mix_to_rpc_mix(byte_mix, sizes),
-            seed=seed,
-            rho=burst_rho,
-            mu=mu,
-            slo_high_us=slo_h_us,
-            slo_med_us=slo_m_us,
-        )
-        results[scheme] = run_cluster(cfg)
-
-    def mix_of(res: ClusterResult) -> Tuple[float, float, float]:
-        mix = res.admitted_mix()
-        return (mix.get(0, 0.0), mix.get(1, 0.0), mix.get(2, 0.0))
-
-    return Fig21Result(
-        without_tails={q: results["wfq"].rnl_tail_us(q, report_percentile) for q in (0, 1, 2)},
-        with_tails={
-            q: results["aequitas"].rnl_tail_us(q, report_percentile) for q in (0, 1, 2)
-        },
-        without_mix=mix_of(results["wfq"]),
-        with_mix=mix_of(results["aequitas"]),
-        slo_h_us=slo_h_us,
-        slo_m_us=slo_m_us,
-    )
-
-
-# ----------------------------------------------------------------------
-# Sweep interface (repro.runner)
-# ----------------------------------------------------------------------
 PROFILES = {
     "paper": {
         "num_hosts": 12,
@@ -162,6 +84,28 @@ def run_point(point: Point, seed: int) -> Row:
     }
 
 
+def improvement(by: Dict[str, Row], qos: str) -> float:
+    """Tail RNL reduction factor from enabling Aequitas, rows by scheme."""
+    return by["wfq"]["tail_us"][qos] / max(by["aequitas"]["tail_us"][qos], 1e-9)
+
+
+def table(rows: Sequence[Row]) -> str:
+    by = {r["scheme"]: r for r in rows}
+    lines = [
+        "Fig 21 — production sizes under extreme overload",
+        f"{'QoS':>5} {'w/o':>9} {'w/':>9} {'factor':>7}",
+    ]
+    for qos in ("0", "1", "2"):
+        lines.append(
+            f"{qos:>5} {by['wfq']['tail_us'][qos]:9.1f} "
+            f"{by['aequitas']['tail_us'][qos]:9.1f} {improvement(by, qos):7.1f}"
+        )
+    wo = "/".join(f"{100 * v:.0f}" for v in by["wfq"]["admitted_mix"])
+    w = "/".join(f"{100 * v:.0f}" for v in by["aequitas"]["admitted_mix"])
+    lines.append(f"QoS-mix w/o: {wo}   w/: {w}")
+    return "\n".join(lines)
+
+
 def check(rows: Sequence[Row], profile: str) -> List[str]:
     """Extreme-overload shape: large QoS_h tail improvement and a mix
     shift toward the scavenger class."""
@@ -169,10 +113,10 @@ def check(rows: Sequence[Row], profile: str) -> List[str]:
     if set(by) != {"wfq", "aequitas"}:
         return [f"fig21: expected wfq+aequitas rows, got {sorted(by)}"]
     failures: List[str] = []
-    improvement = by["wfq"]["tail_us"]["0"] / max(by["aequitas"]["tail_us"]["0"], 1e-9)
-    if not improvement > 1.5:
+    factor = improvement(by, "0")
+    if not factor > 1.5:
         failures.append(
-            f"fig21: QoS_h tail improvement factor {improvement:.1f}x "
+            f"fig21: QoS_h tail improvement factor {factor:.1f}x "
             "(expected > 1.5x under extreme overload)"
         )
     if not by["aequitas"]["admitted_mix"][2] > by["wfq"]["admitted_mix"][2]:

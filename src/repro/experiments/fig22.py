@@ -13,11 +13,10 @@ size distributions, input QoS-mix 50/30/20.  Three metrics per scheme:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.core.qos import Priority
-from repro.experiments.cluster import ClusterResult, run_cluster
+from repro.experiments.cluster import run_cluster
 from repro.experiments.fig12 import make_config
 from repro.rpc.sizes import production_mixture
 from repro.rpc.workload import byte_mix_to_rpc_mix
@@ -27,105 +26,6 @@ from repro.stats.digest import completed_rpc_digest
 COMPARED_SCHEMES = ("aequitas", "pfabric", "qjump", "d3", "pdq", "homa")
 
 
-@dataclass
-class SchemeOutcome:
-    scheme: str
-    slo_met_h: float
-    utilization: float
-    tails_us: Dict[int, float]  # absolute tail RNL per QoS, us
-    terminated: int
-
-
-@dataclass
-class Fig22Result:
-    outcomes: List[SchemeOutcome]
-
-    def outcome(self, scheme: str) -> SchemeOutcome:
-        for o in self.outcomes:
-            if o.scheme == scheme:
-                return o
-        raise KeyError(scheme)
-
-    def ranked_by_slo_met(self) -> List[str]:
-        return [
-            o.scheme
-            for o in sorted(self.outcomes, key=lambda o: o.slo_met_h, reverse=True)
-        ]
-
-    def table(self) -> str:
-        lines = [
-            "Fig 22 — related-work comparison (production sizes, 50/30/20 mix)",
-            f"{'scheme':>9} {'SLOmet_h':>9} {'util':>6} {'tail_h':>8} {'tail_m':>8} {'tail_l':>9}",
-        ]
-        for o in self.outcomes:
-            lines.append(
-                f"{o.scheme:>9} {100 * o.slo_met_h:8.1f}% {100 * o.utilization:5.1f}% "
-                f"{o.tails_us[0]:8.0f} {o.tails_us[1]:8.0f} {o.tails_us[2]:9.0f}"
-            )
-        return "\n".join(lines)
-
-
-def _run_scheme(
-    scheme: str,
-    num_hosts: int,
-    duration_ms: float,
-    warmup_ms: float,
-    report_percentile: float,
-    seed: int,
-) -> Tuple["SchemeOutcome", ClusterResult]:
-    """One scheme's run on the shared comparison workload."""
-    sizes = production_mixture()
-    overrides = {}
-    if scheme == "aequitas":
-        # Laptop-scaled AIMD so admission converges within the run
-        # (the paper's constants need seconds; see DESIGN.md).
-        overrides = dict(alpha=0.05, target_percentile=99.0)
-    cfg = make_config(
-        scheme,
-        num_hosts=num_hosts,
-        duration_ms=duration_ms,
-        warmup_ms=warmup_ms,
-        size_dist=sizes,
-        priority_mix=byte_mix_to_rpc_mix(
-            {Priority.PC: 0.5, Priority.NC: 0.3, Priority.BE: 0.2}, sizes
-        ),
-        seed=seed,
-        **overrides,
-    )
-    result = run_cluster(cfg)
-    outcome = SchemeOutcome(
-        scheme=scheme,
-        slo_met_h=result.slo_met_fraction(0),
-        utilization=result.goodput_fraction(),
-        tails_us={
-            q: result.rnl_tail_us(q, report_percentile, normalized=False)
-            for q in (0, 1, 2)
-        },
-        terminated=result.metrics.terminated,
-    )
-    return outcome, result
-
-
-def run(
-    schemes: Sequence[str] = COMPARED_SCHEMES,
-    num_hosts: int = 6,
-    duration_ms: float = 15.0,
-    warmup_ms: float = 6.0,
-    report_percentile: float = 99.9,
-    seed: int = 22,
-) -> Fig22Result:
-    outcomes = []
-    for scheme in schemes:
-        outcome, _ = _run_scheme(
-            scheme, num_hosts, duration_ms, warmup_ms, report_percentile, seed
-        )
-        outcomes.append(outcome)
-    return Fig22Result(outcomes=outcomes)
-
-
-# ----------------------------------------------------------------------
-# Sweep interface (repro.runner)
-# ----------------------------------------------------------------------
 PROFILES = {
     "paper": {"num_hosts": 6, "duration_ms": 15.0, "warmup_ms": 6.0},
     "fast": {"num_hosts": 5, "duration_ms": 10.0, "warmup_ms": 4.0},
@@ -140,18 +40,52 @@ def sweep(profile: str = "paper") -> List[Point]:
 
 
 def run_point(point: Point, seed: int) -> Row:
+    """One scheme's run on the shared comparison workload."""
     p = point.params
-    outcome, result = _run_scheme(
-        p["scheme"], p["num_hosts"], p["duration_ms"], p["warmup_ms"], 99.9, seed
+    scheme = p["scheme"]
+    sizes = production_mixture()
+    overrides = {}
+    if scheme == "aequitas":
+        # Laptop-scaled AIMD so admission converges within the run
+        # (the paper's constants need seconds; see DESIGN.md).
+        overrides = dict(alpha=0.05, target_percentile=99.0)
+    cfg = make_config(
+        scheme,
+        num_hosts=p["num_hosts"],
+        duration_ms=p["duration_ms"],
+        warmup_ms=p["warmup_ms"],
+        size_dist=sizes,
+        priority_mix=byte_mix_to_rpc_mix(
+            {Priority.PC: 0.5, Priority.NC: 0.3, Priority.BE: 0.2}, sizes
+        ),
+        seed=seed,
+        **overrides,
     )
+    result = run_cluster(cfg)
     return {
-        "scheme": outcome.scheme,
-        "slo_met_h": outcome.slo_met_h,
-        "utilization": outcome.utilization,
-        "tails_us": {str(q): v for q, v in outcome.tails_us.items()},
-        "terminated": outcome.terminated,
+        "scheme": scheme,
+        "slo_met_h": result.slo_met_fraction(0),
+        "utilization": result.goodput_fraction(),
+        "tails_us": {
+            str(q): result.rnl_tail_us(q, 99.9, normalized=False) for q in (0, 1, 2)
+        },
+        "terminated": result.metrics.terminated,
         "digest": completed_rpc_digest(result.metrics),
     }
+
+
+def table(rows: Sequence[Row]) -> str:
+    lines = [
+        "Fig 22 — related-work comparison (production sizes, 50/30/20 mix)",
+        f"{'scheme':>9} {'SLOmet_h':>9} {'util':>6} {'tail_h':>8} {'tail_m':>8} {'tail_l':>9}",
+    ]
+    for r in rows:
+        t = r["tails_us"]
+        lines.append(
+            f"{r['scheme']:>9} {100 * r['slo_met_h']:8.1f}% {100 * r['utilization']:5.1f}% "
+            f"{t['0']:8.0f} {t['1']:8.0f} {t['2']:9.0f}"
+        )
+    return "\n".join(lines)
 
 
 def check(rows: Sequence[Row], profile: str) -> List[str]:

@@ -15,89 +15,16 @@ same code path as the prototype's).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.core.qos import Priority
-from repro.experiments.cluster import ClusterResult, run_cluster
+from repro.experiments.cluster import run_cluster
 from repro.experiments.fig12 import make_config
 from repro.rpc.sizes import FixedSize
 from repro.runner.point import Point, Row
 from repro.stats.digest import completed_rpc_digest
 
 
-@dataclass
-class Fig23Result:
-    # Normalized tail RNL per QoS (relative to the reference run).
-    without_norm: Dict[int, float]
-    with_norm: Dict[int, float]
-    without_mix: Tuple[float, float, float]
-    with_mix: Tuple[float, float, float]
-    target_mix: Tuple[float, float, float]
-
-    def table(self) -> str:
-        lines = [
-            "Fig 23 — simulated testbed: normalized tail RNL and QoS-mix",
-            f"{'QoS':>5} {'w/o':>7} {'w/':>7}",
-        ]
-        for qos in (0, 1, 2):
-            lines.append(
-                f"{qos:>5} {self.without_norm[qos]:7.1f} {self.with_norm[qos]:7.1f}"
-            )
-        wo = "/".join(f"{100 * v:.0f}" for v in self.without_mix)
-        w = "/".join(f"{100 * v:.0f}" for v in self.with_mix)
-        tgt = "/".join(f"{100 * v:.0f}" for v in self.target_mix)
-        lines.append(f"mix w/o: {wo}  w/: {w}  target: {tgt}")
-        return "\n".join(lines)
-
-
-def run(
-    num_hosts: int = 10,
-    duration_ms: float = 30.0,
-    warmup_ms: float = 15.0,
-    report_percentile: float = 99.9,
-    seed: int = 23,
-) -> Fig23Result:
-    input_mix = {Priority.PC: 0.5, Priority.NC: 0.35, Priority.BE: 0.15}
-    target_mix = {Priority.PC: 0.2, Priority.NC: 0.3, Priority.BE: 0.5}
-
-    def tails(res: ClusterResult) -> Dict[int, float]:
-        return {q: res.rnl_tail_us(q, report_percentile) for q in (0, 1, 2)}
-
-    def mix_of(res: ClusterResult) -> Tuple[float, float, float]:
-        mix = res.admitted_mix()
-        return (mix.get(0, 0.0), mix.get(1, 0.0), mix.get(2, 0.0))
-
-    common: Dict[str, Any] = dict(
-        num_hosts=num_hosts,
-        duration_ms=duration_ms,
-        warmup_ms=warmup_ms,
-        size_dist=FixedSize(32 * 1024),
-        seed=seed,
-    )
-    reference = run_cluster(
-        make_config("wfq", priority_mix=target_mix, **common)
-    )
-    without = run_cluster(make_config("wfq", priority_mix=input_mix, **common))
-    with_aeq = run_cluster(make_config("aequitas", priority_mix=input_mix, **common))
-
-    ref_tails = tails(reference)
-    return Fig23Result(
-        without_norm={
-            q: tails(without)[q] / max(ref_tails[q], 1e-9) for q in (0, 1, 2)
-        },
-        with_norm={
-            q: tails(with_aeq)[q] / max(ref_tails[q], 1e-9) for q in (0, 1, 2)
-        },
-        without_mix=mix_of(without),
-        with_mix=mix_of(with_aeq),
-        target_mix=(0.2, 0.3, 0.5),
-    )
-
-
-# ----------------------------------------------------------------------
-# Sweep interface (repro.runner)
-# ----------------------------------------------------------------------
 # Each point is one of the figure's three runs; the reference run (input
 # mix = target mix, no admission) supplies the normalization baseline.
 _ROLES = (
@@ -145,6 +72,36 @@ def run_point(point: Point, seed: int) -> Row:
     }
 
 
+def normalized_tails(by: Dict[str, Row], role: str) -> Dict[str, float]:
+    """A role's per-QoS tail RNL relative to the reference run's."""
+    return {
+        q: tail / max(by["reference"]["tail_us"][q], 1e-9)
+        for q, tail in by[role]["tail_us"].items()
+    }
+
+
+def table(rows: Sequence[Row]) -> str:
+    by = {r["role"]: r for r in rows}
+    wo_norm = normalized_tails(by, "without")
+    w_norm = normalized_tails(by, "with")
+    lines = [
+        "Fig 23 — simulated testbed: normalized tail RNL and QoS-mix",
+        f"{'QoS':>5} {'w/o':>7} {'w/':>7}",
+    ]
+    for qos in ("0", "1", "2"):
+        lines.append(f"{qos:>5} {wo_norm[qos]:7.1f} {w_norm[qos]:7.1f}")
+    wo, w, tgt = (
+        "/".join(f"{100 * v:.0f}" for v in mix)
+        for mix in (
+            by["without"]["admitted_mix"],
+            by["with"]["admitted_mix"],
+            _ROLES[0][2],
+        )
+    )
+    lines.append(f"mix w/o: {wo}  w/: {w}  target: {tgt}")
+    return "\n".join(lines)
+
+
 def check(rows: Sequence[Row], profile: str) -> List[str]:
     """Testbed shape: Aequitas pulls the normalized QoS_h tail toward
     the reference run's level."""
@@ -152,9 +109,8 @@ def check(rows: Sequence[Row], profile: str) -> List[str]:
     if set(by) != {"reference", "without", "with"}:
         return [f"fig23: expected reference/without/with rows, got {sorted(by)}"]
     failures: List[str] = []
-    ref = max(by["reference"]["tail_us"]["0"], 1e-9)
-    wo_norm = by["without"]["tail_us"]["0"] / ref
-    w_norm = by["with"]["tail_us"]["0"] / ref
+    wo_norm = normalized_tails(by, "without")["0"]
+    w_norm = normalized_tails(by, "with")["0"]
     if not w_norm < wo_norm:
         failures.append(
             f"fig23: normalized QoS_h tail did not improve "

@@ -20,7 +20,6 @@ rollout pacing is an operational artifact, not a system property.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.core.qos import Priority
@@ -79,51 +78,6 @@ def misalignment_fraction(mapper: MisalignedMapper) -> float:
     return total / len(mapper.table)
 
 
-@dataclass
-class ClusterOutcome:
-    cluster_id: int
-    misalignment_before: float
-    pc_tail_before_us: float
-    pc_tail_after_us: float
-
-    @property
-    def rnl_change_pct(self) -> float:
-        """Negative = improvement, as in the paper's right panel."""
-        return 100.0 * (self.pc_tail_after_us - self.pc_tail_before_us) / max(
-            self.pc_tail_before_us, 1e-9
-        )
-
-
-@dataclass
-class Fig24Result:
-    clusters: List[ClusterOutcome]
-    rollout_weeks: List[Tuple[int, float]]  # (week, fleet misalignment %)
-
-    def mean_rnl_change_pct(self) -> float:
-        return sum(c.rnl_change_pct for c in self.clusters) / len(self.clusters)
-
-    def best_improvement_pct(self) -> float:
-        return min(c.rnl_change_pct for c in self.clusters)
-
-    def table(self) -> str:
-        lines = [
-            "Fig 24 — Phase-1 alignment across a simulated cluster ensemble",
-            f"{'cluster':>8} {'misalign':>9} {'before':>8} {'after':>8} {'change':>8}",
-        ]
-        for c in self.clusters:
-            lines.append(
-                f"{c.cluster_id:>8} {100 * c.misalignment_before:8.0f}% "
-                f"{c.pc_tail_before_us:8.1f} {c.pc_tail_after_us:8.1f} "
-                f"{c.rnl_change_pct:+7.1f}%"
-            )
-        lines.append(
-            f"mean 99p PC-RNL change: {self.mean_rnl_change_pct():+.1f}% "
-            f"(best {self.best_improvement_pct():+.1f}%)"
-        )
-        lines.append("rollout: " + ", ".join(f"wk{w}={m:.0f}%" for w, m in self.rollout_weeks))
-        return "\n".join(lines)
-
-
 def _pc_tail(result: ClusterResult, pctl: float) -> float:
     samples = [
         rpc.rnl_ns / rpc.size_mtus
@@ -131,56 +85,6 @@ def _pc_tail(result: ClusterResult, pctl: float) -> float:
         if rpc.priority == Priority.PC and rpc.issued_ns >= result.warmup_ns
     ]
     return percentile(samples, pctl) / 1000.0
-
-
-def run(
-    num_clusters: int = 6,
-    num_hosts: int = 6,
-    duration_ms: float = 15.0,
-    warmup_ms: float = 5.0,
-    report_percentile: float = 99.0,
-    seed: int = 24,
-) -> Fig24Result:
-    clusters = []
-    for cid in range(num_clusters):
-        rng = random.Random(seed * 1009 + cid)
-        mapper = make_misaligned_mapper(rng)
-        mix = {Priority.PC: 0.35, Priority.NC: 0.35, Priority.BE: 0.30}
-        outcomes = {}
-        for phase, qos_mapper in (("before", mapper), ("after", None)):
-            cfg = make_config(
-                "wfq",
-                num_hosts=num_hosts,
-                duration_ms=duration_ms,
-                warmup_ms=warmup_ms,
-                priority_mix=mix,
-                size_dist=FixedSize(32 * 1024),
-                seed=seed * 31 + cid,
-            )
-            result = run_cluster(cfg) if qos_mapper is None else _run_misaligned(
-                cfg, qos_mapper
-            )
-            outcomes[phase] = _pc_tail(result, report_percentile)
-        clusters.append(
-            ClusterOutcome(
-                cluster_id=cid,
-                misalignment_before=misalignment_fraction(mapper),
-                pc_tail_before_us=outcomes["before"],
-                pc_tail_after_us=outcomes["after"],
-            )
-        )
-    # Staged rollout: clusters flip to aligned in weekly waves.
-    weeks = []
-    for week in range(6):
-        flipped = min(len(clusters), round(len(clusters) * week / 5.0))
-        remaining = clusters[flipped:]
-        fleet = (
-            100.0 * sum(c.misalignment_before for c in remaining) / len(clusters)
-            if remaining
-            else 0.0
-        )
-        weeks.append((week, fleet))
-    return Fig24Result(clusters=clusters, rollout_weeks=weeks)
 
 
 def _run_misaligned(cfg: ClusterConfig, qos_mapper: MisalignedMapper) -> ClusterResult:
@@ -195,9 +99,6 @@ def _run_misaligned(cfg: ClusterConfig, qos_mapper: MisalignedMapper) -> Cluster
     return result
 
 
-# ----------------------------------------------------------------------
-# Sweep interface (repro.runner)
-# ----------------------------------------------------------------------
 # One point per ensemble member: each runs its cluster twice
 # (misaligned, then Phase-1 aligned) and reports the PC-tail change.
 PROFILES = {
@@ -265,6 +166,44 @@ def run_point(point: Point, seed: int) -> Row:
     }
 
 
+def mean_change_pct(rows: Sequence[Row]) -> float:
+    """Ensemble-mean change of the PC 99p RNL (negative = improvement)."""
+    return sum(r["rnl_change_pct"] for r in rows) / len(rows)
+
+
+def rollout_weeks(rows: Sequence[Row]) -> List[Tuple[int, float]]:
+    """(week, fleet misalignment %) of a staged rollout in which the
+    clusters flip to aligned in weekly waves over five weeks."""
+    weeks = []
+    for week in range(6):
+        flipped = min(len(rows), round(len(rows) * week / 5.0))
+        remaining = rows[flipped:]
+        fleet = 100.0 * sum(r["misalignment_before"] for r in remaining) / len(rows)
+        weeks.append((week, fleet))
+    return weeks
+
+
+def table(rows: Sequence[Row]) -> str:
+    lines = [
+        "Fig 24 — Phase-1 alignment across a simulated cluster ensemble",
+        f"{'cluster':>8} {'misalign':>9} {'before':>8} {'after':>8} {'change':>8}",
+    ]
+    for r in rows:
+        lines.append(
+            f"{r['cluster_id']:>8} {100 * r['misalignment_before']:8.0f}% "
+            f"{r['pc_tail_before_us']:8.1f} {r['pc_tail_after_us']:8.1f} "
+            f"{r['rnl_change_pct']:+7.1f}%"
+        )
+    best = min(r["rnl_change_pct"] for r in rows)
+    lines.append(
+        f"mean 99p PC-RNL change: {mean_change_pct(rows):+.1f}% (best {best:+.1f}%)"
+    )
+    lines.append(
+        "rollout: " + ", ".join(f"wk{w}={m:.0f}%" for w, m in rollout_weeks(rows))
+    )
+    return "\n".join(lines)
+
+
 def check(rows: Sequence[Row], profile: str) -> List[str]:
     """Phase-1 shape: alignment alone helps — the best cluster improves
     clearly and the ensemble does not regress on average."""
@@ -275,7 +214,7 @@ def check(rows: Sequence[Row], profile: str) -> List[str]:
             f"fig24: no cluster improved from alignment (changes: "
             f"{', '.join(f'{c:+.1f}%' for c in changes)})"
         )
-    mean = sum(changes) / len(changes)
+    mean = mean_change_pct(rows)
     if mean > 10.0:
         failures.append(
             f"fig24: ensemble regressed {mean:+.1f}% on average after alignment"

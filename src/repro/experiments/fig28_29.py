@@ -11,78 +11,11 @@ values and report the stability and compliance metrics side by side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence
 
-from repro.experiments.fig17 import FairnessResult, run_two_channels
+from repro.experiments.fig17 import run_two_channels
 from repro.runner.point import Point, Row
 
-
-@dataclass
-class SensitivityCase:
-    beta: float
-    scenario: str  # "fig17" (40/80) or "fig18" (10/80)
-    result: FairnessResult
-
-    def p1_channel_a(self) -> float:
-        """1st-percentile of Channel A's admit probability (post-warmup)."""
-        import numpy as np
-
-        warm = self.result.channel_a.p_admit[len(self.result.channel_a.p_admit) // 3:]
-        return float(np.percentile([v for _, v in warm], 1.0))
-
-    def stability_std(self) -> float:
-        import numpy as np
-
-        warm = self.result.channel_a.p_admit[len(self.result.channel_a.p_admit) // 3:]
-        return float(np.std([v for _, v in warm]))
-
-
-@dataclass
-class SensitivityResult:
-    cases: List[SensitivityCase]
-
-    def case(self, scenario: str, beta: float) -> SensitivityCase:
-        for c in self.cases:
-            if c.scenario == scenario and abs(c.beta - beta) < 1e-12:
-                return c
-        raise KeyError((scenario, beta))
-
-    def table(self) -> str:
-        lines = [
-            "Figs 28/29 — beta sensitivity (Channel A admit probability)",
-            f"{'scenario':>9} {'beta':>8} {'p1(p_admit_A)':>14} {'std':>7} {'tput gap':>9}",
-        ]
-        for c in self.cases:
-            lines.append(
-                f"{c.scenario:>9} {c.beta:8.4f} {c.p1_channel_a():14.2f} "
-                f"{c.stability_std():7.3f} {c.result.throughput_gap():8.1%}"
-            )
-        return "\n".join(lines)
-
-
-def run(
-    betas: Sequence[float] = (0.01, 0.0015),
-    duration_ms: float = 60.0,
-    seed: int = 28,
-) -> SensitivityResult:
-    cases = []
-    for beta in betas:
-        for scenario, (a, b) in (("fig17", (0.4, 0.8)), ("fig18", (0.1, 0.8))):
-            result = run_two_channels(
-                share_a=a,
-                share_b=b,
-                beta=beta,
-                duration_ms=duration_ms,
-                seed=seed,
-            )
-            cases.append(SensitivityCase(beta=beta, scenario=scenario, result=result))
-    return SensitivityResult(cases=cases)
-
-
-# ----------------------------------------------------------------------
-# Sweep interface (repro.runner)
-# ----------------------------------------------------------------------
 _SCENARIOS = {"fig17": (0.4, 0.8), "fig18": (0.1, 0.8)}
 _BETAS = (0.01, 0.0015)
 
@@ -105,6 +38,8 @@ def sweep(profile: str = "paper") -> List[Point]:
 
 
 def run_point(point: Point, seed: int) -> Row:
+    import numpy as np
+
     p = point.params
     share_a, share_b = _SCENARIOS[p["scenario"]]
     result = run_two_channels(
@@ -114,14 +49,29 @@ def run_point(point: Point, seed: int) -> Row:
         duration_ms=p["duration_ms"],
         seed=seed,
     )
-    case = SensitivityCase(beta=p["beta"], scenario=p["scenario"], result=result)
+    # Channel A's admit probability past the first third (warmup).
+    trace = result.channel_a.p_admit
+    settled = [v for _, v in trace[len(trace) // 3:]]
     return {
         "beta": p["beta"],
         "scenario": p["scenario"],
-        "p1_admit_a": case.p1_channel_a(),
-        "stability_std": case.stability_std(),
+        "p1_admit_a": float(np.percentile(settled, 1.0)),
+        "stability_std": float(np.std(settled)),
         "throughput_gap": result.throughput_gap(),
     }
+
+
+def table(rows: Sequence[Row]) -> str:
+    lines = [
+        "Figs 28/29 — beta sensitivity (Channel A admit probability)",
+        f"{'scenario':>9} {'beta':>8} {'p1(p_admit_A)':>14} {'std':>7} {'tput gap':>9}",
+    ]
+    for r in rows:
+        lines.append(
+            f"{r['scenario']:>9} {r['beta']:8.4f} {r['p1_admit_a']:14.2f} "
+            f"{r['stability_std']:7.3f} {r['throughput_gap']:8.1%}"
+        )
+    return "\n".join(lines)
 
 
 def check(rows: Sequence[Row], profile: str) -> List[str]:

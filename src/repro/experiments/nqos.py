@@ -13,8 +13,7 @@ N = 3.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, List, Sequence
 
 from repro.analysis.fluid import simulate_fluid
 from repro.runner.point import Point, Row
@@ -31,42 +30,45 @@ from repro.transport.reliable import TransportConfig, TransportEndpoint
 from repro.transport.swift import SwiftCC, SwiftParams
 
 FIVE_QOS_WEIGHTS = (16, 8, 4, 2, 1)
+#: Per-MTU SLO targets (us) of the four SLO-carrying classes.
+SLO_TARGETS_US = {0: 10.0, 1: 15.0, 2: 25.0, 3: 40.0}
 
 
-@dataclass
-class NQosResult:
-    weights: Tuple[int, ...]
-    slo_us: Dict[int, float]
-    tails_us: Dict[int, float]
-    admitted_mix: Dict[int, float]
-    fluid_delays: List[float]
+def _roll_mapper(
+    offered: Sequence[float], rng: random.Random
+) -> Callable[[Rpc], int]:
+    def mapper(rpc: Rpc) -> int:
+        roll = rng.random()
+        acc = 0.0
+        for level, frac in enumerate(offered):
+            acc += frac
+            if roll < acc:
+                return level
+        return len(offered) - 1
 
-    def table(self) -> str:
-        lines = [
-            f"N-QoS experiment — weights {self.weights}",
-            f"{'QoS':>4} {'SLO(us)':>8} {'tail(us)':>9} {'share':>7}",
-        ]
-        for qos in range(len(self.weights)):
-            slo = self.slo_us.get(qos)
-            lines.append(
-                f"{qos:>4} {slo if slo is not None else '-':>8} "
-                f"{self.tails_us.get(qos, float('nan')):9.1f} "
-                f"{self.admitted_mix.get(qos, 0.0):6.1%}"
-            )
-        return "\n".join(lines)
+    return mapper
 
 
-def run(
-    num_hosts: int = 4,
-    duration_ms: float = 25.0,
-    warmup_ms: float = 12.0,
-    seed: int = 55,
-) -> NQosResult:
+PROFILES = {
+    "paper": {"num_hosts": 4, "duration_ms": 25.0, "warmup_ms": 12.0},
+    "fast": {"num_hosts": 4, "duration_ms": 15.0, "warmup_ms": 7.0},
+}
+
+
+def sweep(profile: str = "paper") -> List[Point]:
+    return [Point("nqos", dict(PROFILES[profile]))]
+
+
+def run_point(point: Point, seed: int) -> Row:
+    p = point.params
+    num_hosts = p["num_hosts"]
     weights = FIVE_QOS_WEIGHTS
     qos_config = QoSConfig(weights)
-    slo_targets = {0: 10.0, 1: 15.0, 2: 25.0, 3: 40.0}
     slo_map = SLOMap(
-        {q: SLO(ns_from_us(t), target_percentile=99.0) for q, t in slo_targets.items()},
+        {
+            q: SLO(ns_from_us(t), target_percentile=99.0)
+            for q, t in SLO_TARGETS_US.items()
+        },
         qos_config,
     )
 
@@ -92,7 +94,7 @@ def run(
     offered = (0.35, 0.25, 0.2, 0.1, 0.1)
     rng = random.Random(seed)
     size = FixedSize(32 * 1024)
-    stop_ns = ns_from_ms(duration_ms)
+    stop_ns = ns_from_ms(p["duration_ms"])
 
     def issue_loop(stack: RpcStack, dsts: List[int]) -> None:
         def issue_one() -> None:
@@ -117,63 +119,36 @@ def run(
 
     sim.run(until=stop_ns)
 
-    warm = ns_from_ms(warmup_ms)
-    tails = {
-        q: percentile(metrics.normalized_rnl_ns(q, since_ns=warm), 99.0) / 1000.0
-        for q in range(len(weights))
-    }
+    warm = ns_from_ms(p["warmup_ms"])
     fluid = simulate_fluid(list(offered), weights, mu=0.9, rho=1.2)
-    return NQosResult(
-        weights=weights,
-        slo_us=slo_targets,
-        tails_us=tails,
-        admitted_mix=metrics.admitted_mix(since_ns=warm),
-        fluid_delays=fluid.delays,
-    )
-
-
-def _roll_mapper(
-    offered: Sequence[float], rng: random.Random
-) -> Callable[[Rpc], int]:
-    def mapper(rpc: Rpc) -> int:
-        roll = rng.random()
-        acc = 0.0
-        for level, frac in enumerate(offered):
-            acc += frac
-            if roll < acc:
-                return level
-        return len(offered) - 1
-
-    return mapper
-
-
-# ----------------------------------------------------------------------
-# Sweep interface (repro.runner)
-# ----------------------------------------------------------------------
-PROFILES = {
-    "paper": {"num_hosts": 4, "duration_ms": 25.0, "warmup_ms": 12.0},
-    "fast": {"num_hosts": 4, "duration_ms": 15.0, "warmup_ms": 7.0},
-}
-
-
-def sweep(profile: str = "paper") -> List[Point]:
-    return [Point("nqos", dict(PROFILES[profile]))]
-
-
-def run_point(point: Point, seed: int) -> Row:
-    p = point.params
-    result = run(
-        num_hosts=p["num_hosts"],
-        duration_ms=p["duration_ms"],
-        warmup_ms=p["warmup_ms"],
-        seed=seed,
-    )
     return {
-        "weights": list(result.weights),
-        "tails_us": {str(q): v for q, v in result.tails_us.items()},
-        "admitted_mix": {str(q): v for q, v in result.admitted_mix.items()},
-        "fluid_delays": list(result.fluid_delays),
+        "weights": list(weights),
+        "tails_us": {
+            str(q): percentile(metrics.normalized_rnl_ns(q, since_ns=warm), 99.0)
+            / 1000.0
+            for q in range(len(weights))
+        },
+        "admitted_mix": {
+            str(q): v for q, v in metrics.admitted_mix(since_ns=warm).items()
+        },
+        "fluid_delays": list(fluid.delays),
     }
+
+
+def table(rows: Sequence[Row]) -> str:
+    (row,) = rows
+    lines = [
+        f"N-QoS experiment — weights {tuple(row['weights'])}",
+        f"{'QoS':>4} {'SLO(us)':>8} {'tail(us)':>9} {'share':>7}",
+    ]
+    for qos in range(len(row["weights"])):
+        slo = SLO_TARGETS_US.get(qos)
+        lines.append(
+            f"{qos:>4} {slo if slo is not None else '-':>8} "
+            f"{row['tails_us'].get(str(qos), float('nan')):9.1f} "
+            f"{row['admitted_mix'].get(str(qos), 0.0):6.1%}"
+        )
+    return "\n".join(lines)
 
 
 def check(rows: Sequence[Row], profile: str) -> List[str]:

@@ -10,9 +10,15 @@ structure through a common interface —
 * ``sweep(profile) -> list[Point]`` — the points, in report order;
 * ``run_point(point, seed) -> dict`` — run one point to a
   JSON-serializable metrics row;
-* ``check(rows, profile) -> list[str]`` — optional lightweight shape
-  assertions (who wins, where the crossover falls, SLO tracked);
-  an empty list means the figure's shape regressed nowhere.
+* ``check(rows, profile) -> list[str]`` — lightweight shape assertions
+  (who wins, where the crossover falls, SLO tracked); an empty list
+  means the figure's shape regressed nowhere;
+* ``table(rows) -> str`` — the rows as the paper reports them, which
+  the bare ``python -m repro <figure>`` and the paper-vs-measured
+  benches print.
+
+All five are required: :func:`~repro.runner.registry.driver_for`
+refuses a module that lacks one.
 
 On top of that interface this package provides :func:`run_experiment`:
 it shards the points across a ``multiprocessing`` worker pool with a

@@ -277,14 +277,12 @@ def run_experiment(
             traced_run.registry,
         )
 
-    failures: List[str] = []
-    if hasattr(driver, "check"):
-        # Series-aware drivers take check(rows, profile, series=None);
-        # older two-argument drivers keep working unchanged.
-        if "series" in inspect.signature(driver.check).parameters:
-            failures = list(driver.check(rows, profile, series=series_doc))
-        else:
-            failures = list(driver.check(rows, profile))
+    # Series-aware drivers take check(rows, profile, series=None); the
+    # others take two arguments.
+    if "series" in inspect.signature(driver.check).parameters:
+        failures = list(driver.check(rows, profile, series=series_doc))
+    else:
+        failures = list(driver.check(rows, profile))
 
     wall_s = time.perf_counter() - start
     doc = {

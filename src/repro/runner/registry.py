@@ -1,7 +1,7 @@
 """Experiment registry: figure name -> driver module.
 
 A driver is any module exposing the sweep interface (``PROFILES``,
-``sweep``, ``run_point``, and optionally ``check``); this module maps
+``sweep``, ``run_point``, ``check`` and ``table``); this module maps
 the user-facing figure names onto them and validates both the name and
 the requested profile with actionable error messages instead of
 tracebacks.
@@ -35,7 +35,7 @@ FIGURE_MODULES: Dict[str, str] = {
     "nqos": "repro.experiments.nqos",
 }
 
-_REQUIRED_ATTRS = ("PROFILES", "sweep", "run_point")
+_REQUIRED_ATTRS = ("PROFILES", "sweep", "run_point", "check", "table")
 
 
 class UnknownExperimentError(ValueError):

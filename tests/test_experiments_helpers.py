@@ -5,43 +5,40 @@ import random
 import pytest
 
 from repro.core.qos import Priority
-from repro.experiments.fig14 import Fig14Result
-from repro.experiments.fig15 import Fig15Case, Fig15Result
-from repro.experiments.fig16 import Fig16Result
+from repro.experiments import fig14, fig15, fig16
 from repro.experiments.fig24 import make_misaligned_mapper, misalignment_fraction
 from repro.rpc.message import Rpc
 
 
 def test_fig14_share_at_slo_interpolates():
-    rows = [(0.1, 5.0, 6.0, 30.0), (0.3, 15.0, 20.0, 60.0), (0.5, 35.0, 40.0, 90.0)]
-    result = Fig14Result(rows=rows)
-    assert result.share_at_slo(5.0) == pytest.approx(0.1)
-    assert result.share_at_slo(10.0) == pytest.approx(0.2)
-    assert result.share_at_slo(15.0) == pytest.approx(0.3)
-    assert result.share_at_slo(25.0) == pytest.approx(0.4)
+    rows = [
+        {"qos_h_share": share, "tail_h_us": tail}
+        for share, tail in ((0.1, 5.0), (0.3, 15.0), (0.5, 35.0))
+    ]
+    assert fig14.share_at_slo(rows, 5.0) == pytest.approx(0.1)
+    assert fig14.share_at_slo(rows, 10.0) == pytest.approx(0.2)
+    assert fig14.share_at_slo(rows, 15.0) == pytest.approx(0.3)
+    assert fig14.share_at_slo(rows, 25.0) == pytest.approx(0.4)
     # Above all measured tails: the last swept share.
-    assert result.share_at_slo(100.0) == pytest.approx(0.5)
+    assert fig14.share_at_slo(rows, 100.0) == pytest.approx(0.5)
 
 
 def test_fig15_spread_metric():
-    cases = [
-        Fig15Case((0.25, 0.25, 0.5), (0.30, 0.25, 0.45), 10.0, 0.0),
-        Fig15Case((0.60, 0.30, 0.1), (0.34, 0.28, 0.38), 11.0, 0.2),
+    rows = [
+        {"input_mix": [0.25, 0.25, 0.5], "admitted_mix": [0.30, 0.25, 0.45]},
+        {"input_mix": [0.60, 0.30, 0.1], "admitted_mix": [0.34, 0.28, 0.38]},
     ]
-    result = Fig15Result(cases=cases, slo_high_us=15.0)
-    assert result.admitted_high_shares() == [0.30, 0.34]
-    assert result.spread_of_admitted_high() == pytest.approx(0.04)
+    assert fig15.admitted_spread(rows) == pytest.approx(0.04)
 
 
 def test_fig16_fit_is_least_squares():
     # Perfect C/rho data: the fit recovers C exactly, error ~0.
     c = 0.45
-    rows = [(rho, c / rho) for rho in (1.4, 1.6, 1.8, 2.0)]
-    num = sum(share / rho for rho, share in rows)
-    den = sum(1.0 / rho**2 for rho, _ in rows)
-    fit = num / den
-    assert fit == pytest.approx(c)
-    assert Fig16Result(rows=rows, fit_c=fit).fit_error() < 1e-12
+    rows = [
+        {"rho": rho, "admitted_qos_h_share": c / rho} for rho in (1.4, 1.6, 1.8, 2.0)
+    ]
+    assert fig16.fit_c(rows) == pytest.approx(c)
+    assert fig16.fit_error(rows) < 1e-12
 
 
 def test_fig24_mapper_shapes():

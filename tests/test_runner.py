@@ -7,6 +7,8 @@ and the worker-pool / cache / resume behaviors stay cheap to exercise.
 
 import hashlib
 import re
+import sys
+import types
 from dataclasses import replace
 from pathlib import Path
 
@@ -171,10 +173,25 @@ def test_all_registered_drivers_expose_the_sweep_interface():
 
     for name in available_experiments():
         driver = driver_for(name)
+        assert callable(driver.check) and callable(driver.table), name
         for profile in driver.PROFILES:
             points = driver.sweep(profile)
             assert points, f"{name}/{profile}: empty sweep"
             assert all(p.experiment == name for p in points)
+
+
+def test_driver_without_table_is_refused(monkeypatch):
+    from repro.runner import registry
+
+    stub = types.ModuleType("stub_driver")
+    stub.PROFILES = {"fast": {}}
+    stub.sweep = lambda profile="fast": []
+    stub.run_point = lambda point, seed: {}
+    stub.check = lambda rows, profile: []
+    monkeypatch.setitem(sys.modules, "stub_driver", stub)
+    monkeypatch.setitem(registry.FIGURE_MODULES, "stub", "stub_driver")
+    with pytest.raises(TypeError, match="missing table"):
+        driver_for("stub")
 
 
 def test_second_run_is_served_from_cache(tmp_path):
