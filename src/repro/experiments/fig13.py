@@ -49,13 +49,13 @@ def _run_with_tracking(
     outstanding_l: Dict[int, int] = {h: 0 for h in range(num_hosts)}
 
     def on_issue(rpc: Rpc) -> None:
-        if rpc.qos_run in (0, 1):
+        if rpc.qos in (0, 1):
             outstanding_hm[rpc.dst] += 1
         else:
             outstanding_l[rpc.dst] += 1
 
     def on_complete(rpc: Rpc) -> None:
-        if rpc.qos_run in (0, 1):
+        if rpc.qos in (0, 1):
             outstanding_hm[rpc.dst] -= 1
         else:
             outstanding_l[rpc.dst] -= 1

@@ -85,7 +85,7 @@ def run_point(point: Point, seed: int) -> Row:
             samples = [
                 rpc.rnl_ns / rpc.size_mtus
                 for rpc in result.metrics.completed
-                if rpc.qos_run == qos and rpc.issued_ns >= warm and selector(rpc)
+                if rpc.qos == qos and rpc.created_ns >= warm and selector(rpc)
             ]
             per_qos[str(qos)] = percentile(samples, 99.9) / 1000.0
         tails[label] = per_qos

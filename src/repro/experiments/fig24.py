@@ -82,7 +82,7 @@ def _pc_tail(result: ClusterResult, pctl: float) -> float:
     samples = [
         rpc.rnl_ns / rpc.size_mtus
         for rpc in result.metrics.completed
-        if rpc.priority == Priority.PC and rpc.issued_ns >= result.warmup_ns
+        if rpc.priority == Priority.PC and rpc.created_ns >= result.warmup_ns
     ]
     return percentile(samples, pctl) / 1000.0
 

@@ -122,8 +122,8 @@ class QueueSpan:
     """One packet's residency in one egress scheduler.
 
     ``rpc_id`` is the causal link to the owning RPC span (0 when the
-    packet carries no message — pure control traffic — or the tracer
-    never saw the RPC issue).
+    packet belongs to no RPC span: pure control traffic, a bare
+    transport message, or an RPC the tracer never saw issue).
     """
 
     node: str
@@ -272,9 +272,10 @@ class Tracer:
         #: Lifecycle hooks for RPCs the tracer never saw issue (it was
         #: activated mid-run).  Counted, not silently dropped.
         self.spans_dropped: int = 0
-        # Causal joins: message id -> owning RPC id, and the RPC whose
-        # completion is currently driving AIMD adjustments.
-        self._msg_rpc: Dict[int, int] = {}
+        # The RPC whose completion is currently driving AIMD
+        # adjustments (the other causal join, packet -> RPC, needs no
+        # state: an RPC is its transport message, so a packet's msg_id
+        # is its RPC's id — see _rpc_of).
         self._completing_rpc_id: int = 0
 
     # ------------------------------------------------------------------
@@ -283,31 +284,21 @@ class Tracer:
     def on_rpc_issued(self, rpc: "Rpc") -> None:
         """Open a span at issue time, after the admission decision."""
         qos_requested = rpc.qos_requested if rpc.qos_requested is not None else 0
-        qos_run = rpc.qos_run if rpc.qos_run is not None else qos_requested
-        self._rpc_spans[rpc.rpc_id] = RpcSpan(
-            rpc_id=rpc.rpc_id,
+        qos_run = rpc.qos if rpc.qos is not None else qos_requested
+        self._rpc_spans[rpc.msg_id] = RpcSpan(
+            rpc_id=rpc.msg_id,
             src=rpc.src,
             dst=rpc.dst,
             qos_requested=qos_requested,
             qos_run=qos_run,
             downgraded=rpc.downgraded,
-            issued_ns=rpc.issued_ns,
+            issued_ns=rpc.created_ns,
             payload_bytes=rpc.payload_bytes,
             size_mtus=rpc.size_mtus,
         )
 
-    def on_rpc_message(self, rpc_id: int, msg_id: int) -> None:
-        """Bind a transport message to its owning RPC.
-
-        ``Rpc.rpc_id`` and ``Message.msg_id`` are independent counters;
-        this is the one place the two namespaces meet, and it is what
-        lets packet-level spans (queue, tx, drop, retransmit) resolve
-        back to the RPC whose critical path they sit on.
-        """
-        self._msg_rpc[msg_id] = rpc_id
-
     def on_rpc_completed(self, rpc: "Rpc", slo_met: Optional[bool]) -> None:
-        span = self._rpc_spans.get(rpc.rpc_id)
+        span = self._rpc_spans.get(rpc.msg_id)
         if span is None:  # issued before the tracer was activated
             self.spans_dropped += 1
             return
@@ -316,7 +307,7 @@ class Tracer:
         span.slo_met = slo_met
 
     def on_rpc_terminated(self, rpc: "Rpc") -> None:
-        span = self._rpc_spans.get(rpc.rpc_id)
+        span = self._rpc_spans.get(rpc.msg_id)
         if span is None:
             self.spans_dropped += 1
             return
@@ -328,6 +319,14 @@ class Tracer:
 
     def end_rpc_completion(self) -> None:
         self._completing_rpc_id = 0
+
+    def _rpc_of(self, msg_id: int) -> int:
+        """The RPC a packet of message ``msg_id`` belongs to, or 0.
+
+        ``Rpc.rpc_id`` *is* ``Message.msg_id`` (one counter), so the id
+        resolves when it has an RPC span; a bare transport message, or
+        an RPC issued before the tracer was active, resolves to 0."""
+        return msg_id if msg_id in self._rpc_spans else 0
 
     # ------------------------------------------------------------------
     # Queueing and transmission (called by repro.net.link / queues)
@@ -345,7 +344,7 @@ class Tracer:
                 dequeued_ns=now_ns,
                 size_bytes=pkt.size_bytes,
                 kind=int(pkt.kind),
-                rpc_id=self._msg_rpc.get(pkt.msg_id, 0),
+                rpc_id=self._rpc_of(pkt.msg_id),
             )
         )
 
@@ -357,7 +356,7 @@ class Tracer:
                 start_ns=now_ns,
                 duration_ns=tx_ns,
                 size_bytes=pkt.size_bytes,
-                rpc_id=self._msg_rpc.get(pkt.msg_id, 0),
+                rpc_id=self._rpc_of(pkt.msg_id),
             )
         )
 
@@ -369,7 +368,7 @@ class Tracer:
                 time_ns=now_ns,
                 size_bytes=pkt.size_bytes,
                 reason=reason,
-                rpc_id=self._msg_rpc.get(pkt.msg_id, 0),
+                rpc_id=self._rpc_of(pkt.msg_id),
             )
         )
 
@@ -408,7 +407,7 @@ class Tracer:
                 flow=flow,
                 seq=seq,
                 msg_id=msg_id,
-                rpc_id=self._msg_rpc.get(msg_id, 0),
+                rpc_id=self._rpc_of(msg_id),
             )
         )
 

@@ -34,8 +34,8 @@ def completed_rpc_digest(metrics: "MetricsCollector") -> Dict[str, Any]:
     rnl_sum = 0
     by_qos: Dict[Any, int] = {}
     for rpc in metrics.completed:
-        rnl_sum += rpc.rnl_ns or 0
-        by_qos[rpc.qos_run] = by_qos.get(rpc.qos_run, 0) + 1
+        rnl_sum += rpc.rnl_ns
+        by_qos[rpc.qos] = by_qos.get(rpc.qos, 0) + 1
     return {
         "issued": metrics.issued_count,
         "completed": len(metrics.completed),

@@ -12,13 +12,27 @@ congestion-control backoff.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.net.packet import MTU_BYTES, mtus_for_bytes
 
 
+class NotCompletedError(AttributeError, RuntimeError):
+    """``rnl_ns`` read before the message completed.
+
+    A :class:`RuntimeError` for callers, and an :class:`AttributeError`
+    so ``hasattr``, ``getattr`` with a default, ``copy`` and ``pickle``
+    treat the unset slot as exactly that.
+    """
+
+
 class Message:
     """One transport message (an RPC payload in one direction).
+
+    The RPC stack hands the transport :class:`repro.rpc.message.Rpc`
+    objects, a subclass: one object per RPC is what the flow queues,
+    packetises and completes.  Bare messages are for transport-level
+    use and tests.
 
     Attributes:
         dst: destination host id.
@@ -27,10 +41,14 @@ class Message:
         created_ns: when the application issued the RPC.
         t0_ns: when the first byte reached the transport (start of RNL).
         completed_ns: when the last packet was acknowledged (end of RNL).
+        rnl_ns: the measured RPC network latency, ``completed_ns -
+            t0_ns``, stored once at completion; reading it earlier
+            raises :class:`RuntimeError`.
         on_complete: callback fired at completion with the message.
         size_mtus: size in MTUs (the unit SLOs are normalized by).
-        next_seq / acked_packets / acked_bytes: the owning flow's send
-            and acknowledgment progress through the message.
+        next_seq / unacked_bytes: the owning flow's send and
+            acknowledgment progress through the message; it completes
+            when ``unacked_bytes`` reaches 0.
     """
 
     __slots__ = (
@@ -41,17 +59,19 @@ class Message:
         "created_ns",
         "t0_ns",
         "completed_ns",
+        "rnl_ns",
         "on_complete",
         "deadline_ns",
         "terminated",
-        "context",
         "size_mtus",
         "next_seq",
-        "acked_packets",
-        "acked_bytes",
+        "unacked_bytes",
     )
 
     _id_counter = itertools.count(1)
+
+    #: Set once, at completion; unset (reads raise) until then.
+    rnl_ns: int
 
     def __init__(
         self,
@@ -61,7 +81,6 @@ class Message:
         created_ns: int = 0,
         on_complete: Optional[Callable[["Message"], None]] = None,
         deadline_ns: Optional[int] = None,
-        context: Any = None,
     ) -> None:
         if payload_bytes <= 0:
             raise ValueError("message payload must be positive")
@@ -75,18 +94,20 @@ class Message:
         self.on_complete = on_complete
         self.deadline_ns = deadline_ns
         self.terminated = False
-        self.context = context
         self.size_mtus = mtus_for_bytes(payload_bytes)
         self.next_seq = 0
-        self.acked_packets = 0
-        self.acked_bytes = 0
+        self.unacked_bytes = payload_bytes
 
-    @property
-    def rnl_ns(self) -> int:
-        """Measured RPC network latency.  Valid only after completion."""
-        if self.completed_ns is None or self.t0_ns is None:
-            raise RuntimeError("message has not completed")
-        return self.completed_ns - self.t0_ns
+    if not TYPE_CHECKING:  # type checkers keep seeing unknown names
+
+        def __getattr__(self, name: str) -> Any:
+            # Normal lookup failed.  For ``rnl_ns`` that means the slot
+            # is still unset: it is written once, at completion.
+            if name == "rnl_ns":
+                raise NotCompletedError("message has not completed")
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
 
     def packet_payload(self, seq: int) -> int:
         """Payload carried by the seq-th packet of this message."""
