@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
-from repro.obs.trace import Tracer
+from repro.obs.trace import Tracer, sim_trace_id
 
 #: Attribution block schema (bump on breaking change).
 ATTRIBUTION_SCHEMA = 1
@@ -147,9 +147,9 @@ def attribute_tracer(tracer: Tracer) -> List[RpcAttribution]:
         latency_ns = span.completed_ns - span.issued_ns
         out.append(
             RpcAttribution(
-                trace_id=span.trace_id,
+                trace_id=sim_trace_id(span.rpc_id),
                 rpc_id=span.rpc_id,
-                qos_requested=span.qos_requested,
+                qos_requested=span.qos_requested or 0,
                 qos_run=span.qos_run,
                 latency_ns=latency_ns,
                 segments=decompose(

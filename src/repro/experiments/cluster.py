@@ -148,7 +148,7 @@ class ClusterResult:
 
     def slo_met_fraction(self, qos: int) -> float:
         return self.metrics.slo_met_fraction(
-            qos, self.slo_map, since_ns=self.warmup_ns, until_ns=self.measure_until_ns
+            qos, since_ns=self.warmup_ns, until_ns=self.measure_until_ns
         )
 
     def goodput_fraction(self) -> float:

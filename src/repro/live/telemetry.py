@@ -107,7 +107,6 @@ class LiveTelemetry:
         self._metrics_log.write_record(record)
         self.samples += 1
         if self._monitor is not None:
-            self._monitor.register_bounds(bounds)
             for alert in self._monitor.observe(now_ns, snapshot):
                 sink = self._event_log
                 if sink is not None:

@@ -129,8 +129,8 @@ def chrome_trace(
                     "dur": _us(span.completed_ns - span.issued_ns),
                     "args": {
                         "rpc_id": span.rpc_id,
-                        "trace_id": span.trace_id,
-                        "span_id": span.span_id,
+                        "trace_id": sim_trace_id(span.rpc_id),
+                        "span_id": sim_span_id(span.rpc_id),
                         "qos_requested": span.qos_requested,
                         "qos_run": span.qos_run,
                         "downgraded": span.downgraded,
@@ -152,7 +152,7 @@ def chrome_trace(
                     "ts": _us(span.issued_ns),
                     "args": {
                         "rpc_id": span.rpc_id,
-                        "trace_id": span.trace_id,
+                        "trace_id": sim_trace_id(span.rpc_id),
                         "qos_run": span.qos_run,
                     },
                 }
@@ -284,7 +284,7 @@ def chrome_trace(
         "traceEvents": meta + body,
         "displayTimeUnit": "ns",
     }
-    other: Dict[str, object] = {"spans_dropped": tracer.spans_dropped}
+    other: Dict[str, object] = {}
     if registry is not None and registry.series:
         other["metrics_series_samples"] = len(registry.series)
     doc["otherData"] = other
@@ -321,8 +321,8 @@ def write_jsonl(path: Union[str, Path], tracer: Tracer) -> Path:
             record = {
                 "type": "rpc",
                 **span_record(rspan),
-                "trace_id": rspan.trace_id,
-                "span_id": rspan.span_id,
+                "trace_id": sim_trace_id(rspan.rpc_id),
+                "span_id": sim_span_id(rspan.rpc_id),
             }
             fh.write(json.dumps(record) + "\n")
         for kind, spans in streams:
@@ -390,15 +390,10 @@ def rpc_report(tracer: Tracer) -> str:
     """Per-QoS RPC lifecycle counts and SLO verdicts."""
     spans = tracer.rpc_spans
     if not spans:
-        if tracer.spans_dropped:
-            return (
-                f"rpcs: no spans recorded ({tracer.spans_dropped} lifecycle "
-                f"events dropped: RPCs issued before tracer activation)"
-            )
         return "rpcs: no spans recorded"
     by_qos: Dict[int, List[int]] = {}
     for span in spans:
-        row = by_qos.setdefault(span.qos_requested, [0, 0, 0, 0, 0])
+        row = by_qos.setdefault(span.qos_requested or 0, [0, 0, 0, 0, 0])
         row[0] += 1
         if span.downgraded:
             row[1] += 1
@@ -409,11 +404,6 @@ def rpc_report(tracer: Tracer) -> str:
         if span.terminated:
             row[4] += 1
     lines = [f"rpcs: {len(spans)} issued"]
-    if tracer.spans_dropped:
-        lines.append(
-            f"  ({tracer.spans_dropped} lifecycle events dropped: RPCs "
-            f"issued before tracer activation)"
-        )
     for qos in sorted(by_qos):
         issued, downgraded, completed, met, terminated = by_qos[qos]
         lines.append(

@@ -30,7 +30,7 @@ from repro.experiments.cluster import (
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import SimProfiler
 from repro.obs.runtime import ObsContext, activate, deactivate
-from repro.obs.series import build_series, slo_miss_rates
+from repro.obs.series import build_series, slo_miss_rates_from_spans
 from repro.obs.trace import Tracer
 from repro.runner.registry import UnknownExperimentError, available_experiments
 from repro.sim.engine import ns_from_ms, ns_from_us
@@ -109,7 +109,7 @@ class TracedRun:
                 str(level): float(slo_map.get(level).latency_target_ns)
                 for level in slo_map.levels()
             },
-            slo_miss_rate=slo_miss_rates(registry, slo_map),
+            slo_miss_rate=slo_miss_rates_from_spans(tracer.rpc_spans),
             attribution=attribution_block(attribute_tracer(tracer)),
             alerts=[],
         )

@@ -25,10 +25,10 @@ tracer's span lists, ``[registry.series]`` and the snapshot times as
 the grid.  :func:`build_live_series` rebuilds the spans from the
 records with :func:`~repro.obs.trace.span_from_record` and passes one
 snapshot series per process and a :func:`uniform_grid`.  Each caller
-computes two fields itself, because the two worlds measure different
-things: the SLO miss rate (:func:`slo_miss_rates` interpolates the
-final histogram, :func:`slo_miss_rates_from_spans` counts exact
-``slo_met`` verdicts) and the attribution block.
+computes the attribution block itself, because the two worlds join
+their spans differently; both pass the SLO miss rate that
+:func:`slo_miss_rates_from_spans` counts from exact ``slo_met``
+verdicts.
 
 Everything returned here is JSON-safe (nested dicts / lists / numbers)
 so the runner can embed it verbatim in the result-store document.  The
@@ -42,8 +42,6 @@ from __future__ import annotations
 from itertools import chain
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.slo import SLOMap
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import (
     AdmissionEvent,
     FlowCwndSample,
@@ -274,69 +272,28 @@ def goodput_tracks_from_snapshots(
     return out
 
 
-def slo_miss_rates(
-    registry: MetricsRegistry, slo_map: SLOMap
-) -> Dict[str, float]:
-    """A simulation's whole-run fraction of completions above the
-    per-QoS SLO line.
+def slo_miss_rates_from_spans(records: Iterable[Any]) -> Dict[str, float]:
+    """A run's whole-run SLO miss rate per requested QoS, counted from
+    exact ``slo_met`` verdicts.
 
-    Computed from the final cumulative ``rnl_norm_ns`` histograms: the
-    count above the normalized target, interpolated within the bucket
-    the target falls into.  Keys are ``str(qos)`` for SLO-carrying
-    levels that saw completions.
-    """
-    if not registry.series:
-        return {}
-    _t, final = registry.series[-1]
-    all_bounds = registry.all_histogram_bounds()
-    out: Dict[str, float] = {}
-    for label in final:
-        qos = _parse_qos(label, "rnl_norm_ns")
-        if qos is None or not slo_map.has_slo(qos):
-            continue
-        bounds = all_bounds.get(label)
-        buckets = _snapshot_buckets(final, label)
-        if bounds is None or buckets is None:
-            continue
-        total = sum(buckets)
-        if total == 0:
-            continue
-        target = float(slo_map.get(qos).latency_target_ns)
-        above = 0.0
-        for i, count in enumerate(buckets):
-            lower = bounds[i - 1] if i > 0 else 0.0
-            upper = bounds[i] if i < len(bounds) else float("inf")
-            if lower >= target:
-                above += count
-            elif upper > target and count:
-                # Target splits this bucket: apportion linearly.
-                if upper == float("inf"):
-                    above += count
-                else:
-                    above += count * (upper - target) / (upper - lower)
-        out[str(qos)] = above / total
-    return out
-
-
-def slo_miss_rates_from_spans(
-    records: Sequence[Mapping[str, Any]],
-) -> Dict[str, float]:
-    """A live run's whole-run SLO miss rate per requested QoS from
-    ``"rpc"`` records.
-
-    Live spans carry an explicit ``slo_met`` verdict (terminated RPCs
-    included, unlike the histogram-derived sim rate which only sees
-    completions), so this is exact, not interpolated.
+    One walker over either world's records: a simulation passes its
+    tracer's RPC spans (the ``Rpc`` records), a live run its client log
+    records, of which the ``"rpc"`` ones count.  Terminated RPCs carry a
+    False verdict in both worlds; open and scavenger-class RPCs (None)
+    are not counted.
     """
     tracked: Dict[int, int] = {}
     missed: Dict[int, int] = {}
     for record in records:
-        if record.get("type") != "rpc":
+        if not isinstance(record, Mapping):
+            met, qos = record.slo_met, record.qos_requested
+        elif record.get("type") == "rpc":
+            met, qos = record.get("slo_met"), record["qos_requested"]
+        else:
             continue
-        met = record.get("slo_met")
         if met is None:
             continue
-        qos = int(record["qos_requested"])
+        qos = int(qos)
         tracked[qos] = tracked.get(qos, 0) + 1
         if not met:
             missed[qos] = missed.get(qos, 0) + 1

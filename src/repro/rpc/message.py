@@ -27,18 +27,24 @@ class Rpc(Message):
     runs, all retained by the metrics collector — so issuing an RPC
     allocates this one object and nothing else.
 
-    ``qos_requested`` is set by the Phase-1 priority mapping;
-    ``qos``/``downgraded`` by the admission decision;
-    ``completed_ns``/``rnl_ns`` when the transport finishes.  Each fact
-    has one slot, named as the transport names it (``msg_id``,
-    ``created_ns``, ``qos``); ``rpc_id``, ``issued_ns`` and ``qos_run``
-    are read-only aliases in the vocabulary of the trace spans and the
-    live event log, for readers off the hot path.
+    ``qos_requested`` is set by the Phase-1 priority mapping; ``qos``
+    by the admission decision; ``completed_ns``/``rnl_ns`` when the
+    transport finishes, and ``slo_met`` when the RPC stack closes it.
+    Each fact has one slot, named as the transport names it
+    (``msg_id``, ``created_ns``, ``qos``); ``rpc_id``, ``issued_ns``,
+    ``qos_run`` and ``downgraded`` are read-only views in the
+    vocabulary of the trace spans and the live event log, for readers
+    off the hot path.  A traced run's RPC span is this same object.
+
+    ``slo_met`` is the one SLO verdict (the Fig-22 success metric): None
+    while the RPC is open and for requests whose QoS carries no SLO;
+    otherwise True only when it completed *at its requested QoS* within
+    the SLO, so downgraded and terminated RPCs are misses.
 
     RPCs compare by identity.
     """
 
-    __slots__ = ("src", "priority", "qos_requested", "downgraded")
+    __slots__ = ("src", "priority", "qos_requested", "slo_met")
 
     def __init__(
         self,
@@ -50,7 +56,6 @@ class Rpc(Message):
         rpc_id: Optional[int] = None,
         qos_requested: Optional[int] = None,
         qos_run: Optional[int] = None,
-        downgraded: bool = False,
         terminated: bool = False,
         completed_ns: Optional[int] = None,
         rnl_ns: Optional[int] = None,
@@ -63,7 +68,7 @@ class Rpc(Message):
         self.src = src
         self.priority = priority
         self.qos_requested = qos_requested
-        self.downgraded = downgraded
+        self.slo_met: Optional[bool] = None
         self.terminated = terminated
         self.completed_ns = completed_ns
         if rnl_ns is not None:
@@ -78,8 +83,12 @@ class Rpc(Message):
         return self.created_ns
 
     @property
-    def qos_run(self) -> Optional[int]:
+    def qos_run(self) -> int:
         return self.qos
+
+    @property
+    def downgraded(self) -> bool:
+        return self.qos != self.qos_requested
 
     @property
     def completed(self) -> bool:

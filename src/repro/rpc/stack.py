@@ -158,12 +158,11 @@ class MetricsCollector:
     def slo_met_fraction(
         self,
         qos: int,
-        slo_map: SLOMap,
         since_ns: int = 0,
         until_ns: Optional[int] = None,
     ) -> float:
-        """Fraction of traffic (bytes) requested at ``qos`` that completed
-        *at that QoS* within the SLO — the Fig-22 success metric: traffic
+        """Fraction of traffic (bytes) requested at ``qos`` whose
+        ``slo_met`` verdict is True — the Fig-22 success metric: traffic
         meeting SLO targets "from their initially assigned QoS levels".
         Downgraded, terminated, or unfinished RPCs count as misses.
 
@@ -171,7 +170,6 @@ class MetricsCollector:
         the end of the run (which could not have finished) are excluded
         from the denominator.
         """
-        slo = slo_map.get(qos)
         met = 0
         total = 0
         for rpc in self.issued:
@@ -180,11 +178,7 @@ class MetricsCollector:
             if until_ns is not None and rpc.created_ns > until_ns:
                 continue
             total += rpc.payload_bytes
-            if (
-                rpc.completed_ns is not None
-                and rpc.qos == qos
-                and slo.is_met(rpc.rnl_ns, rpc.size_mtus)
-            ):
+            if rpc.slo_met is True:
                 met += rpc.payload_bytes
         if total == 0:
             return 0.0
@@ -323,16 +317,14 @@ class RpcStack:
             tenant = self.tenant_of(rpc)
         outcome = admission.decide(dst, qos_requested, payload_bytes, tenant)
         rpc.qos = outcome.qos_run
-        if outcome.downgraded:
-            rpc.downgraded = True
-            if self.on_downgrade is not None:
-                # Explicit downgrade notification back to the application
-                # (Algorithm 1 lines 10-11), for quota denials and
-                # probabilistic downgrades alike.
-                self.on_downgrade(rpc)
+        if outcome.downgraded and self.on_downgrade is not None:
+            # Explicit downgrade notification back to the application
+            # (Algorithm 1 lines 10-11), for quota denials and
+            # probabilistic downgrades alike.
+            self.on_downgrade(rpc)
         self.metrics.record_issue(rpc)
         if self._tracer is not None:
-            # Packet spans join back to this span through msg_id.
+            # The RPC is its own span; packet spans join it by msg_id.
             self._tracer.on_rpc_issued(rpc)
         if self.deadline_fn is not None:
             rpc.deadline_ns = now + self.deadline_fn(rpc)
@@ -340,16 +332,25 @@ class RpcStack:
         return rpc
 
     def _on_complete(self, rpc: Rpc) -> None:
+        req = rpc.qos_requested
+        slo_map = self.slo_map
         if rpc.terminated:
             # Early termination (D3/PDQ "better never than late"): the
-            # RPC never finishes; it stays incomplete in the metrics.
+            # RPC never finishes; it stays incomplete in the metrics and
+            # misses its SLO.
+            if req is not None and slo_map.has_slo(req):
+                rpc.slo_met = False
             self.metrics.record_termination(rpc)
-            if self._tracer is not None:
-                self._tracer.on_rpc_terminated(rpc)
             return
         rnl_ns = rpc.rnl_ns
         size_mtus = rpc.size_mtus
         qos_run = rpc.qos
+        if req is not None and slo_map.has_slo(req):
+            # A downgrade is a miss: Fig 22 counts traffic that met its
+            # SLO from its initially assigned QoS level.
+            rpc.slo_met = qos_run == req and slo_map.get(req).is_met(
+                rnl_ns, size_mtus
+            )
         tracer = self._tracer
         if tracer is not None:
             # AIMD adjustments fired by this completion attribute to
@@ -362,11 +363,3 @@ class RpcStack:
         else:
             self.admission.complete(rpc.dst, rnl_ns, size_mtus, qos_run)
         self.metrics.record_completion(rpc)
-        if tracer is not None:
-            slo_met: Optional[bool] = None
-            req = rpc.qos_requested
-            if req is not None and self.slo_map.has_slo(req):
-                slo_met = qos_run == req and self.slo_map.get(req).is_met(
-                    rnl_ns, size_mtus
-                )
-            tracer.on_rpc_completed(rpc, slo_met)

@@ -47,11 +47,11 @@ from repro.obs.trace import (
     FlowCwndSample,
     FlowRetransmit,
     QueueSpan,
-    RpcSpan,
     Tracer,
     TxSpan,
     queue_residency,
 )
+from repro.rpc.message import Rpc
 from repro.rpc.sizes import FixedSize
 from repro.rpc.stack import MetricsCollector, RpcStack
 from repro.rpc.workload import OpenLoopSource, steady_pattern
@@ -451,23 +451,6 @@ def test_chrome_trace_ordering_is_deterministic(short_traced_run):
     assert keys == sorted(keys)
 
 
-def test_tracer_counts_spans_dropped_instead_of_losing_them():
-    from repro.rpc.message import Rpc
-
-    tracer = Tracer()
-    rpc = Rpc(src=0, dst=1, priority=Priority.PC, payload_bytes=4096,
-              issued_ns=0)
-    rpc.completed_ns = 10_000
-    rpc.rnl_ns = 10_000
-    # Completion and termination of RPCs the tracer never saw issue.
-    tracer.on_rpc_completed(rpc, slo_met=True)
-    tracer.on_rpc_terminated(rpc)
-    assert tracer.spans_dropped == 2
-    assert "dropped" in rpc_report(tracer)
-    doc = chrome_trace(tracer)
-    assert doc["otherData"]["spans_dropped"] == 2
-
-
 def test_export_writers_round_trip(tmp_path, short_traced_run):
     context, _metrics = short_traced_run
     tracer = context.tracer
@@ -501,11 +484,12 @@ def test_write_jsonl_lines_are_byte_stable(tmp_path):
     ``", "``/``": "`` separators and the derived trace context (absent for
     an unbound span) are what downstream tooling greps."""
     tracer = Tracer()
-    tracer._rpc_spans[5] = RpcSpan(
-        rpc_id=5, src=1, dst=2, qos_requested=0, qos_run=1, downgraded=True,
-        issued_ns=100, payload_bytes=4096, size_mtus=1, completed_ns=900,
-        rnl_ns=800, slo_met=False,
+    rpc = Rpc(
+        src=1, dst=2, priority=Priority.PC, payload_bytes=4096, issued_ns=100,
+        rpc_id=5, qos_requested=0, qos_run=1, completed_ns=900, rnl_ns=800,
     )
+    rpc.slo_met = False
+    tracer._rpc_spans[5] = rpc
     tracer.queue_spans += [
         QueueSpan(node="tor0", qos=1, enqueued_ns=110, dequeued_ns=150,
                   size_bytes=4160, kind=0, rpc_id=5),

@@ -3,10 +3,9 @@
 These exercise :mod:`repro.obs.series` on hand-built tracer, record and
 registry state, so every expected value is computable by hand: the
 forward-fill semantics of ``p_admit`` tracks, windowed bucket-count
-quantiles, goodput differencing, and the SLO-miss interpolation.  A
-registry is fed to the snapshot builders as the one-process case,
-gridded on its own snapshot times — exactly how a traced run's series
-is built.  The last test holds a traced companion's document and a live
+quantiles and goodput differencing.  A registry is fed to the snapshot
+builders as the one-process case, gridded on its own snapshot times —
+exactly how a traced run's series is built.  The last test holds a traced companion's document and a live
 run's document to one schema.
 """
 
@@ -15,7 +14,6 @@ from itertools import chain
 import pytest
 
 from repro.analysis.report import render_text, summarize
-from repro.core.slo import SLOMap
 from repro.experiments.series_checks import series_failures
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.series import (
@@ -27,7 +25,6 @@ from repro.obs.series import (
     goodput_tracks_from_snapshots,
     p_admit_events,
     rnl_tracks_from_snapshots,
-    slo_miss_rates,
 )
 from repro.obs.trace import Tracer
 from tests.test_series_pins import live_series, sim_series
@@ -132,27 +129,6 @@ def test_goodput_tracks_are_windowed_rates():
     tracks = goodput_tracks_from_snapshots([registry.series], _grid(registry))
     assert tracks["0"] == [(1_000, pytest.approx(10.0)),
                            (2_000, pytest.approx(20.0))]
-
-
-def test_slo_miss_rates_interpolate_the_target_bucket():
-    registry = MetricsRegistry()
-    hist = registry.histogram("rnl_norm_ns", qos=0, bounds=[100.0, 200.0, 400.0])
-    for _ in range(4):
-        hist.observe(150.0)
-    for _ in range(4):
-        hist.observe(300.0)
-    _snap(registry, 1_000)
-    slo_map = SLOMap.for_three_levels(200, 1_000)
-    rates = slo_miss_rates(registry, slo_map)
-    # Target 200 ns sits exactly on a bucket edge: the 4 observations
-    # above it miss, the 4 below meet it.
-    assert rates["0"] == pytest.approx(0.5)
-    # The scavenger class carries no SLO and reports no rate.
-    assert "2" not in rates
-
-
-def test_slo_miss_rates_empty_registry():
-    assert slo_miss_rates(MetricsRegistry(), SLOMap.for_three_levels(200, 400)) == {}
 
 
 # ----------------------------------------------------------------------

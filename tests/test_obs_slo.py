@@ -1,8 +1,7 @@
 """Multiwindow SLO burn-rate detection over metrics snapshots.
 
-The monitor is source-agnostic (live counters or the sim histogram
-fallback), stateful (fire/resolve hysteresis), and window-scaled for
-short runs; each of those properties is pinned here with hand-built
+The monitor reads the live client's exact verdict counters, is
+stateful (fire/resolve hysteresis), and window-scaled for short runs; each of those properties is pinned here with hand-built
 snapshot streams where the expected burn multiples are arithmetic.
 """
 
@@ -10,7 +9,6 @@ import pytest
 
 from repro.core.qos import QoSConfig, WEIGHTS_2_QOS
 from repro.core.slo import SLO, SLOMap
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import (
     Alert,
     BurnRateConfig,
@@ -83,53 +81,6 @@ class TestCounterSource:
         assert len(history) <= 7
 
 
-class TestHistogramFallback:
-    def test_misses_interpolated_above_target(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("rnl_norm_ns", qos=0)
-        mon = SloMonitor(
-            [
-                SloTarget(
-                    qos=0, allowed_miss_rate=0.1, normalized_target_ns=25e6
-                )
-            ],
-            CONFIG,
-            histogram_bounds=registry.all_histogram_bounds(),
-        )
-        alerts = []
-        for t in range(10):
-            for _ in range(10):
-                # After t=3 every observation lands way above the 25 ms
-                # target: burn 10x once the windows fill.
-                hist.observe(1e6 if t < 3 else 900e6)
-            alerts += mon.observe(
-                t * S, registry.snapshot(include_buckets=True)
-            )
-        assert alerts and alerts[0].state == "firing"
-        assert mon.firing(0)
-
-    def test_no_bounds_no_target_reads_zero(self):
-        registry = MetricsRegistry()
-        registry.histogram("rnl_norm_ns", qos=0).observe(900e6)
-        mon = SloMonitor([SloTarget(qos=0, allowed_miss_rate=0.1)], CONFIG)
-        mon.observe(0, registry.snapshot(include_buckets=True))
-        mon.observe(5 * S, registry.snapshot(include_buckets=True))
-        assert mon.alerts == []
-
-    def test_register_bounds_arms_the_fallback_late(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("rnl_norm_ns", qos=0)
-        mon = SloMonitor(
-            [SloTarget(qos=0, allowed_miss_rate=0.1, normalized_target_ns=25e6)],
-            CONFIG,
-        )
-        mon.register_bounds(registry.all_histogram_bounds())
-        for t in range(8):
-            hist.observe(900e6)
-            mon.observe(t * S, registry.snapshot(include_buckets=True))
-        assert any(a.state == "firing" for a in mon.alerts)
-
-
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -160,7 +111,6 @@ class TestConfig:
         mon = SloMonitor.from_slo_map(slo_map, CONFIG)
         target = mon._targets[0]
         assert target.allowed_miss_rate == pytest.approx(0.1)
-        assert target.normalized_target_ns == pytest.approx(25e6)
 
 
 class TestReplayAndQuiet:

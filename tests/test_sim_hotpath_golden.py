@@ -360,7 +360,7 @@ def _views(cluster: ClusterResult) -> Dict[str, Any]:
         "offered_mix": _hexes(metrics.offered_mix()),
         "offered_mix_since": _hexes(metrics.offered_mix(since_ns=since)),
         "slo_met_fraction_until": {
-            qos: metrics.slo_met_fraction(qos, cluster.slo_map, until_ns=until).hex()
+            qos: metrics.slo_met_fraction(qos, until_ns=until).hex()
             for qos in levels
             if cluster.slo_map.has_slo(qos)
         },
