@@ -82,7 +82,7 @@ def _sim_pin(figure: str) -> str:
 
 PINS = {
     "sim_fig08": "7c835e1dbda2c2d585f90c3594a28eb73cf51b0e2bb7b5c2b157d5a9263b8f99",
-    "sim_fig19": "62e8768e1c0a6b496c75cdfd2dc3202bb963c60aaab5f77b4e38082b8b1b4b7d",
+    "sim_fig19": "356626fc5928f06b9f3fcaed77bf64a498429cc68d531ad7924ceaac211d1553",
     "live_with_metrics": "3c43cd94647aad66781e80cc38a14ab794147b8240dc4a1a550a17bc60233310",
     "live_without_metrics": "8c8d443339670afb1890452b886670e1263697023fc64dc31ec42276a6041d5e",
     "gate_report": "dacbbbb339f26fdd5b1b22d4eec68a2483c4c03721634213732cc78406463767",
