@@ -166,6 +166,24 @@ class TestTornTail:
         with pytest.raises(ValueError, match="not a truncated final line"):
             read_events(path)
 
+    def test_deeply_nested_final_line_is_a_torn_tail(self, tmp_path):
+        """Nesting past the decoder's depth limit is a malformed line like
+        any other: salvaged as a torn tail, not a ``RecursionError``."""
+        path = write_sample_log(tmp_path / "log.jsonl")
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("[" * 100_000)
+        with pytest.warns(RuntimeWarning, match="truncated final line 7"):
+            records = read_events(path, strict=False)
+        assert len(records) == 6
+        with pytest.raises(RecursionError):
+            read_events(path, strict=True)
+
+    def test_deeply_nested_mid_file_line_is_corruption(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_text('{"type":"run"}\n' + "[" * 100_000 + '\n{"type":"rpc"}\n')
+        with pytest.raises(ValueError, match="line 2 is not a truncated final line"):
+            read_events(path, strict=False)
+
 
 class SteppingClock:
     def __init__(self, step_ns=1):
