@@ -65,8 +65,7 @@ class RateControlledFlow(Flow):
         now = self.sim.now
         if now < self._rate_next_ns:
             return self._rate_next_ns - now
-        msg = self._pending[0]
-        size = msg.packet_payload(msg.next_seq) + HEADER_BYTES
+        size = self._pending[0].packet_payload(self._head_seq) + HEADER_BYTES
         self._rate_next_ns = max(now, self._rate_next_ns) + int(
             size * 8e9 / self.rate_bps
         )
@@ -173,12 +172,7 @@ class PortArbiter:
         return self._allocate_pdq()
 
     def _remaining_bits(self, rec: _FlowRecord) -> float:
-        rem = rec.flow.remaining_payload_bytes(rec.msg.msg_id)
-        if rem == 0 and rec.msg.completed_ns is None:
-            # Registered ahead of the flow seeing the message (so the
-            # arbiter's first allocation paces it from byte zero).
-            rem = rec.msg.payload_bytes
-        return max(rem, 1) * 8.0
+        return rec.msg.unacked_bytes * 8.0
 
     def _allocate_d3(self) -> List[_FlowRecord]:
         now = self.sim.now

@@ -56,7 +56,7 @@ class HomaFlow(Flow):
 
     def send_message(self, msg: Message) -> None:
         """Blast the unscheduled window; queue the rest for grants."""
-        msg.t0_ns = self.sim.now
+        msg.created_ns = self.sim.now
         self._messages[msg.msg_id] = msg
         endpoint: "HomaEndpoint" = self.endpoint  # type: ignore[assignment]
         # The rest go one per GRANT, sequenced by the receiver's _inbound.

@@ -64,8 +64,7 @@ class QJumpFlow(Flow):
         bucket = endpoint.buckets.get(self.qos)
         if bucket is None:
             return 0
-        msg = self._pending[0]
-        size = msg.packet_payload(msg.next_seq) + HEADER_BYTES
+        size = self._pending[0].packet_payload(self._head_seq) + HEADER_BYTES
         return bucket.consume_or_wait_ns(size, self.sim.now)
 
 

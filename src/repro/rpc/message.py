@@ -28,8 +28,10 @@ class Rpc(Message):
     allocates this one object and nothing else.
 
     ``qos_requested`` is set by the Phase-1 priority mapping; ``qos``
-    by the admission decision; ``completed_ns``/``rnl_ns`` when the
-    transport finishes, and ``slo_met`` when the RPC stack closes it.
+    by the admission decision; ``completed_ns`` when the transport
+    finishes (``rnl_ns`` is derived from it), and ``slo_met`` when the
+    RPC stack closes it.  ``rnl_ns=`` is accepted for records built
+    after the fact and must agree with the two timestamps.
     Each fact has one slot, named as the transport names it
     (``msg_id``, ``created_ns``, ``qos``); ``rpc_id``, ``issued_ns``,
     ``qos_run`` and ``downgraded`` are read-only views in the
@@ -71,8 +73,13 @@ class Rpc(Message):
         self.slo_met: Optional[bool] = None
         self.terminated = terminated
         self.completed_ns = completed_ns
-        if rnl_ns is not None:
-            self.rnl_ns = rnl_ns
+        if rnl_ns is not None and (
+            completed_ns is None or rnl_ns != completed_ns - issued_ns
+        ):
+            raise ValueError(
+                f"rnl_ns={rnl_ns} disagrees with issued_ns={issued_ns}, "
+                f"completed_ns={completed_ns}"
+            )
 
     @property
     def rpc_id(self) -> int:

@@ -12,7 +12,7 @@ congestion-control backoff.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import Callable, Optional
 
 from repro.net.packet import MTU_BYTES, mtus_for_bytes
 
@@ -21,8 +21,8 @@ class NotCompletedError(AttributeError, RuntimeError):
     """``rnl_ns`` read before the message completed.
 
     A :class:`RuntimeError` for callers, and an :class:`AttributeError`
-    so ``hasattr``, ``getattr`` with a default, ``copy`` and ``pickle``
-    treat the unset slot as exactly that.
+    so ``hasattr`` and ``getattr`` with a default treat the open
+    message's latency as absent.
     """
 
 
@@ -38,17 +38,18 @@ class Message:
         dst: destination host id.
         payload_bytes: application payload size.
         qos: QoS level the message runs at (set post-admission).
-        created_ns: when the application issued the RPC.
-        t0_ns: when the first byte reached the transport (start of RNL).
+        created_ns: when the message reached the transport (start of
+            RNL); the flow stamps it at hand-off.
         completed_ns: when the last packet was acknowledged (end of RNL).
         rnl_ns: the measured RPC network latency, ``completed_ns -
-            t0_ns``, stored once at completion; reading it earlier
-            raises :class:`RuntimeError`.
+            created_ns``, derived on read; reading it before completion
+            raises :class:`NotCompletedError`.
         on_complete: callback fired at completion with the message.
         size_mtus: size in MTUs (the unit SLOs are normalized by).
-        next_seq / unacked_bytes: the owning flow's send and
-            acknowledgment progress through the message; it completes
-            when ``unacked_bytes`` reaches 0.
+        unacked_bytes: payload not yet acknowledged; the message
+            completes when it reaches 0.  Send progress is the owning
+            flow's, not the message's: only the flow's head message is
+            being packetised.
     """
 
     __slots__ = (
@@ -57,21 +58,15 @@ class Message:
         "payload_bytes",
         "qos",
         "created_ns",
-        "t0_ns",
         "completed_ns",
-        "rnl_ns",
         "on_complete",
         "deadline_ns",
         "terminated",
         "size_mtus",
-        "next_seq",
         "unacked_bytes",
     )
 
     _id_counter = itertools.count(1)
-
-    #: Set once, at completion; unset (reads raise) until then.
-    rnl_ns: int
 
     def __init__(
         self,
@@ -89,25 +84,19 @@ class Message:
         self.payload_bytes = payload_bytes
         self.qos = qos
         self.created_ns = created_ns
-        self.t0_ns: Optional[int] = None
         self.completed_ns: Optional[int] = None
         self.on_complete = on_complete
         self.deadline_ns = deadline_ns
         self.terminated = False
         self.size_mtus = mtus_for_bytes(payload_bytes)
-        self.next_seq = 0
         self.unacked_bytes = payload_bytes
 
-    if not TYPE_CHECKING:  # type checkers keep seeing unknown names
-
-        def __getattr__(self, name: str) -> Any:
-            # Normal lookup failed.  For ``rnl_ns`` that means the slot
-            # is still unset: it is written once, at completion.
-            if name == "rnl_ns":
-                raise NotCompletedError("message has not completed")
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}"
-            )
+    @property
+    def rnl_ns(self) -> int:
+        completed_ns = self.completed_ns
+        if completed_ns is None:
+            raise NotCompletedError("message has not completed")
+        return completed_ns - self.created_ns
 
     def packet_payload(self, seq: int) -> int:
         """Payload carried by the seq-th packet of this message."""

@@ -13,12 +13,18 @@ per-QoS TCP sockets".  Each flow:
   outstanding packet completes the message.
 
 RNL (the paper's measurement, Appendix A) falls out naturally:
-``Message.t0_ns`` is stamped when the message is handed to the
+``Message.created_ns`` is stamped when the message is handed to the
 transport, ``Message.completed_ns`` when its last packet is ACKed,
-and ``Message.rnl_ns`` is stored as their difference —
+and ``Message.rnl_ns`` is their difference —
 so sender-side queueing behind congestion-control backoff is included,
 which is the effect that makes packet-level metrics insufficient for
 RPC SLOs (Section 2.2.1).
+
+A flow keeps what it needs to send and acknowledge, and no more: a
+queue of messages not yet fully sent, a send cursor into the head of
+that queue (the only message being packetised), and a map of the
+messages that have packets on the wire.  A queued message is in the
+queue only.
 """
 
 from __future__ import annotations
@@ -99,10 +105,14 @@ class Flow:
         # off, and all hooks are read-only w.r.t. simulation state.
         self._tracer = active_tracer()
         self._flow_label = f"{self.src}->{dst}/qos{qos}"
-        # Send/ACK progress lives on the Message (next_seq, unacked_bytes);
-        # the in-flight record of a packet is the Packet itself, keyed
+        # Messages not yet fully sent, and the next packet of the head
+        # one (the only message being packetised).  ``_messages`` holds
+        # a message from its packet 0 until it completes or is
+        # cancelled; ACK progress is its ``unacked_bytes``.  The
+        # in-flight record of a packet is the Packet itself, keyed
         # (msg_id, seq) — a retransmission replaces it in place.
         self._pending: Deque[Message] = deque()
+        self._head_seq = 0
         self._messages: Dict[int, Message] = {}
         self._outstanding: Dict[Tuple[int, int], Packet] = {}
         nic = endpoint.host.nic
@@ -125,9 +135,8 @@ class Flow:
     # Sending
     # ------------------------------------------------------------------
     def send_message(self, msg: Message) -> None:
-        """Accept a message; stamps t0 (start of RNL)."""
-        msg.t0_ns = self.sim.now
-        self._messages[msg.msg_id] = msg
+        """Accept a message; stamps ``created_ns`` (start of RNL)."""
+        msg.created_ns = self.sim.now
         self._pending.append(msg)
         # A full window (the common case under backlog) sends nothing.
         cwnd = self.cc.cwnd
@@ -165,11 +174,15 @@ class Flow:
                     self._schedule_kick(gate)
                     return
             msg = pending[0]
-            seq = msg.next_seq
+            seq = self._head_seq
+            if seq == 0:
+                self._messages[msg.msg_id] = msg
             self._transmit(msg, seq, retransmit=False)
-            msg.next_seq = seq + 1
-            if msg.next_seq >= msg.size_mtus:
+            seq += 1
+            if seq >= msg.size_mtus:
                 pending.popleft()
+                seq = 0
+            self._head_seq = seq
             budget -= 1
             if cwnd < 1.0:
                 self._next_allowed_send_ns = now + cc.pacing_gap_ns(
@@ -180,8 +193,8 @@ class Flow:
     def _extra_gate_ns(self) -> int:
         """Hook for subclasses that gate sends beyond the CC window.
 
-        Called with the head-of-line packet about to be sent; return 0 to
-        allow the send (chargeable side effects are permitted — the send
+        Called with the head-of-line packet about to be sent (packet
+        ``_head_seq`` of ``_pending[0]``); return 0 to allow the send (chargeable side effects are permitted — the send
         then definitely happens), or a positive wait in nanoseconds.
         Baselines use this for token buckets (QJump) and explicit rate
         grants (D3/PDQ).
@@ -262,19 +275,10 @@ class Flow:
             self._maybe_send()
 
     def _complete(self, msg: Message) -> None:
-        now = self.sim.now
-        msg.completed_ns = now
-        msg.rnl_ns = now - msg.t0_ns  # type: ignore[operator]  # set at send
+        msg.completed_ns = self.sim.now
         self.endpoint.on_message_complete(msg)
         if msg.on_complete is not None:
             msg.on_complete(msg)
-
-    def remaining_payload_bytes(self, msg_id: int) -> int:
-        """Unacknowledged payload of an in-progress message (0 if done)."""
-        msg = self._messages.get(msg_id)
-        if msg is None:
-            return 0
-        return msg.unacked_bytes
 
     def cancel_message(self, msg_id: int) -> bool:
         """Terminate a message: drop its queued and in-flight packets.
@@ -285,9 +289,18 @@ class Flow:
         Returns False when the message is unknown (e.g. completed).
         """
         msg = self._messages.pop(msg_id, None)
-        if msg is None:
-            return False
-        self._pending = deque(m for m in self._pending if m is not msg)
+        pending = self._pending
+        if pending and pending[0].msg_id == msg_id:
+            # The head message, sent in part or not at all: its
+            # successor starts at packet 0.
+            msg = pending.popleft()
+            self._head_seq = 0
+        elif msg is None:
+            # Queued behind the head: not in the map, only in the queue.
+            msg = next((m for m in pending if m.msg_id == msg_id), None)
+            if msg is None:
+                return False
+            self._pending = deque(m for m in pending if m is not msg)
         for key in [k for k in self._outstanding if k[0] == msg_id]:
             del self._outstanding[key]
         msg.terminated = True

@@ -4,13 +4,13 @@ The collector retains every issued RPC for the whole run, so what one
 issue leaves behind bounds how long a run fits in memory.  The RPC
 object is itself the transport message the flow queues, packetises and
 completes, and the completion callback is one bound method per stack.
-An active tracer keeps that same object as the RPC's span.
+An active tracer keeps that same object as the RPC's span.  A queued
+RPC is in its flow's queue and in no dict: the flow maps only the
+messages with packets on the wire.
 """
 
 import gc
 import sys
-
-import pytest
 
 from repro.core.admission import AdmissionParams
 from repro.core.qos import Priority
@@ -37,7 +37,6 @@ def test_traced_issue_allocates_one_object_per_rpc():
         deactivate()
 
 
-@pytest.mark.xfail(strict=True, reason="a queued RPC still has a flow dict entry")
 def test_queued_rpc_is_in_no_dict_and_rpc_has_15_slots():
     _, flow, rpcs = _full_window()
     assert [rpc for rpc in rpcs if rpc.msg_id in flow._messages] == [rpcs[0]]
@@ -76,5 +75,9 @@ def _assert_one_object_per_issue():
     finally:
         gc.enable()
     assert after - before == count
-    for rpc in rpcs:
-        assert flow._messages[rpc.rpc_id] is rpc
+    # The flow holds these same objects: the one in flight in its map,
+    # the queued ones in its queue and nowhere else.
+    assert flow._messages == {rpcs[0].rpc_id: rpcs[0]}  # RPCs compare by identity
+    assert len(flow._pending) == len(rpcs) - 1
+    for queued, rpc in zip(flow._pending, rpcs[1:]):
+        assert queued is rpc and rpc.msg_id not in flow._messages

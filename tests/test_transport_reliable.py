@@ -127,14 +127,22 @@ def test_acked_payload_accounting():
     assert eps[0].acked_payload_by_qos[1] == 3 * MTU_BYTES
 
 
-def test_remaining_payload_bytes_decreases():
+def test_unacked_bytes_count_down_to_completion():
     sim, _, eps = make_pair()
-    msg = Message(dst=1, payload_bytes=4 * MTU_BYTES, qos=0)
+    msg = Message(dst=1, payload_bytes=4 * MTU_BYTES - 10, qos=0)
     flow = eps[0].flow_to(1, 0)
     flow.send_message(msg)
-    assert flow.remaining_payload_bytes(msg.msg_id) == 4 * MTU_BYTES
-    sim.run()
-    assert flow.remaining_payload_bytes(msg.msg_id) == 0  # completed
+    assert msg.unacked_bytes == 4 * MTU_BYTES - 10
+    seen = []
+    while msg.completed_ns is None:
+        sim.run(max_events=1)
+        seen.append(msg.unacked_bytes)
+    assert seen[-1] == 0
+    assert sorted(set(seen), reverse=True) == [
+        4 * MTU_BYTES - 10, 3 * MTU_BYTES - 10, 2 * MTU_BYTES - 10,
+        MTU_BYTES - 10, 0,
+    ]
+    assert msg.msg_id not in flow._messages  # completed
 
 
 def test_cancel_message_terminates_and_notifies():
@@ -148,7 +156,8 @@ def test_cancel_message_terminates_and_notifies():
     assert flow.cancel_message(msg.msg_id)
     assert msg.terminated
     assert done == [msg]
-    assert flow.remaining_payload_bytes(msg.msg_id) == 0
+    assert msg.msg_id not in flow._messages and not flow._pending
+    assert not [key for key in flow._outstanding if key[0] == msg.msg_id]
     # Cancelling again is a no-op.
     assert not flow.cancel_message(msg.msg_id)
     sim.run()
