@@ -25,14 +25,18 @@ from repro.sim.engine import Simulator, ns_from_us
 
 
 class _DelaySink(Node):
-    """Records per-class worst delay from arrival stamp to delivery."""
+    """Records per-class worst delay from arrival stamp to delivery.
+
+    The port hands over each packet with its delivery delay, which is
+    all the sink needs: it records the delay on the spot instead of
+    scheduling a delivery event (DESIGN.md §11)."""
 
     def __init__(self, sim: Simulator, num_classes: int) -> None:
         super().__init__(sim, "sink")
         self.worst_ns = [0] * num_classes
 
-    def receive(self, pkt: Packet) -> None:
-        delay = self.sim.now - pkt.sent_time_ns
+    def arrive(self, pkt: Packet, delay_ns: int) -> None:
+        delay = self.sim.now + delay_ns - pkt.sent_time_ns
         if delay > self.worst_ns[pkt.qos]:
             self.worst_ns[pkt.qos] = delay
 
