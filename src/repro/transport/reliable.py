@@ -194,8 +194,9 @@ class Flow:
         """Hook for subclasses that gate sends beyond the CC window.
 
         Called with the head-of-line packet about to be sent (packet
-        ``_head_seq`` of ``_pending[0]``); return 0 to allow the send (chargeable side effects are permitted — the send
-        then definitely happens), or a positive wait in nanoseconds.
+        ``_head_seq`` of ``_pending[0]``); return 0 to allow the send
+        (chargeable side effects are permitted — the send then
+        definitely happens), or a positive wait in nanoseconds.
         Baselines use this for token buckets (QJump) and explicit rate
         grants (D3/PDQ).
         """
