@@ -1,4 +1,4 @@
-"""Ablation bench: WFQ realization and weight-vector sensitivity.
+"""Ablation: WFQ realization and weight-vector sensitivity.
 
 Two design choices DESIGN.md calls out:
 
@@ -35,13 +35,9 @@ def _run_with_factory(num_hosts, factory=None, weights=(8, 4, 1)):
     return run_cluster(cfg)
 
 
-def test_ablation_scfq_vs_dwrr(run_once):
-    def both():
-        scfq = _run_with_factory(6)
-        dwrr = _run_with_factory(6, factory=dwrr_factory)
-        return scfq, dwrr
-
-    scfq, dwrr = run_once(both)
+def test_ablation_scfq_vs_dwrr():
+    scfq = _run_with_factory(6)
+    dwrr = _run_with_factory(6, factory=dwrr_factory)
     print()
     print(f"{'variant':>8} {'tail_h':>8} {'tail_m':>8} {'admitted_h':>11}")
     for name, res in (("SCFQ", scfq), ("DWRR", dwrr)):
@@ -59,13 +55,9 @@ def test_ablation_scfq_vs_dwrr(run_once):
     assert dwrr.rnl_tail_us(0, 99.0) < 2.5 * 15.0
 
 
-def test_ablation_heavier_weight_admits_more(run_once):
-    def both():
-        light = _run_with_factory(6, weights=(8, 4, 1))
-        heavy = _run_with_factory(6, weights=(50, 4, 1))
-        return light, heavy
-
-    light, heavy = run_once(both)
+def test_ablation_heavier_weight_admits_more():
+    light = _run_with_factory(6, weights=(8, 4, 1))
+    heavy = _run_with_factory(6, weights=(50, 4, 1))
     a = light.admitted_mix().get(0, 0.0)
     b = heavy.admitted_mix().get(0, 0.0)
     print(f"\nadmitted QoS_h share: weights 8:4:1 -> {a:.1%}, 50:4:1 -> {b:.1%}")

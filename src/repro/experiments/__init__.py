@@ -1,9 +1,10 @@
 """Experiment drivers — one module per paper figure.
 
 Every figure driver *is* its sweep: ``PROFILES``, ``sweep(profile)``,
-``run_point(point, seed)``, ``check(rows, profile)`` and
-``table(rows)``, all required (see :mod:`repro.runner`).  ``table``
-prints the same rows/series the paper reports.  ``cluster`` holds the
+``run_point(point, seed)``, ``check(rows, profile, series=None)`` and
+``table(rows)``, all required (see :mod:`repro.runner`).  ``check``
+returns one claim per paper claim the profile bounds (its ``BOUNDS``);
+``table`` prints the same rows/series the paper reports.  ``cluster`` holds the
 shared harness all simulation figures build on.
 
 This package init imports nothing: a closed-form figure (fig08, fig09)

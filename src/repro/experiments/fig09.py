@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.fluid import sweep_three_qos
-from repro.runner.point import Point, Row
+from repro.runner.point import Bound, Claim, Point, Row, Rows, judge
 
 _PANELS = ([8, 4, 1], [50, 4, 1])
 
@@ -85,60 +85,76 @@ def table(rows: Sequence[Row]) -> str:
     return "\n\n".join(tables)
 
 
-def check(
-    rows: Sequence[Row], profile: str, series: Optional[Row] = None
-) -> List[str]:
-    """Lemma-1 shape: raising the QoS_h weight moves the admissible
-    region's right edge outward at the cost of QoS_m delay.
+# Bounds of each claim EXPERIMENTS.md lists under Fig 9, per profile.
+# On the paper grid each inversion edge lies within 0.06 of
+# phi_h / (phi_h + phi_m), i.e. 8/14 and 50/56; the fast grid keeps a
+# looser band.
+BOUNDS: Dict[str, Dict[str, Bound]] = {
+    "paper": {
+        "fig09/light-edge-min": (">", 8 / 14 - 0.06),
+        "fig09/light-edge-max": ("<", 8 / 14 + 0.06),
+        "fig09/heavy-edge-min": (">", 50 / 56 - 0.06),
+        "fig09/heavy-edge-max": ("<", 50 / 56 + 0.06),
+        "fig09/heavy-edge-beyond-light": (">", 0.0),
+        "fig09/m-cost-at-0.4": (">=", -1e-09),
+        "fig09/m-cost-at-0.5": (">", 0.0),
+    },
+}
+BOUNDS["fast"] = {
+    **BOUNDS["paper"],
+    "fig09/light-edge-min": (">=", 0.45),
+    "fig09/light-edge-max": ("<=", 0.70),
+    "fig09/heavy-edge-min": (">=", 0.8),
+}
 
-    Traced sweeps also validate the companion scenario's series: under
+
+def _m_cost(
+    by_weights: Dict[Tuple[int, ...], List[Row]], share: float, near: float
+) -> float:
+    """How much more QoS_m delay 50:4:1 costs than 8:4:1 near a share
+    (the lowest delay of the rows within ``near`` of it, per panel)."""
+
+    def delay_m(weights: Tuple[int, ...]) -> float:
+        return min(
+            r["delay_m"] for r in by_weights[weights] if abs(r["share"] - share) < near
+        )
+
+    return delay_m((50, 4, 1)) - delay_m((8, 4, 1))
+
+
+def check(rows: Rows, profile: str, series: Optional[Row] = None) -> List[Claim]:
+    """Lemma-1 shape: raising the QoS_h weight moves the admissible
+    region's right edge outward at the cost of QoS_m delay (share 0.5
+    is the first swept point past the 8:4:1 edge).
+
+    Traced sweeps also judge the companion scenario's series: under
     the heavy 50:4:1 weighting the admissible region is wide enough
     that every channel settles fully admitted (contrast with fig08's
     inversion regime, which must throttle).
     """
-    failures: List[str] = []
-    if series is not None:
-        from repro.experiments.series_checks import _as_tracks, series_failures
-
-        failures.extend(series_failures(series, "fig09", converge_qos=(0, 1)))
-        if not failures:
-            from repro.analysis.convergence import per_qos_convergence
-
-            rollup = per_qos_convergence(_as_tracks(series["p_admit"]))
-            low = {
-                q: v.settled_value
-                for q, v in rollup.items()
-                if v.settled_value < 0.95
-            }
-            if low:
-                failures.append(
-                    "fig09: 50:4:1 weighting should keep channels fully "
-                    f"admitted, but settled p_admit dipped: {low}"
-                )
     by_weights = panels(rows)
-    inv_a = inversion_share(by_weights[(8, 4, 1)])
-    inv_b = inversion_share(by_weights[(50, 4, 1)])
-    if not 0.45 <= inv_a <= 0.70:
-        failures.append(
-            f"fig09: 8:4:1 admissible region ends at {inv_a:.2f}, expected ~0.57"
-        )
-    if not inv_b >= 0.80:
-        failures.append(
-            f"fig09: 50:4:1 admissible region ends at {inv_b:.2f}, expected ~0.89"
-        )
-    # The cost of the wider admissible region: once panel (a) has
-    # inverted, the 50:4:1 weighting buys its extra QoS_h headroom with
-    # strictly higher QoS_m delay (share 0.5 is the first swept point
-    # past the 8:4:1 boundary).
-    mid = 0.5
-    dm_a = min(
-        (r["delay_m"] for r in by_weights[(8, 4, 1)] if abs(r["share"] - mid) < 0.06),
-        default=None,
+    light = inversion_share(by_weights[(8, 4, 1)])
+    heavy = inversion_share(by_weights[(50, 4, 1)])
+    claims = judge(
+        BOUNDS[profile],
+        {
+            "fig09/light-edge-min": light,
+            "fig09/light-edge-max": light,
+            "fig09/heavy-edge-min": heavy,
+            "fig09/heavy-edge-max": heavy,
+            "fig09/heavy-edge-beyond-light": heavy - light,
+            "fig09/m-cost-at-0.4": _m_cost(by_weights, 0.4, 0.02),
+            "fig09/m-cost-at-0.5": _m_cost(by_weights, 0.5, 0.06),
+        },
     )
-    dm_b = min(
-        (r["delay_m"] for r in by_weights[(50, 4, 1)] if abs(r["share"] - mid) < 0.06),
-        default=None,
-    )
-    if dm_a is not None and dm_b is not None and not dm_b > dm_a:
-        failures.append("fig09: QoS_m delay did not rise when QoS_h weight grew")
-    return failures
+    if series is not None:
+        from repro.experiments.series_checks import series_claims, settled_p_admit
+
+        found = series_claims(series, "fig09", converge_qos=(0, 1))
+        if all(c.passed for c in found):
+            found += judge(
+                {"fig09/series-fully-admitted": (">=", 0.95)},
+                {"fig09/series-fully-admitted": min(settled_p_admit(series).values())},
+            )
+        claims += found
+    return claims

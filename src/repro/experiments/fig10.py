@@ -13,10 +13,10 @@ reports).
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.delay_bounds import TrafficModel, delay_h, delay_l
-from repro.runner.point import Point, Row
+from repro.runner.point import Bound, Claim, Point, Row, Rows, judge
 from repro.net.link import Port
 from repro.net.node import Node
 from repro.net.packet import HEADER_BYTES, MTU_BYTES, Packet
@@ -138,25 +138,31 @@ def table(rows: Sequence[Row]) -> str:
     return "\n".join(lines)
 
 
-def check(rows: Sequence[Row], profile: str) -> List[str]:
+# Bounds of each claim EXPERIMENTS.md lists under Fig 10, per profile,
+# in fractions of the period.
+BOUNDS: Dict[str, Dict[str, Bound]] = {
+    "paper": {
+        "fig10/h-error": ("<", 0.01),
+        "fig10/l-undershoot": (">=", -0.005),
+        "fig10/l-overshoot": ("<", 0.02),
+    },
+}
+BOUNDS["fast"] = {
+    **BOUNDS["paper"],
+    "fig10/h-error": ("<=", 0.01),
+    "fig10/l-overshoot": ("<=", 0.02),
+}
+
+
+def check(rows: Rows, profile: str, series: Optional[Row] = None) -> List[Claim]:
     """Validation shape: packet sim tracks theory, QoS_l only ever
     slightly above it (the packetization artifact)."""
-    failures: List[str] = []
-    err_h = max_error_h(rows)
-    if err_h > 0.01:
-        failures.append(
-            f"fig10: QoS_h sim-vs-theory error {err_h:.4f} of the period "
-            "(expected < 0.01)"
-        )
-    for r in rows:
-        if r["sim_l"] < r["theory_l"] - 0.005:
-            failures.append(
-                f"fig10: QoS_l sim delay {r['sim_l']:.4f} fell below "
-                f"theory {r['theory_l']:.4f} at share {r['share']:g}"
-            )
-        if r["sim_l"] > r["theory_l"] + 0.02:
-            failures.append(
-                f"fig10: QoS_l packetization artifact too large at "
-                f"share {r['share']:g}"
-            )
-    return failures
+    l_gaps = [r["sim_l"] - r["theory_l"] for r in rows]
+    return judge(
+        BOUNDS[profile],
+        {
+            "fig10/h-error": max_error_h(rows),
+            "fig10/l-undershoot": min(l_gaps),
+            "fig10/l-overshoot": max(l_gaps),
+        },
+    )

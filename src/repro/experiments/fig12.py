@@ -15,7 +15,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.core.qos import Priority
 from repro.experiments.cluster import ClusterConfig, run_cluster
 from repro.rpc.sizes import FixedSize, SizeDistribution
-from repro.runner.point import Point, Row
+from repro.runner.point import Bound, Claim, Point, Row, Rows, judge
 from repro.stats.digest import completed_rpc_digest
 
 
@@ -101,24 +101,42 @@ def table(rows: Sequence[Row]) -> str:
     return "\n".join(lines)
 
 
-def check(rows: Sequence[Row], profile: str) -> List[str]:
-    """Headline shape: enabling Aequitas pulls the SLO classes' tails
-    down toward their SLOs."""
-    failures: List[str] = []
+# Bounds of each claim EXPERIMENTS.md lists under Fig 12, per profile.
+# Tails are per-MTU p99.9 over each class's SLO, or w/ over w/o.
+BOUNDS: Dict[str, Dict[str, Bound]] = {
+    "paper": {
+        "fig12/h-violated-without": (">", 1.0),
+        "fig12/m-violated-without": (">", 1.0),
+        "fig12/h-improves": ("<", 1.0),
+        "fig12/m-improves": ("<", 1.0),
+        "fig12/l-improves": ("<", 1.0),
+        "fig12/h-tail-over-slo": ("<", 1.5),
+        "fig12/m-tail-over-slo": ("<", 1.5),
+    },
+}
+BOUNDS["fast"] = {
+    **BOUNDS["paper"],
+    "fig12/h-tail-over-slo": ("<=", 3.0),
+    "fig12/m-tail-over-slo": ("<=", 3.0),
+}
+
+
+def check(rows: Rows, profile: str, series: Optional[Row] = None) -> List[Claim]:
+    """Headline shape: both SLO classes blow their SLOs without
+    admission control; enabling Aequitas pulls their tails down to the
+    SLOs, and QoS_l improves too (not a zero-sum game)."""
     by = _by_scheme(rows)
-    if set(by) != {"wfq", "aequitas"}:
-        return [f"fig12: expected wfq+aequitas rows, got {sorted(by)}"]
-    for qos, slo in (("0", 15.0), ("1", 25.0)):
-        wo = by["wfq"]["tail_us"][qos]
-        w = by["aequitas"]["tail_us"][qos]
-        if not w < wo:
-            failures.append(
-                f"fig12: Aequitas did not improve QoS {qos} tail "
-                f"({wo:.1f} -> {w:.1f} us)"
-            )
-        if not w <= 3.0 * slo:
-            failures.append(
-                f"fig12: QoS {qos} tail {w:.1f} us not within 3x of "
-                f"its {slo:g} us SLO"
-            )
-    return failures
+    wo, w = by["wfq"]["tail_us"], by["aequitas"]["tail_us"]
+    slo = by["aequitas"]["slo_us"]
+    return judge(
+        BOUNDS[profile],
+        {
+            "fig12/h-violated-without": wo["0"] / slo["0"],
+            "fig12/m-violated-without": wo["1"] / slo["1"],
+            "fig12/h-improves": w["0"] / wo["0"],
+            "fig12/m-improves": w["1"] / wo["1"],
+            "fig12/l-improves": w["2"] / wo["2"],
+            "fig12/h-tail-over-slo": w["0"] / slo["0"],
+            "fig12/m-tail-over-slo": w["1"] / slo["1"],
+        },
+    )

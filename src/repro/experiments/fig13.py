@@ -14,12 +14,12 @@ across (port, sample) pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.cluster import attach_traffic, build_cluster
 from repro.experiments.fig12 import make_config
 from repro.rpc.message import Rpc
-from repro.runner.point import Point, Row
+from repro.runner.point import Bound, Claim, Point, Row, Rows, judge
 from repro.sim.engine import ns_from_ms, ns_from_us
 from repro.stats.summary import percentile
 
@@ -125,22 +125,28 @@ def table(rows: Sequence[Row]) -> str:
     )
 
 
-def check(rows: Sequence[Row], profile: str) -> List[str]:
+# Bounds of each claim EXPERIMENTS.md lists under Fig 13, per profile:
+# w/ over w/o of each group's p99 outstanding count.
+BOUNDS: Dict[str, Dict[str, Bound]] = {
+    "paper": {
+        "fig13/hm-outstanding-drops": ("<", 1.0),
+        "fig13/l-outstanding-grows": (">", 1.0),
+    },
+}
+BOUNDS["fast"] = BOUNDS["paper"]
+
+
+def check(rows: Rows, profile: str, series: Optional[Row] = None) -> List[Claim]:
     """Little's-law shape: admission control cuts outstanding QoS_h+m
     RPCs while the scavenger class absorbs the downgrades."""
     by = {r["scheme"]: r for r in rows}
-    if set(by) != {"wfq", "aequitas"}:
-        return [f"fig13: expected wfq+aequitas rows, got {sorted(by)}"]
-    failures: List[str] = []
-    if not by["aequitas"]["p99_high_medium"] < by["wfq"]["p99_high_medium"]:
-        failures.append(
-            "fig13: outstanding QoS_h+m did not drop with Aequitas "
-            f"({by['wfq']['p99_high_medium']:.1f} -> "
-            f"{by['aequitas']['p99_high_medium']:.1f})"
-        )
-    if not by["aequitas"]["p99_low"] > by["wfq"]["p99_low"]:
-        failures.append(
-            "fig13: outstanding QoS_l did not grow with Aequitas "
-            "(downgrades should queue there)"
-        )
-    return failures
+    wo, w = by["wfq"], by["aequitas"]
+    return judge(
+        BOUNDS[profile],
+        {
+            "fig13/hm-outstanding-drops": (
+                w["p99_high_medium"] / max(wo["p99_high_medium"], 1e-9)
+            ),
+            "fig13/l-outstanding-grows": w["p99_low"] / max(wo["p99_low"], 1e-9),
+        },
+    )

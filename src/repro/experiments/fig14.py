@@ -9,12 +9,12 @@ step an operator (and Figure 15) uses to pick SLO targets.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.qos import Priority
 from repro.experiments.cluster import run_cluster
 from repro.experiments.fig12 import make_config
-from repro.runner.point import Point, Row
+from repro.runner.point import Bound, Claim, Point, Row, Rows, judge
 from repro.stats.digest import completed_rpc_digest
 
 
@@ -105,14 +105,37 @@ def table(rows: Sequence[Row]) -> str:
     return "\n".join(lines)
 
 
-def check(rows: Sequence[Row], profile: str) -> List[str]:
-    """Calibration shape: the baseline QoS_h tail grows with its share."""
+# Bounds of each claim EXPERIMENTS.md lists under Fig 14, per profile.
+BOUNDS: Dict[str, Dict[str, Bound]] = {
+    "paper": {
+        "fig14/h-tail-growth": (">", 2.0),
+        "fig14/admissible-share-min": (">=", 0.05),
+        "fig14/admissible-share-max": ("<=", 0.7),
+        "fig14/low-share-h-below-m": ("<=", 1.0),
+        "fig14/low-share-m-below-l": ("<=", 1.0),
+    },
+}
+BOUNDS["fast"] = {
+    **BOUNDS["paper"],
+    "fig14/h-tail-growth": (">", 1.0),
+}
+
+
+def check(rows: Rows, profile: str, series: Optional[Row] = None) -> List[Claim]:
+    """Calibration shape: the baseline QoS_h tail grows with its share
+    and crosses the 15 us SLO inside the swept range; at the lowest
+    share the classes keep their order (no inversion)."""
     ordered = sorted(rows, key=lambda r: r["qos_h_share"])
-    failures: List[str] = []
-    if len(ordered) >= 2 and not ordered[-1]["tail_h_us"] > ordered[0]["tail_h_us"]:
-        failures.append(
-            "fig14: QoS_h tail did not grow from share "
-            f"{ordered[0]['qos_h_share']:g} ({ordered[0]['tail_h_us']:.1f} us) "
-            f"to {ordered[-1]['qos_h_share']:g} ({ordered[-1]['tail_h_us']:.1f} us)"
-        )
-    return failures
+    low = ordered[0]
+    return judge(
+        BOUNDS[profile],
+        {
+            "fig14/h-tail-growth": (
+                ordered[-1]["tail_h_us"] / max(low["tail_h_us"], 1e-9)
+            ),
+            "fig14/admissible-share-min": share_at_slo(rows, 15.0),
+            "fig14/admissible-share-max": share_at_slo(rows, 15.0),
+            "fig14/low-share-h-below-m": low["tail_h_us"] / low["tail_m_us"],
+            "fig14/low-share-m-below-l": low["tail_m_us"] / low["tail_l_us"],
+        },
+    )

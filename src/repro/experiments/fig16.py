@@ -9,11 +9,11 @@ plus the fit's relative error.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.cluster import run_cluster
 from repro.experiments.fig12 import make_config
-from repro.runner.point import Point, Row
+from repro.runner.point import Bound, Claim, Point, Row, Rows, judge
 from repro.stats.digest import completed_rpc_digest
 
 
@@ -100,16 +100,28 @@ def table(rows: Sequence[Row]) -> str:
     return "\n".join(lines)
 
 
-def check(rows: Sequence[Row], profile: str) -> List[str]:
-    """Section-5.2 law: admitted QoS_h share shrinks as rho grows."""
+# Bounds of each claim EXPERIMENTS.md lists under Fig 16, per profile.
+BOUNDS: Dict[str, Dict[str, Bound]] = {
+    "paper": {
+        "fig16/share-shrinks": ("<", 1.0),
+        "fig16/c-over-rho-fit-error": ("<", 0.25),
+    },
+}
+BOUNDS["fast"] = BOUNDS["paper"]
+
+
+def check(rows: Rows, profile: str, series: Optional[Row] = None) -> List[Claim]:
+    """Section-5.2 law: the admitted QoS_h share shrinks as rho grows,
+    close to C / rho."""
     ordered = sorted(rows, key=lambda r: r["rho"])
-    failures: List[str] = []
-    first = ordered[0]["admitted_qos_h_share"]
-    last = ordered[-1]["admitted_qos_h_share"]
-    if len(ordered) >= 2 and not last < first:
-        failures.append(
-            f"fig16: admitted QoS_h share did not shrink with burstiness "
-            f"({first:.2f} at rho {ordered[0]['rho']:g} -> {last:.2f} at "
-            f"rho {ordered[-1]['rho']:g})"
-        )
-    return failures
+    return judge(
+        BOUNDS[profile],
+        {
+            # Share at the largest rho over the share at the smallest.
+            "fig16/share-shrinks": (
+                ordered[-1]["admitted_qos_h_share"]
+                / max(ordered[0]["admitted_qos_h_share"], 1e-9)
+            ),
+            "fig16/c-over-rho-fit-error": fit_error(rows),
+        },
+    )

@@ -22,7 +22,7 @@ from repro.core.qos import Priority
 from repro.experiments.cluster import ClusterConfig, build_cluster
 from repro.rpc.sizes import FixedSize
 from repro.rpc.workload import OpenLoopSource, steady_pattern
-from repro.runner.point import Point, Row
+from repro.runner.point import Bound, Claim, Point, Row, Rows, judge
 from repro.sim.engine import ns_from_ms, ns_from_us
 from repro.stats.digest import completed_rpc_digest
 from repro.stats.sampler import PeriodicSampler
@@ -240,26 +240,38 @@ def table(rows: Sequence[Row]) -> str:
     return "\n".join(lines)
 
 
-def check(rows: Sequence[Row], profile: str) -> List[str]:
+# Bounds of each claim EXPERIMENTS.md lists under Fig 17, per profile.
+# A 40%-vs-80% demand split served proportionally leaves a relative
+# goodput gap of ~67%; the paper profile holds the channels within
+# 1.7x of each other, i.e. a gap under 1 - 1/1.7.
+BOUNDS: Dict[str, Dict[str, Bound]] = {
+    "paper": {
+        "fig17/heavier-admits-less": ("<", 0.0),
+        "fig17/throughput-gap": ("<", 1 - 1 / 1.7),
+        "fig17/min-goodput-gbps": (">", 5.0),
+        "fig17/convergence-ms": ("<", 80.0),
+    },
+}
+BOUNDS["fast"] = {
+    **BOUNDS["paper"],
+    "fig17/throughput-gap": ("<", 0.6),
+    "fig17/min-goodput-gbps": (">", 0.0),
+}
+
+
+def check(rows: Rows, profile: str, series: Optional[Row] = None) -> List[Claim]:
     """Fairness shape: the heavier channel holds the lower admit
-    probability, and admitted throughputs land far closer than the
-    2x demand split."""
-    failures: List[str] = []
-    for r in rows:
-        if not r["p_admit_b"] < r["p_admit_a"]:
-            failures.append(
-                f"fig17: heavier channel admit probability "
-                f"({r['p_admit_b']:.2f}) not below the lighter one's "
-                f"({r['p_admit_a']:.2f})"
-            )
-        # A 40%-vs-80% demand split served proportionally would leave a
-        # relative goodput gap of ~67%; fair sharing must land well
-        # inside that.
-        if not r["throughput_gap"] < 0.6:
-            failures.append(
-                f"fig17: steady goodput gap {r['throughput_gap']:.1%} "
-                "not meaningfully below the 67% proportional-split gap"
-            )
-        if min(r["goodput_a_gbps"], r["goodput_b_gbps"]) <= 0:
-            failures.append("fig17: a channel starved to zero goodput")
-    return failures
+    probability, admitted throughputs land far closer than the 2x
+    demand split, neither channel starves, and the running goodput
+    settles in time."""
+    (row,) = rows
+    conv = row["convergence_ms"]
+    return judge(
+        BOUNDS[profile],
+        {
+            "fig17/heavier-admits-less": row["p_admit_b"] - row["p_admit_a"],
+            "fig17/throughput-gap": row["throughput_gap"],
+            "fig17/min-goodput-gbps": min(row["goodput_a_gbps"], row["goodput_b_gbps"]),
+            "fig17/convergence-ms": float("nan") if conv is None else conv,
+        },
+    )

@@ -9,10 +9,10 @@ than equal division.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.fig17 import channel_lines, run_two_channels
-from repro.runner.point import Point, Row
+from repro.runner.point import Bound, Claim, Point, Row, Rows, judge
 from repro.stats.digest import completed_rpc_digest
 
 PROFILES = {
@@ -69,19 +69,34 @@ def table(rows: Sequence[Row]) -> str:
     return "\n".join(lines)
 
 
-def check(rows: Sequence[Row], profile: str) -> List[str]:
+# Bounds of each claim EXPERIMENTS.md lists under Fig 18, per profile.
+BOUNDS: Dict[str, Dict[str, Bound]] = {
+    "paper": {
+        "fig18/in-quota-p-admit": (">", 0.9),
+        "fig18/in-quota-p-admit-p1": (">", 0.6),
+        "fig18/in-quota-goodput-gbps": (">", 8.0),
+        "fig18/heavy-reclaims": (">", 1.0),
+    },
+}
+BOUNDS["fast"] = {
+    **BOUNDS["paper"],
+    "fig18/in-quota-p-admit": (">", 0.85),
+}
+
+
+def check(rows: Rows, profile: str, series: Optional[Row] = None) -> List[Claim]:
     """Max-min shape: the in-quota channel keeps p_admit pinned near 1
-    and the heavy channel reclaims the slack."""
-    failures: List[str] = []
-    for r in rows:
-        if not r["p_admit_a"] > 0.85:
-            failures.append(
-                f"fig18: in-quota channel's admit probability "
-                f"{r['p_admit_a']:.2f} not pinned near 1.0"
-            )
-        if not r["goodput_b_gbps"] > r["goodput_a_gbps"]:
-            failures.append(
-                "fig18: heavy channel did not reclaim the in-quota "
-                "channel's head-room"
-            )
-    return failures
+    and its full demand, and the heavy channel reclaims the slack."""
+    (row,) = rows
+    return judge(
+        BOUNDS[profile],
+        {
+            "fig18/in-quota-p-admit": row["p_admit_a"],
+            "fig18/in-quota-p-admit-p1": row["p_admit_a_p1"],
+            "fig18/in-quota-goodput-gbps": row["goodput_a_gbps"],
+            # Heavy channel's goodput over the in-quota channel's.
+            "fig18/heavy-reclaims": (
+                row["goodput_b_gbps"] / max(row["goodput_a_gbps"], 1e-9)
+            ),
+        },
+    )

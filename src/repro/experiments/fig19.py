@@ -9,12 +9,12 @@ Aequitas downgrades the excess, keeping both SLO classes predictable.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.qos import Priority
 from repro.experiments.cluster import run_cluster
 from repro.experiments.fig12 import make_config
-from repro.runner.point import Point, Row
+from repro.runner.point import Bound, Claim, Point, Row, Rows, judge
 from repro.stats.digest import completed_rpc_digest
 
 
@@ -95,18 +95,38 @@ def table(rows: Sequence[Row]) -> str:
     return "\n".join(lines)
 
 
-def check(rows: Sequence[Row], profile: str) -> List[str]:
-    """Race-to-the-top shape: at the heaviest QoS_h share, SPQ starves
-    QoS_m while Aequitas contains it."""
-    failures: List[str] = []
+# Bounds of each claim EXPERIMENTS.md lists under Fig 19, per profile.
+BOUNDS: Dict[str, Dict[str, Bound]] = {
+    "paper": {
+        "fig19/spq-m-over-aequitas-at-top": (">", 2.0),
+        "fig19/spq-m-growth": (">", 1.5),
+        "fig19/aequitas-h-tail-over-slo": ("<", 2.0),
+    },
+}
+BOUNDS["fast"] = {
+    **BOUNDS["paper"],
+    "fig19/spq-m-over-aequitas-at-top": (">", 1.0),
+}
+
+
+def check(rows: Rows, profile: str, series: Optional[Row] = None) -> List[Claim]:
+    """Race-to-the-top shape: as the QoS_h share grows SPQ starves
+    QoS_m, ending far above Aequitas, which holds QoS_h near its 15 us
+    SLO at every share."""
+    tail = {(r["qos_h_share"], r["scheme"]): r for r in rows}
+    low = min(r["qos_h_share"] for r in rows)
     top = max(r["qos_h_share"] for r in rows)
-    at_top = {r["scheme"]: r for r in rows if r["qos_h_share"] == top}
-    if set(at_top) != {"aequitas", "spq"}:
-        return [f"fig19: expected aequitas+spq rows at share {top:g}"]
-    if not at_top["spq"]["tail_m_us"] > at_top["aequitas"]["tail_m_us"]:
-        failures.append(
-            f"fig19: at share {top:g}, SPQ QoS_m tail "
-            f"({at_top['spq']['tail_m_us']:.1f} us) not worse than "
-            f"Aequitas ({at_top['aequitas']['tail_m_us']:.1f} us)"
-        )
-    return failures
+    return judge(
+        BOUNDS[profile],
+        {
+            "fig19/spq-m-over-aequitas-at-top": (
+                tail[top, "spq"]["tail_m_us"] / tail[top, "aequitas"]["tail_m_us"]
+            ),
+            "fig19/spq-m-growth": (
+                tail[top, "spq"]["tail_m_us"] / tail[low, "spq"]["tail_m_us"]
+            ),
+            "fig19/aequitas-h-tail-over-slo": max(
+                r["tail_h_us"] / 15.0 for r in rows if r["scheme"] == "aequitas"
+            ),
+        },
+    )

@@ -17,14 +17,14 @@ shift toward the scavenger class — are preserved.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.qos import Priority
 from repro.experiments.cluster import run_cluster
 from repro.experiments.fig12 import make_config
 from repro.rpc.sizes import production_mixture
 from repro.rpc.workload import byte_mix_to_rpc_mix
-from repro.runner.point import Point, Row
+from repro.runner.point import Bound, Claim, Point, Row, Rows, judge
 from repro.stats.digest import completed_rpc_digest
 
 
@@ -106,21 +106,34 @@ def table(rows: Sequence[Row]) -> str:
     return "\n".join(lines)
 
 
-def check(rows: Sequence[Row], profile: str) -> List[str]:
-    """Extreme-overload shape: large QoS_h tail improvement and a mix
-    shift toward the scavenger class."""
+# Bounds of each claim EXPERIMENTS.md lists under Fig 21, per profile.
+BOUNDS: Dict[str, Dict[str, Bound]] = {
+    "paper": {
+        "fig21/h-improvement": (">", 2.0),
+        "fig21/m-improvement": (">", 1.2),
+        "fig21/l-share-grows": (">", 1.0),
+        "fig21/l-share": (">", 0.4),
+        "fig21/h-share-halved": ("<", 0.5),
+    },
+}
+BOUNDS["fast"] = {
+    **BOUNDS["paper"],
+    "fig21/h-improvement": (">", 1.5),
+}
+
+
+def check(rows: Rows, profile: str, series: Optional[Row] = None) -> List[Claim]:
+    """Extreme-overload shape: large QoS_h and QoS_m tail improvements,
+    and the admitted mix shifts sharply toward the scavenger class."""
     by = {r["scheme"]: r for r in rows}
-    if set(by) != {"wfq", "aequitas"}:
-        return [f"fig21: expected wfq+aequitas rows, got {sorted(by)}"]
-    failures: List[str] = []
-    factor = improvement(by, "0")
-    if not factor > 1.5:
-        failures.append(
-            f"fig21: QoS_h tail improvement factor {factor:.1f}x "
-            "(expected > 1.5x under extreme overload)"
-        )
-    if not by["aequitas"]["admitted_mix"][2] > by["wfq"]["admitted_mix"][2]:
-        failures.append(
-            "fig21: admitted mix did not shift toward the scavenger class"
-        )
-    return failures
+    wo, w = by["wfq"]["admitted_mix"], by["aequitas"]["admitted_mix"]
+    return judge(
+        BOUNDS[profile],
+        {
+            "fig21/h-improvement": improvement(by, "0"),
+            "fig21/m-improvement": improvement(by, "1"),
+            "fig21/l-share-grows": w[2] / max(wo[2], 1e-9),
+            "fig21/l-share": w[2],
+            "fig21/h-share-halved": w[0] / max(wo[0], 1e-9),
+        },
+    )

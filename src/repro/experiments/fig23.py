@@ -15,13 +15,13 @@ same code path as the prototype's).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.qos import Priority
 from repro.experiments.cluster import run_cluster
 from repro.experiments.fig12 import make_config
 from repro.rpc.sizes import FixedSize
-from repro.runner.point import Point, Row
+from repro.runner.point import Bound, Claim, Point, Row, Rows, judge
 from repro.stats.digest import completed_rpc_digest
 
 
@@ -102,18 +102,39 @@ def table(rows: Sequence[Row]) -> str:
     return "\n".join(lines)
 
 
-def check(rows: Sequence[Row], profile: str) -> List[str]:
-    """Testbed shape: Aequitas pulls the normalized QoS_h tail toward
-    the reference run's level."""
+# Bounds of each claim EXPERIMENTS.md lists under Fig 23, per profile:
+# tails normalized to the reference run, or w/ over w/o.
+BOUNDS: Dict[str, Dict[str, Bound]] = {
+    "paper": {
+        "fig23/h-improves": ("<", 1.0),
+        "fig23/m-improves": ("<", 1.0),
+        "fig23/h-vs-reference": ("<", 5.0),
+        "fig23/h-share-drops": ("<", 1.0),
+        "fig23/h-share-toward-target": ("<", 1.0),
+    },
+}
+BOUNDS["fast"] = BOUNDS["paper"]
+
+
+def check(rows: Rows, profile: str, series: Optional[Row] = None) -> List[Claim]:
+    """Testbed shape: Aequitas pulls the normalized QoS_h and QoS_m
+    tails toward the reference run's level, and moves the admitted mix
+    from the input toward the target."""
     by = {r["role"]: r for r in rows}
-    if set(by) != {"reference", "without", "with"}:
-        return [f"fig23: expected reference/without/with rows, got {sorted(by)}"]
-    failures: List[str] = []
-    wo_norm = normalized_tails(by, "without")["0"]
-    w_norm = normalized_tails(by, "with")["0"]
-    if not w_norm < wo_norm:
-        failures.append(
-            f"fig23: normalized QoS_h tail did not improve "
-            f"({wo_norm:.1f}x -> {w_norm:.1f}x of reference)"
-        )
-    return failures
+    wo_norm = normalized_tails(by, "without")
+    w_norm = normalized_tails(by, "with")
+    target_h, input_h = _ROLES[0][2][0], _ROLES[2][2][0]
+    with_h = by["with"]["admitted_mix"][0]
+    return judge(
+        BOUNDS[profile],
+        {
+            "fig23/h-improves": w_norm["0"] / wo_norm["0"],
+            "fig23/m-improves": w_norm["1"] / wo_norm["1"],
+            "fig23/h-vs-reference": w_norm["0"],
+            "fig23/h-share-drops": with_h / max(by["without"]["admitted_mix"][0], 1e-9),
+            # Distance to the target over the input's distance to it.
+            "fig23/h-share-toward-target": (
+                abs(with_h - target_h) / abs(input_h - target_h)
+            ),
+        },
+    )

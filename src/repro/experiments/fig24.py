@@ -20,14 +20,14 @@ rollout pacing is an operational artifact, not a system property.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.qos import Priority
 from repro.experiments.cluster import ClusterConfig, ClusterResult, run_cluster
 from repro.experiments.fig12 import make_config
 from repro.rpc.message import Rpc
 from repro.rpc.sizes import FixedSize
-from repro.runner.point import Point, Row
+from repro.runner.point import Bound, Claim, Point, Row, Rows, judge
 from repro.stats.summary import percentile
 
 
@@ -204,19 +204,35 @@ def table(rows: Sequence[Row]) -> str:
     return "\n".join(lines)
 
 
-def check(rows: Sequence[Row], profile: str) -> List[str]:
-    """Phase-1 shape: alignment alone helps — the best cluster improves
-    clearly and the ensemble does not regress on average."""
-    failures: List[str] = []
+# Bounds of each claim EXPERIMENTS.md lists under Fig 24, per profile.
+BOUNDS: Dict[str, Dict[str, Bound]] = {
+    "paper": {
+        "fig24/best-change-pct": ("<", 0.0),
+        "fig24/mean-change-pct": ("<", -10.0),
+        "fig24/clusters-not-improved": ("<=", 1.0),
+        "fig24/final-misalignment-pct": ("==", 0.0),
+        "fig24/initial-misalignment-pct": (">", 20.0),
+    },
+}
+BOUNDS["fast"] = {
+    **BOUNDS["paper"],
+    "fig24/mean-change-pct": ("<=", 10.0),
+}
+
+
+def check(rows: Rows, profile: str, series: Optional[Row] = None) -> List[Claim]:
+    """Phase-1 shape: alignment alone helps — the ensemble improves on
+    average, (almost) every cluster improves, and the staged rollout
+    ends at zero misalignment."""
     changes = [r["rnl_change_pct"] for r in rows]
-    if not min(changes) < 0:
-        failures.append(
-            f"fig24: no cluster improved from alignment (changes: "
-            f"{', '.join(f'{c:+.1f}%' for c in changes)})"
-        )
-    mean = mean_change_pct(rows)
-    if mean > 10.0:
-        failures.append(
-            f"fig24: ensemble regressed {mean:+.1f}% on average after alignment"
-        )
-    return failures
+    weeks = rollout_weeks(rows)
+    return judge(
+        BOUNDS[profile],
+        {
+            "fig24/best-change-pct": min(changes),
+            "fig24/mean-change-pct": mean_change_pct(rows),
+            "fig24/clusters-not-improved": sum(1 for c in changes if c >= 0),
+            "fig24/final-misalignment-pct": weeks[-1][1],
+            "fig24/initial-misalignment-pct": weeks[0][1],
+        },
+    )

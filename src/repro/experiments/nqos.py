@@ -13,10 +13,10 @@ N = 3.
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.analysis.fluid import simulate_fluid
-from repro.runner.point import Point, Row
+from repro.runner.point import Bound, Claim, Point, Row, Rows, judge
 from repro.core.admission import AdmissionParams
 from repro.core.qos import Priority, QoSConfig
 from repro.core.slo import SLO, SLOMap
@@ -151,17 +151,39 @@ def table(rows: Sequence[Row]) -> str:
     return "\n".join(lines)
 
 
-def check(rows: Sequence[Row], profile: str) -> List[str]:
+# Bounds of each claim EXPERIMENTS.md lists under N-QoS, per profile.
+BOUNDS: Dict[str, Dict[str, Bound]] = {
+    "paper": {
+        "nqos/classes": ("==", 5.0),
+        "nqos/degenerate-tails": ("==", 0.0),
+        "nqos/admitted-mix-sum-error": ("<=", 0.1),
+        "nqos/tail-over-slo": ("<", 1.5),
+        "nqos/class-order": ("<=", 0.0),
+    },
+}
+BOUNDS["fast"] = BOUNDS["paper"]
+
+
+def check(rows: Rows, profile: str, series: Optional[Row] = None) -> List[Claim]:
     """N-QoS shape: five classes all carry traffic with finite,
-    positive tails — nothing in the stack is hard-wired to N = 3."""
+    positive tails, each SLO class meets its own target, and the
+    classes keep their order — nothing is hard-wired to N = 3."""
     (row,) = rows
-    failures: List[str] = []
-    for qos, tail in row["tails_us"].items():
-        if not tail > 0.0 or tail != tail or tail == float("inf"):
-            failures.append(f"nqos: QoS {qos} tail is degenerate ({tail})")
-    mix_total = sum(row["admitted_mix"].values())
-    if not 0.9 <= mix_total <= 1.1:
-        failures.append(f"nqos: admitted mix sums to {mix_total:.2f}, expected ~1")
-    if len(row["weights"]) != 5:
-        failures.append(f"nqos: expected 5 QoS classes, got {len(row['weights'])}")
-    return failures
+    tails = {int(q): t for q, t in row["tails_us"].items()}
+    return judge(
+        BOUNDS[profile],
+        {
+            "nqos/classes": len(row["weights"]),
+            "nqos/degenerate-tails": sum(
+                1 for t in tails.values() if not 0.0 < t < float("inf")
+            ),
+            "nqos/admitted-mix-sum-error": abs(sum(row["admitted_mix"].values()) - 1.0),
+            "nqos/tail-over-slo": max(
+                tails[q] / slo for q, slo in SLO_TARGETS_US.items()
+            ),
+            # Largest step down from one SLO class to the next lower one.
+            "nqos/class-order": max(
+                tails[q] - tails[q + 1] for q in range(len(SLO_TARGETS_US) - 1)
+            ),
+        },
+    )

@@ -1,11 +1,12 @@
-"""Series-aware shape checks shared by figure drivers.
+"""Series-aware claims shared by figure drivers.
 
-A plain sweep's ``check(rows, profile)`` validates the curve; when the
-sweep ran with ``--trace`` the runner also hands the driver the traced
-companion scenario's analysis series (see :mod:`repro.obs.series`), and
-these helpers validate *that* — the control loop actually settled, the
+A plain sweep's ``check`` judges the curve; when the sweep ran with
+``--trace`` the runner also hands the driver the traced companion
+scenario's analysis series (see :mod:`repro.obs.series`), and these
+helpers judge *that* — the control loop actually settled, the
 SLO-carrying QoS levels stayed inside their miss budget, and the series
-document has the shape downstream report tooling expects.
+document has the shape downstream report tooling expects.  The bounds
+are the same in every profile: they hold the companion, not the sweep.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.analysis.convergence import per_qos_convergence
 from repro.obs.series import SERIES_SCHEMA
+from repro.runner.point import Bound, Claim, judge
 
 
 def _as_tracks(
@@ -27,61 +29,83 @@ def _as_tracks(
     }
 
 
-def series_failures(
+def settled_p_admit(series: Mapping[str, object]) -> Dict[int, float]:
+    """Per-QoS settled admit probability of a traced run's channels."""
+    p_admit = series["p_admit"]
+    assert isinstance(p_admit, Mapping)
+    return {
+        qos: verdict.settled_value
+        for qos, verdict in per_qos_convergence(_as_tracks(p_admit)).items()
+    }
+
+
+def _size(value: object) -> float:
+    return float(len(value)) if isinstance(value, Mapping) else 0.0
+
+
+def series_claims(
     series: Mapping[str, object],
     figure: str,
     converge_qos: Iterable[int] = (),
     max_slo_miss: float = 0.10,
-) -> List[str]:
-    """Structural and convergence assertions on a traced run's series.
+) -> List[Claim]:
+    """Structural and convergence claims on a traced run's series.
 
     ``converge_qos`` lists the QoS levels whose per-channel ``p_admit``
-    trajectories must reach steady state within the traced horizon;
-    ``max_slo_miss`` bounds the acceptable SLO miss rate for every QoS
-    that carries an SLO.
+    trajectories must all reach steady state within the traced horizon;
+    ``max_slo_miss`` bounds the SLO miss rate of every QoS that carries
+    an SLO.  A document of another schema, or without ``p_admit``
+    tracks, gets no claims past the one it fails.
     """
-    failures: List[str] = []
     schema = series.get("schema")
-    if schema != SERIES_SCHEMA:
-        return [f"{figure}: series schema {schema!r} != {SERIES_SCHEMA}"]
+    claims = judge(
+        {f"{figure}/series-schema": ("==", SERIES_SCHEMA)},
+        {f"{figure}/series-schema": schema if isinstance(schema, int) else -1},
+    )
+    if not claims[0].passed:
+        return claims
     snapshots = series.get("snapshots")
-    if not isinstance(snapshots, int) or snapshots < 2:
-        failures.append(
-            f"{figure}: traced run captured {snapshots!r} registry "
-            "snapshots, need >= 2 for windowed percentiles"
-        )
-    rnl = series.get("rnl")
-    if not isinstance(rnl, Mapping) or not rnl:
-        failures.append(f"{figure}: no rolling RNL percentile tracks in series")
-    p_admit = series.get("p_admit")
-    if not isinstance(p_admit, Mapping) or not p_admit:
-        failures.append(f"{figure}: traced run produced no p_admit trajectories")
-        return failures
+    if not isinstance(snapshots, int):
+        snapshots = 0
+    claims += judge(
+        {
+            f"{figure}/series-snapshots": (">=", 2),
+            f"{figure}/series-rnl-tracks": (">=", 1),
+            f"{figure}/series-p-admit-tracks": (">=", 1),
+        },
+        {
+            f"{figure}/series-snapshots": snapshots,
+            f"{figure}/series-rnl-tracks": _size(series.get("rnl")),
+            f"{figure}/series-p-admit-tracks": _size(series.get("p_admit")),
+        },
+    )
+    if not claims[-1].passed:
+        return claims
+    p_admit = series["p_admit"]
+    assert isinstance(p_admit, Mapping)
     rollup = per_qos_convergence(_as_tracks(p_admit))
+    bounds: Dict[str, Bound] = {}
+    measured: Dict[str, float] = {}
     for qos in converge_qos:
+        slug = f"{figure}/series-qos{qos}"
         verdict = rollup.get(qos)
-        if verdict is None:
-            failures.append(
-                f"{figure}: no p_admit channels observed for qos {qos}"
-            )
-            continue
-        if not verdict.converged:
-            failures.append(
-                f"{figure}: p_admit for qos {qos} never reached steady state "
-                f"({verdict.converged_channels}/{verdict.channels} channels "
-                "converged)"
-            )
-        if not 0.0 < verdict.settled_value <= 1.0:
-            failures.append(
-                f"{figure}: qos {qos} settled p_admit "
-                f"{verdict.settled_value:.3f} outside (0, 1]"
-            )
+        # The share of the level's channels that settled (0: no channel).
+        bounds[f"{slug}-converged"] = (">=", 1)
+        measured[f"{slug}-converged"] = (
+            verdict.converged_channels / verdict.channels
+            if verdict is not None and verdict.channels
+            else 0
+        )
+        if verdict is not None:
+            bounds[f"{slug}-settled-positive"] = (">", 0)
+            bounds[f"{slug}-settled-at-most-1"] = ("<=", 1)
+            measured[f"{slug}-settled-positive"] = verdict.settled_value
+            measured[f"{slug}-settled-at-most-1"] = verdict.settled_value
     miss_rates = series.get("slo_miss_rate")
-    if isinstance(miss_rates, Mapping):
-        for qos_label, miss in miss_rates.items():
-            if not 0.0 <= float(miss) <= max_slo_miss:
-                failures.append(
-                    f"{figure}: qos {qos_label} SLO miss rate "
-                    f"{float(miss):.2%} outside [0, {max_slo_miss:.0%}]"
-                )
-    return failures
+    if isinstance(miss_rates, Mapping) and miss_rates:
+        misses = [float(m) for m in miss_rates.values()]
+        bounds[f"{figure}/series-slo-miss-max"] = ("<=", max_slo_miss)
+        bounds[f"{figure}/series-slo-miss-min"] = (">=", 0)
+        measured[f"{figure}/series-slo-miss-max"] = max(misses)
+        measured[f"{figure}/series-slo-miss-min"] = min(misses)
+    return claims + judge(bounds, measured)

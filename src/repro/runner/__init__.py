@@ -10,12 +10,13 @@ structure through a common interface —
 * ``sweep(profile) -> list[Point]`` — the points, in report order;
 * ``run_point(point, seed) -> dict`` — run one point to a
   JSON-serializable metrics row;
-* ``check(rows, profile) -> list[str]`` — lightweight shape assertions
-  (who wins, where the crossover falls, SLO tracked); an empty list
-  means the figure's shape regressed nowhere;
+* ``check(rows, profile, series=None) -> list[Claim]`` — the one judge
+  of the figure's paper claims (who wins, where the crossover falls,
+  SLO tracked): one :class:`~repro.runner.point.Claim` per claim the
+  profile bounds, measured on one replicate's rows (plus, on a traced
+  sweep, the companion scenario's analysis ``series``);
 * ``table(rows) -> str`` — the rows as the paper reports them, which
-  the bare ``python -m repro <figure>`` and the paper-vs-measured
-  benches print.
+  the bare ``python -m repro <figure>`` prints.
 
 All five are required: :func:`~repro.runner.registry.driver_for`
 refuses a module that lacks one.
@@ -26,13 +27,13 @@ deterministic per-point seed (derived from the point itself, so
 ``--workers 1`` and ``--workers N`` produce bit-identical results),
 consults an on-disk JSON cache keyed by ``(experiment, canonical
 params, seed, code version)`` for incremental reruns, and records every
-run — per-point rows, determinism digests, shape-check verdicts — in a
+run — per-point rows, determinism digests, every claim's verdict — in a
 structured result store under ``results/<experiment>/<run_id>.json``
 that later runs can ``--resume``.
 """
 
 from repro.runner.cache import ResultCache, code_version
-from repro.runner.point import Point
+from repro.runner.point import Claim, Point
 from repro.runner.pool import RunReport, run_experiment
 from repro.runner.registry import (
     UnknownExperimentError,
@@ -44,6 +45,7 @@ from repro.runner.registry import (
 from repro.runner.store import ResultStore
 
 __all__ = [
+    "Claim",
     "Point",
     "ResultCache",
     "ResultStore",

@@ -9,19 +9,70 @@ drawn from any global RNG, so it is independent of execution order:
 sharding a sweep across N workers, resuming half of it tomorrow, or
 running points one at a time all use the same seed per point and
 therefore produce bit-identical rows.
+
+A :class:`Claim` is one verdict a driver's ``check`` returns: a paper
+claim's measured value on one replicate's rows against its bound.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import operator
 from dataclasses import dataclass, field
-from typing import Any, Dict
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 
 #: One result row of a sweep: what ``run_point`` returns.  Rows round-
 #: trip through JSON in the result cache, so values stay heterogeneous.
 Row = Dict[str, Any]
+#: One replicate's rows, in sweep order: what a driver's ``check`` judges.
+Rows = Sequence[Row]
+
+#: A claim's bound in one profile: a comparison and its threshold, as
+#: in ``("<", 1.5)`` — the measured value must be below 1.5.
+Bound = Tuple[str, float]
+
+_COMPARE: Dict[str, Callable[[float, float], bool]] = {
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "==": operator.eq,
+}
+
+
+class Claim(NamedTuple):
+    """One paper claim judged on one replicate's rows.
+
+    ``id`` is the ``figNN/<slug>`` that EXPERIMENTS.md lists under its
+    figure; ``bound`` reads as the comparison the measured value had to
+    pass, e.g. ``"< 1.5"``.  A NaN measurement never passes.
+    """
+
+    id: str
+    measured: float
+    bound: str
+    passed: bool
+
+
+def judge(bounds: Mapping[str, Bound], measured: Mapping[str, float]) -> List[Claim]:
+    """One :class:`Claim` per bounded id, in ``measured`` order.
+
+    ``measured`` holds every claim a driver measures on its rows; only
+    the ids ``bounds`` names are judged, so a claim whose point a
+    profile lacks (measured as NaN there) is simply not judged in it.
+    """
+    unknown = set(bounds) - set(measured)
+    if unknown:
+        raise KeyError(f"bounds name unmeasured claims: {sorted(unknown)}")
+    claims = []
+    for claim_id, value in measured.items():
+        if claim_id in bounds:
+            op, limit = bounds[claim_id]
+            passed = _COMPARE[op](float(value), limit)
+            claims.append(Claim(claim_id, float(value), f"{op} {limit:.4g}", passed))
+    return claims
 
 
 def canonical_json(value: Any) -> str:

@@ -14,7 +14,6 @@ The orchestration contract that makes parallelism safe:
 
 from __future__ import annotations
 
-import inspect
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -277,12 +276,25 @@ def run_experiment(
             traced_run.registry,
         )
 
-    # Series-aware drivers take check(rows, profile, series=None); the
-    # others take two arguments.
-    if "series" in inspect.signature(driver.check).parameters:
-        failures = list(driver.check(rows, profile, series=series_doc))
-    else:
-        failures = list(driver.check(rows, profile))
+    # Every replicate is a whole sweep, so each is judged on its own
+    # rows; the traced companion is one run, judged once with the first.
+    claims: List[Dict[str, Any]] = []
+    failures: List[str] = []
+    for r in range(replicates):
+        replicate_rows = [
+            row for row, point in zip(rows, points) if point.replicate == r
+        ]
+        verdicts = driver.check(
+            replicate_rows, profile, series=series_doc if r == 0 else None
+        )
+        tag = f" [replicate {r}]" if replicates > 1 else ""
+        for claim in verdicts:
+            claims.append({**claim._asdict(), "replicate": r})
+            if not claim.passed:
+                failures.append(
+                    f"{claim.id}{tag}: measured {claim.measured:.4g}, "
+                    f"bound {claim.bound}"
+                )
 
     wall_s = time.perf_counter() - start
     doc = {
@@ -304,7 +316,7 @@ def run_experiment(
         "points": entries,
         "run_digest_hex": run_digest,
         "series": series_doc,
-        "checks": {"passed": not failures, "failures": failures},
+        "checks": {"passed": not failures, "failures": failures, "claims": claims},
     }
     path = store.write(doc)
 

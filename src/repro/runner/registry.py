@@ -1,7 +1,8 @@
 """Experiment registry: figure name -> driver module.
 
 A driver is any module exposing the sweep interface (``PROFILES``,
-``sweep``, ``run_point``, ``check`` and ``table``); this module maps
+``sweep``, ``run_point``, ``check(rows, profile, series=None)`` returning
+its :class:`~repro.runner.point.Claim` list, and ``table``); this module maps
 the user-facing figure names onto them and validates both the name and
 the requested profile with actionable error messages instead of
 tracebacks.

@@ -14,7 +14,7 @@ from itertools import chain
 import pytest
 
 from repro.analysis.report import render_text, summarize
-from repro.experiments.series_checks import series_failures
+from repro.experiments.series_checks import series_claims
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.series import (
     SERIES_SCHEMA,
@@ -197,4 +197,5 @@ def test_sim_and_live_documents_share_one_schema(tmp_path):
         run = {"experiment": "x", "run_id": "r", "points": [], "series": doc}
         assert summarize(run)["qos"]
         assert "p_admit convergence" in render_text(run)
-        assert not any("schema" in f for f in series_failures(doc, "x"))
+        verdicts = {c.id: c.passed for c in series_claims(doc, "x")}
+        assert verdicts["x/series-schema"]

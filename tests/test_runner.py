@@ -6,6 +6,7 @@ and the worker-pool / cache / resume behaviors stay cheap to exercise.
 """
 
 import hashlib
+import json
 import re
 import sys
 import types
@@ -174,6 +175,7 @@ def test_all_registered_drivers_expose_the_sweep_interface():
     for name in available_experiments():
         driver = driver_for(name)
         assert callable(driver.check) and callable(driver.table), name
+        assert set(driver.BOUNDS) == set(driver.PROFILES), name
         for profile in driver.PROFILES:
             points = driver.sweep(profile)
             assert points, f"{name}/{profile}: empty sweep"
@@ -187,11 +189,43 @@ def test_driver_without_table_is_refused(monkeypatch):
     stub.PROFILES = {"fast": {}}
     stub.sweep = lambda profile="fast": []
     stub.run_point = lambda point, seed: {}
-    stub.check = lambda rows, profile: []
+    stub.check = lambda rows, profile, series=None: []
     monkeypatch.setitem(sys.modules, "stub_driver", stub)
     monkeypatch.setitem(registry.FIGURE_MODULES, "stub", "stub_driver")
     with pytest.raises(TypeError, match="missing table"):
         driver_for("stub")
+
+
+def test_check_judges_each_replicate_on_its_own_rows(monkeypatch, tmp_path):
+    """Every replicate is a whole sweep: ``check`` sees one replicate's
+    rows at a time (a one-point driver unpacking ``(row,) = rows`` must
+    not see two), and a failing claim names its replicate."""
+    from repro.runner import registry
+
+    def check(rows, profile, series=None):
+        (row,) = rows
+        from repro.runner.point import judge
+
+        return judge({"stub/replicate": ("<", 1)}, {"stub/replicate": row["replicate"]})
+
+    stub = types.ModuleType("stub_driver")
+    stub.PROFILES = {"fast": {}}
+    stub.sweep = lambda profile="fast": [Point("stub", {"x": 1})]
+    stub.run_point = lambda point, seed: {"replicate": point.replicate}
+    stub.check = check
+    stub.table = lambda rows: ""
+    monkeypatch.setitem(sys.modules, "stub_driver", stub)
+    monkeypatch.setitem(registry.FIGURE_MODULES, "stub", "stub_driver")
+    report = run_experiment(
+        "stub", "fast", replicates=2, use_cache=False, results_dir=tmp_path
+    )
+    assert report.failures == ["stub/replicate [replicate 1]: measured 1, bound < 1"]
+    checks = json.loads(report.path.read_text())["checks"]
+    assert checks["passed"] is False
+    assert [(c["replicate"], c["passed"]) for c in checks["claims"]] == [
+        (0, True),
+        (1, False),
+    ]
 
 
 def test_second_run_is_served_from_cache(tmp_path):
