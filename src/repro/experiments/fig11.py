@@ -58,10 +58,10 @@ def _three_node_traffic(
 
 
 PROFILES = {
-    # Paper-style sweep: four SLOs, run length scaling with the SLO's
+    # Paper-style sweep: three SLOs, run length scaling with the SLO's
     # AIMD relaxation period (see the module docstring).
     "paper": {
-        "slos_us": (15.0, 25.0, 40.0, 60.0),
+        "slos_us": (15.0, 25.0, 40.0),
         "duration_rule": (60.0, 3.0),  # max(60, 3*slo) ms
         "alpha": 0.05,
         "target_percentile": 99.0,

@@ -81,7 +81,7 @@ def _run_with_tracking(
 
 
 PROFILES = {
-    "paper": {"num_hosts": 10, "duration_ms": 40.0, "warmup_ms": 20.0},
+    "paper": {"num_hosts": 8, "duration_ms": 30.0, "warmup_ms": 15.0},
     "fast": {"num_hosts": 6, "duration_ms": 24.0, "warmup_ms": 12.0},
 }
 

@@ -1,7 +1,8 @@
 """Figure 14: baseline tail RNL as the input QoS_h-share is swept.
 
-Without Aequitas, vary the QoS_h share of the all-to-all traffic from
-5% to 70% with QoS_m pinned at 25% (remainder on QoS_l).  The QoS_h
+Without Aequitas, vary the QoS_h share of the all-to-all traffic (the
+paper sweeps 5% to 70%; the paper profile stops at 60%) with QoS_m
+pinned at 25% (remainder on QoS_l).  The QoS_h
 tail grows with its share; the share at which it crosses the intended
 SLO is the *maximal admissible traffic* for that SLO — the calibration
 step an operator (and Figure 15) uses to pick SLO targets.
@@ -20,10 +21,10 @@ from repro.stats.digest import completed_rpc_digest
 
 PROFILES = {
     "paper": {
-        "shares": [0.05, 0.15, 0.25, 0.40, 0.55, 0.70],
-        "num_hosts": 10,
-        "duration_ms": 15.0,
-        "warmup_ms": 5.0,
+        "shares": [0.05, 0.15, 0.30, 0.45, 0.60],
+        "num_hosts": 8,
+        "duration_ms": 12.0,
+        "warmup_ms": 4.0,
     },
     "fast": {
         "shares": [0.1, 0.3, 0.5],

@@ -19,10 +19,10 @@ from repro.stats.digest import completed_rpc_digest
 
 PROFILES = {
     "paper": {
-        "rhos": [1.4, 1.6, 1.8, 2.0, 2.2],
+        "rhos": [1.4, 1.8, 2.2],
         "num_hosts": 8,
-        "duration_ms": 30.0,
-        "warmup_ms": 15.0,
+        "duration_ms": 25.0,
+        "warmup_ms": 12.0,
     },
     "fast": {
         "rhos": [1.4, 1.8, 2.2],

@@ -20,10 +20,10 @@ from repro.stats.digest import completed_rpc_digest
 
 PROFILES = {
     "paper": {
-        "shares": [0.5, 0.6, 0.7, 0.8],
-        "num_hosts": 8,
-        "duration_ms": 30.0,
-        "warmup_ms": 15.0,
+        "shares": [0.5, 0.65, 0.8],
+        "num_hosts": 6,
+        "duration_ms": 24.0,
+        "warmup_ms": 12.0,
     },
     "fast": {
         "shares": [0.5, 0.8],

@@ -7,8 +7,8 @@ QoS_h / QoS_m) and shifts the admitted mix from (60, 30, 10) toward
 (20, 26, 54).
 
 Scaled substitution (documented in DESIGN.md): node count and the burst
-multiple are reduced for laptop runtimes (the default drives each link
-to ~4x instantaneous overload — already far beyond the admissible
+multiple are reduced for laptop runtimes (both profiles burst each
+link to 2.5x its capacity — already far beyond the admissible
 region); the size distributions are the production-like mixtures from
 :mod:`repro.rpc.sizes`.  The qualitative assertions — SLO compliance
 under extreme overload, large tail-improvement factors, and the mix
@@ -30,11 +30,11 @@ from repro.stats.digest import completed_rpc_digest
 
 PROFILES = {
     "paper": {
-        "num_hosts": 12,
-        "burst_rho": 4.0,
+        "num_hosts": 8,
+        "burst_rho": 2.5,
         "mu": 0.6,
-        "duration_ms": 40.0,
-        "warmup_ms": 20.0,
+        "duration_ms": 30.0,
+        "warmup_ms": 15.0,
     },
     "fast": {
         "num_hosts": 6,

@@ -34,7 +34,7 @@ _ROLES = (
 )
 
 PROFILES = {
-    "paper": {"num_hosts": 10, "duration_ms": 30.0, "warmup_ms": 15.0},
+    "paper": {"num_hosts": 8, "duration_ms": 25.0, "warmup_ms": 12.0},
     "fast": {"num_hosts": 6, "duration_ms": 20.0, "warmup_ms": 10.0},
 }
 

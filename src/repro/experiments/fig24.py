@@ -103,10 +103,10 @@ def _run_misaligned(cfg: ClusterConfig, qos_mapper: MisalignedMapper) -> Cluster
 # (misaligned, then Phase-1 aligned) and reports the PC-tail change.
 PROFILES = {
     "paper": {
-        "num_clusters": 6,
-        "num_hosts": 6,
-        "duration_ms": 15.0,
-        "warmup_ms": 5.0,
+        "num_clusters": 5,
+        "num_hosts": 5,
+        "duration_ms": 10.0,
+        "warmup_ms": 4.0,
     },
     "fast": {
         "num_clusters": 3,

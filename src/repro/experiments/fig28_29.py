@@ -20,7 +20,7 @@ _SCENARIOS = {"fig17": (0.4, 0.8), "fig18": (0.1, 0.8)}
 _BETAS = (0.01, 0.0015)
 
 PROFILES = {
-    "paper": {"duration_ms": 60.0},
+    "paper": {"duration_ms": 50.0},
     "fast": {"duration_ms": 40.0},
 }
 

@@ -45,21 +45,21 @@ PINS = {
         "fig08": "31fce68f6a152b970ea4fffe37c9c4e7c4b7caa8938d746a1e74df42363a5f8b",
         "fig09": "c636c5f4e36acc9e5b9aab4dfedcf37124dca58fa5104bc6a1872eadbfb7dd2f",
         "fig10": "f04f79eb85ca423abbfcd9dbc84a3d4f58bb8e4ed1be0885cf1856ddabd4176f",
-        "fig11": "e3cd276d09063381d85da1fb34c86086c0b4a054cb61a1e213c7973e55c186bc",
-        "fig12": "ec2636c9a9590fae4af24aeb535bfa0a0649cdf536494de0e8f839651b3d745b",
-        "fig13": "c26ee422854c840d4d4e890b57089d4ec725226d8b55f25031e38498e8088533",
-        "fig14": "e6b1ddcb9beb0b5faaff81a113b82d28a664a30fe37afe434e648bd3012c9e2a",
-        "fig15": "85516e3462ed2bb595b115b16234d3f52819e197459330b6c7b086509d0c2160",
-        "fig16": "8053708ac7981dd522e0cc8076994218354bf4ec0f984fbe7ca0f947a43c062f",
+        "fig11": "05fa82f3236d0d0e602b835ccd80dfcef7394296113eeebcdacf3c12dec08cce",
+        "fig12": "793f7f1211fe21bd1bf45987aa3ad57e32f21c5b02b21df756f2a58f31efc1e7",
+        "fig13": "07988b5bf0f6e82b00a5bc76ffbb3459890cdca5dd2b77746be14a026d7d8a6e",
+        "fig14": "23a9300a7222e0e4001088b0a078dc4bc7be12595760c22652e2851cee68a302",
+        "fig15": "b05ef4761c5d06eb6ef0df07bc1e2cdef786090d8a4a1fd55ae56f530d58a5d6",
+        "fig16": "bda041912d86b5c2834d7578f49e9afc8f4974eb988ffddfdd1aee2e7e0e3fac",
         "fig17": "e31a681d4097d4307202393389a056d8ce0addbabed00b13272c26e0762ca045",
         "fig18": "989e766b2d9ed3d77d3c0683286fce28e47a5c067d67c0b41010dd77977dd2f4",
-        "fig19": "0c5e7e5163dba8ddba0794b0ce137bfe68ea455a301ad80ff973dd75a2eb72e2",
-        "fig20": "89cc0573ea0111f23549c933b9b2182040bdd2c1ac03038a34010f0b3a2a42f7",
-        "fig21": "4fdd0ba52d92a5b39e9dcadcdc0e95c7e78bd3e78f98ad1528196616537934db",
+        "fig19": "f9a461b415953dd39a4e179451d1b4cb677377270e9a9ffea4121d4fc67c4eca",
+        "fig20": "2ee7d10ff0a7dd7d5fff262206a94ec4ded1bfce8c60657d6e04ec32f5dc107b",
+        "fig21": "8a9bd43f6d594a8cddf3f38c9dc56ee0f48b7759e4f6a8d1dfeb6caca536188e",
         "fig22": "8e4a8e872b72553f5af834ad3a92f9be466dcd588967dacee09201400f4fc641",
-        "fig23": "40e2d364e2d19fea68d9609804fffa416a8754725fd547b662b6522d15195c23",
-        "fig24": "fba77985e4da25755e77013c354d63d6e2856996d9fb991ca2845f0ab2f1981a",
-        "fig28": "84f88ed6cc06c63b9b5514bd8e76f976f2b27193bf43d087d15ed29ac3db0549",
+        "fig23": "49fa78b83b1ebc9a35a759ac9aa1118867206e0fd1ceccc3bbec40525f35edef",
+        "fig24": "7c93ef0f6defa4274005398c01c8896a79b63f789ce4b62ade3e84cb9d64b8cf",
+        "fig28": "be6350eb3727aa4bd881e2a83b2d01ffaba909879dbac0ebc6f44b0dd522b09a",
         "nqos": "83d0306910a60a2500f759367860f1c3ef4528b93fac00cd97397fc7d8f80b52",
     },
 }
