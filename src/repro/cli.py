@@ -22,8 +22,8 @@ Usage::
 The bare form runs the figure's sweep inline (per-point seeds, like
 ``run``), prints ``driver.table(rows)`` and writes nothing.  The ``run``
 subcommand goes through :mod:`repro.runner`: sweep points are sharded
-across a worker pool, cached on disk, checked against the figure's
-shape assertions, and the rows land in ``results/<figure>/``.
+across a worker pool, cached on disk, judged against the figure's
+paper claims, and the rows land in ``results/<figure>/``.
 The ``lint`` subcommand runs :mod:`repro.lint` (see
 ``docs/correctness.md`` for the rule catalogue).
 

@@ -74,8 +74,8 @@ def table(rows: Sequence[Row]) -> str:
     return "\n".join(lines)
 
 
-# Per-profile bounds of each claim EXPERIMENTS.md lists under Figs
-# 28/29, all in the Fig-18 scenario.
+# Bounds of each claim EXPERIMENTS.md lists under Figs 28/29, per
+# profile; all four judge the Fig-18 scenario.
 BOUNDS: Dict[str, Dict[str, Bound]] = {
     "paper": {
         "fig28/in-quota-p1-admit": (">=", 0.8),
