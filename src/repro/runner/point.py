@@ -70,8 +70,9 @@ def judge(bounds: Mapping[str, Bound], measured: Mapping[str, float]) -> List[Cl
     for claim_id, value in measured.items():
         if claim_id in bounds:
             op, limit = bounds[claim_id]
-            passed = _COMPARE[op](float(value), limit)
-            claims.append(Claim(claim_id, float(value), f"{op} {limit:.4g}", passed))
+            value = float(value)
+            passed = _COMPARE[op](value, limit)
+            claims.append(Claim(claim_id, value, f"{op} {limit:.4g}", passed))
     return claims
 
 
