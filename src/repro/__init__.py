@@ -10,7 +10,7 @@ light core, so an entry point loads what it runs — DESIGN.md, "Cold
 start":
 
 * :mod:`repro.core` — QoS model, SLOs, Algorithm-1 admission control,
-  quota server, downgrade-feedback policy;
+  quota server;
 * :mod:`repro.sim` / :mod:`repro.net` / :mod:`repro.transport` /
   :mod:`repro.rpc` — the simulated datacenter substrate;
 * :mod:`repro.baselines` — pFabric, QJump, D3, PDQ, Homa, SPQ;

@@ -14,7 +14,7 @@ on admitted traffic:  X_i >= r * (phi_i / sum phi) * (mu / rho).
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.analysis.fluid import simulate_fluid
 
@@ -94,24 +94,3 @@ def guaranteed_admitted_share(
         raise ValueError("need 0 < mu <= rho")
     return (weights[level] / sum(weights)) * (mu / rho)
 
-
-def delay_vs_share_profile(
-    weights: Sequence[float],
-    shares_grid: Sequence[float],
-    mu: float = 0.8,
-    rho: float = 1.4,
-    ml_ratio: float = 2.0,
-) -> List[Tuple[float, List[float]]]:
-    """Delay profile across a QoS_h-share grid — the operator's
-    latency-versus-QoS-mix menu from which SLOs are selected (§4.2)."""
-    rows = []
-    for x in shares_grid:
-        rest = 1.0 - x
-        if len(weights) == 2:
-            mix = [x, rest]
-        else:
-            m = rest * ml_ratio / (ml_ratio + 1.0)
-            mix = [x, m, rest - m]
-        result = simulate_fluid(mix, weights, mu=mu, rho=rho)
-        rows.append((x, result.delays))
-    return rows

@@ -118,15 +118,6 @@ class SteadyState:
     #: Number of points the verdict was computed from.
     samples: int
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "converged": self.converged,
-            "convergence_time_ns": self.convergence_time_ns,
-            "settled_value": self.settled_value,
-            "oscillation_band": self.oscillation_band,
-            "samples": self.samples,
-        }
-
 
 def detect(
     trace: Sequence[Tuple[int, float]], tolerance: float = DEFAULT_TOLERANCE
@@ -193,17 +184,6 @@ class QosConvergence:
     @property
     def converged(self) -> bool:
         return self.channels > 0 and self.converged_channels == self.channels
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "qos": self.qos,
-            "channels": self.channels,
-            "converged_channels": self.converged_channels,
-            "converged": self.converged,
-            "convergence_time_ns": self.convergence_time_ns,
-            "settled_value": self.settled_value,
-            "oscillation_band": self.oscillation_band,
-        }
 
 
 def _qos_of_channel(name: str) -> Optional[int]:

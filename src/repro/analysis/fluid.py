@@ -15,7 +15,6 @@ fractions of the period, directly comparable with
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import List, Sequence, Set, Tuple
 
@@ -147,24 +146,6 @@ def simulate_fluid(
         _max_horizontal_distance(arrivals[i], services[i]) for i in range(n)
     ]
     return FluidResult(delays=delays, arrival_curves=arrivals, service_curves=services)
-
-
-def _curve_value(curve: List[Tuple[float, float]], t: float) -> float:
-    """Evaluate a piecewise-linear cumulative curve at time t."""
-    times = [p[0] for p in curve]
-    idx = bisect.bisect_right(times, t) - 1
-    idx = max(0, min(idx, len(curve) - 2)) if len(curve) > 1 else 0
-    t0, v0 = curve[idx]
-    if idx + 1 >= len(curve):
-        return v0
-    t1, v1 = curve[idx + 1]
-    if t1 <= t0:
-        return v1
-    if t <= t0:
-        return v0
-    if t >= t1:
-        return v1
-    return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
 
 
 def _inverse_time(curve: List[Tuple[float, float]], level: float) -> float:

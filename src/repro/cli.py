@@ -65,6 +65,18 @@ _EXPERIMENTS: Dict[str, str] = {
 }
 
 
+def _negative_option(args: argparse.Namespace, *dests: str) -> bool:
+    """Report the first of ``dests`` given a negative value (a usage
+    error: one line on stderr, and the caller exits 2)."""
+    for dest in dests:
+        value = getattr(args, dest)
+        if value < 0:
+            flag = "--" + dest.replace("_", "-")
+            print(f"{flag} must be >= 0, got {value}", file=sys.stderr)
+            return True
+    return False
+
+
 def _run_main(argv: Sequence[str]) -> int:
     """The ``run`` subcommand: sweep a figure through repro.runner."""
     parser = argparse.ArgumentParser(
@@ -201,6 +213,8 @@ def _trace_main(argv: Sequence[str]) -> int:
         "(default: 5; keeps paper-profile sweeps readable)",
     )
     args = parser.parse_args(argv)
+    if _negative_option(args, "top", "top_k"):
+        return 2
 
     from pathlib import Path
 
@@ -344,6 +358,8 @@ def _report_main(argv: Sequence[str]) -> int:
         "move latency between segments while total RNL stays flat",
     )
     args = parser.parse_args(argv)
+    if _negative_option(args, "top"):
+        return 2
 
     from pathlib import Path
 
@@ -517,6 +533,8 @@ def _live_main(argv: Sequence[str]) -> int:
         "(default: 0.2)",
     )
     args = parser.parse_args(argv)
+    if _negative_option(args, "tolerance"):
+        return 2
 
     from repro.live.convergence import compare_tracks, tracks_from_logs
     from repro.live.runtime import run_live

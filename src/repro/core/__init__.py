@@ -2,7 +2,6 @@
 
 from repro.core.admission import (
     AdmissionController,
-    AdmissionDecision,
     AdmissionParams,
     DEFAULT_ALPHA,
     DEFAULT_BETA,
@@ -10,7 +9,6 @@ from repro.core.admission import (
 )
 from repro.core.channel import ChannelRegistry
 from repro.core.clocks import ClockLike, ClockSource, FixedClock, as_now_fn
-from repro.core.feedback import DowngradeAwarePolicy, PolicyParams
 from repro.core.interface import AdmissionEngine, AdmissionOutcome
 from repro.core.quota import QuotaReservation, QuotaServer
 from repro.core.qos import (
@@ -21,13 +19,11 @@ from repro.core.qos import (
     WEIGHTS_3_QOS,
     WEIGHTS_3_QOS_HEAVY,
     map_priority_to_qos,
-    map_qos_to_priority,
 )
 from repro.core.slo import SLO, SLOMap
 
 __all__ = [
     "AdmissionController",
-    "AdmissionDecision",
     "AdmissionEngine",
     "AdmissionOutcome",
     "AdmissionParams",
@@ -39,8 +35,6 @@ __all__ = [
     "DEFAULT_ALPHA",
     "DEFAULT_BETA",
     "DEFAULT_FLOOR",
-    "DowngradeAwarePolicy",
-    "PolicyParams",
     "Priority",
     "QuotaReservation",
     "QuotaServer",
@@ -52,5 +46,4 @@ __all__ = [
     "WEIGHTS_3_QOS",
     "WEIGHTS_3_QOS_HEAVY",
     "map_priority_to_qos",
-    "map_qos_to_priority",
 ]

@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from repro.core.clocks import ClockLike, as_now_fn
-from repro.core.qos import Priority, map_priority_to_qos
 from repro.core.slo import SLOMap
 from repro.sim.sanitize import check_probability, sanitize_enabled
 
@@ -37,29 +36,12 @@ DEFAULT_BETA = 0.01
 DEFAULT_FLOOR = 0.01
 
 
-@dataclass(frozen=True)
-class AdmissionDecision:
-    """Outcome of admitting one RPC.
-
-    ``qos_run`` is the QoS the RPC actually runs at; ``downgraded`` is the
-    explicit notification the application receives (Algorithm 1 lines
-    10-11) — it sees network overload directly and may reshuffle which of
-    its RPCs it issues at higher QoS.
-    """
-
-    qos_requested: int
-    qos_run: int
-    downgraded: bool
-
-
 @dataclass
 class _QoSState:
     """Mutable per-(dst, QoS) admission state."""
 
     p_admit: float = 1.0
     t_last_increase_ns: int = 0
-    increases: int = 0
-    decreases: int = 0
 
 
 @dataclass(frozen=True)
@@ -119,7 +101,6 @@ class AdmissionController:
         self._state: Dict[int, _QoSState] = {
             level: _QoSState() for level in slo_map.levels()
         }
-        self._trace: Optional[List[Tuple[int, int, float]]] = None
         self._sanitize = sanitize_enabled(sanitize)
         #: Optional observer of AIMD adjustments, called as
         #: ``on_adjust(qos, p_admit, kind, now_ns)`` with kind
@@ -143,34 +124,9 @@ class AdmissionController:
         """Current admit probability for an SLO-carrying QoS level."""
         return self._state[level].p_admit
 
-    def state_counters(self, level: int) -> Tuple[int, int]:
-        """(additive increases, multiplicative decreases) applied so far."""
-        state = self._state[level]
-        return state.increases, state.decreases
-
-    def enable_trace(self) -> None:
-        """Record (time_ns, qos, p_admit) after every adjustment."""
-        self._trace = []
-
-    @property
-    def trace(self) -> List[Tuple[int, int, float]]:
-        if self._trace is None:
-            raise RuntimeError("call enable_trace() before reading the trace")
-        return self._trace
-
     # ------------------------------------------------------------------
     # Algorithm 1: On RPC Issue
     # ------------------------------------------------------------------
-    def on_rpc_issue(self, priority: Priority) -> AdmissionDecision:
-        """Decide the QoS an RPC runs at (Algorithm 1 lines 5-12)."""
-        qos_requested = int(map_priority_to_qos(priority))
-        return self.on_rpc_issue_qos(qos_requested)
-
-    def on_rpc_issue_qos(self, qos_requested: int) -> AdmissionDecision:
-        """Admission decision for an explicitly requested QoS level."""
-        qos_run = self.admit_qos(qos_requested)
-        return AdmissionDecision(qos_requested, qos_run, qos_run != qos_requested)
-
     def admit_qos(self, qos_requested: int) -> int:
         """The QoS level an RPC requesting ``qos_requested`` runs at.
 
@@ -184,7 +140,7 @@ class AdmissionController:
         if self._sanitize:
             check_probability(
                 state.p_admit,
-                where="on_rpc_issue",
+                where="admit_qos",
                 provenance={"qos": qos_requested},
             )
         if self._rng.random() <= state.p_admit:
@@ -212,7 +168,6 @@ class AdmissionController:
             if now - state.t_last_increase_ns > slo.increment_window_ns:
                 state.p_admit = min(state.p_admit + self._params.alpha, 1.0)
                 state.t_last_increase_ns = now
-                state.increases += 1
                 if self.on_adjust is not None:
                     self.on_adjust(qos_run, state.p_admit, "increase", now)
         else:
@@ -222,7 +177,6 @@ class AdmissionController:
                 state.p_admit - self._params.beta * max(1, size_mtus),
                 self._params.floor,
             )
-            state.decreases += 1
             if self.on_adjust is not None:
                 self.on_adjust(qos_run, state.p_admit, "decrease", now)
         if self._sanitize:
@@ -231,6 +185,3 @@ class AdmissionController:
                 where="on_rpc_completion",
                 provenance={"qos": qos_run, "rnl_ns": rnl_ns, "size_mtus": size_mtus},
             )
-        if self._trace is not None:
-            # Opt-in debug trace (off by default), bounded by run length.
-            self._trace.append((now, qos_run, state.p_admit))  # simlint: ignore[SIM010]

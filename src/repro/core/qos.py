@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 
 class Priority(enum.IntEnum):
@@ -39,10 +39,6 @@ class QoS(enum.IntEnum):
     MEDIUM = 1
     LOW = 2
 
-    @property
-    def short_name(self) -> str:
-        return {QoS.HIGH: "QoS_h", QoS.MEDIUM: "QoS_m", QoS.LOW: "QoS_l"}[self]
-
 
 #: Canonical 3-level WFQ weight vectors used throughout the evaluation.
 WEIGHTS_3_QOS: Tuple[int, ...] = (8, 4, 1)
@@ -55,17 +51,10 @@ _PRIORITY_TO_QOS = {
     Priority.BE: QoS.LOW,
 }
 
-_QOS_TO_PRIORITY = {qos: prio for prio, qos in _PRIORITY_TO_QOS.items()}
-
 
 def map_priority_to_qos(priority: Priority) -> QoS:
     """Phase-1 alignment: the bijective PC/NC/BE -> QoS_h/m/l mapping."""
     return _PRIORITY_TO_QOS[priority]
-
-
-def map_qos_to_priority(qos: QoS) -> Priority:
-    """Inverse of :func:`map_priority_to_qos`."""
-    return _QOS_TO_PRIORITY[qos]
 
 
 @dataclass(frozen=True)
@@ -97,16 +86,3 @@ class QoSConfig:
     def lowest(self) -> int:
         """Index of the scavenger class (downgrade destination)."""
         return self.num_levels - 1
-
-    @property
-    def slo_levels(self) -> Sequence[int]:
-        """QoS indices that carry SLOs (all but the scavenger class)."""
-        return range(self.num_levels - 1)
-
-    def guaranteed_share(self, level: int) -> float:
-        """Minimum guaranteed bandwidth share g_i / r = phi_i / sum(phi)."""
-        return self.weights[level] / sum(self.weights)
-
-    def guaranteed_rate_bps(self, level: int, line_rate_bps: float) -> float:
-        """Minimum guaranteed rate g_i for a link of the given line rate."""
-        return self.guaranteed_share(level) * line_rate_bps

@@ -407,10 +407,4 @@ class LiveServer:
                 conn.transport.abort()
 
 
-async def serve_until(server: LiveServer, stop: "asyncio.Event") -> None:
-    """Run a started server until ``stop`` is set, then shut down."""
-    await stop.wait()
-    await server.stop()
-
-
-__all__ = ["FAULT_DROP", "FAULT_RESET", "LiveServer", "serve_until"]
+__all__ = ["FAULT_DROP", "FAULT_RESET", "LiveServer"]

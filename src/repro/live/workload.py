@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict
 
 from repro.core.admission import AdmissionParams
@@ -147,10 +147,6 @@ class LiveWorkload:
 
     def arrival_rng(self, index: int, qos: int) -> random.Random:
         return substream(self.seed, self.arrival_label(index, qos))
-
-    def scaled(self, duration_s: float) -> "LiveWorkload":
-        """The same workload over a different horizon."""
-        return replace(self, duration_s=duration_s)
 
 
 __all__ = ["LiveWorkload", "QOS_SCAVENGER", "QOS_SLO"]

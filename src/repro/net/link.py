@@ -10,8 +10,8 @@ paper's WFQ analysis assumes.
 The port is *busy-until*: starting a transmission records when the line
 frees (``busy_until_ns``) and tells the downstream node when the packet
 will arrive (``tx + propagation`` from now) — one event per hop.
-``busy`` means "a packet is serializing right now", i.e. the clock has
-not reached ``busy_until_ns``; no event marks the line going idle.  Only
+The line is busy while the clock has not reached ``busy_until_ns``; no
+event marks it going idle.  Only
 when something is queued behind the packet in service does the port post
 itself a wake at the line-free instant — when a transmission starts with
 backlog, or on the first ``send`` that finds the line mid-packet — so a
@@ -20,7 +20,7 @@ backlogged hop costs two events per packet and an uncontended hop one.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.net.packet import Packet
 from repro.net.queues import Scheduler
@@ -103,11 +103,6 @@ class Port:
         self.peer = peer
         self._arrive = peer.arrive
 
-    @property
-    def busy(self) -> bool:
-        """Whether a packet is serializing right now."""
-        return self.sim.now < self.busy_until_ns
-
     def serialization_ns(self, size_bytes: int) -> int:
         """Time to clock ``size_bytes`` onto the wire at line rate."""
         return max(1, int(round(size_bytes * 8 * 1e9 / self.rate_bps)))
@@ -173,7 +168,3 @@ class Port:
             self._post(tx_ns, self._start_next, free_at)
         else:
             self._wake_pending = False
-
-    def queue_depth(self) -> Tuple[int, int]:
-        """(packets, bytes) currently waiting in the scheduler."""
-        return self.scheduler.packets_queued, self.scheduler.bytes_queued

@@ -46,10 +46,6 @@ class Network:
     def num_hosts(self) -> int:
         return len(self.hosts)
 
-    def egress_port_to(self, host_id: int) -> Port:
-        """The last-hop switch port feeding a host (the usual hotspot)."""
-        return self.switch_ports[host_id]
-
 
 def build_star(
     sim: Simulator,

@@ -16,7 +16,7 @@ imports :mod:`repro.obs.runtime`, so keeping the init light avoids an
 import cycle.
 """
 
-from repro.obs.clock import ClockSource, FixedClock, SimClock
+from repro.obs.clock import ClockSource, FixedClock
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.profile import ProfileRow, SimProfiler
 from repro.obs.runtime import (
@@ -55,7 +55,6 @@ __all__ = [
     "ProfileRow",
     "QueueSpan",
     "RpcSpan",
-    "SimClock",
     "SimProfiler",
     "Tracer",
     "TxSpan",

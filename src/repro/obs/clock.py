@@ -9,8 +9,9 @@ same record shapes from a wall clock.  This module names that seam: a
 ``now_ns() -> int``, and span-producing code that takes one is
 domain-neutral by construction.
 
-* :class:`SimClock` adapts a running :class:`~repro.sim.engine.Simulator`
-  to the protocol (virtual nanoseconds);
+* the simulator's clock is the bare callable ``lambda: sim.now``
+  (virtual nanoseconds), which :func:`~repro.core.clocks.as_now_fn`
+  accepts as it is;
 * :class:`repro.live.clock.WallClock` is the wall-clock counterpart
   (monotonic nanoseconds rebased to a run origin);
 * :class:`~repro.core.clocks.FixedClock` is the test double.
@@ -23,24 +24,6 @@ vocabulary buys interchangeable *tooling*, not interchangeable clocks.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.core.clocks import ClockLike, ClockSource, FixedClock, as_now_fn
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.engine import Simulator
-
-
-class SimClock:
-    """A :class:`ClockSource` view of a simulator's virtual clock."""
-
-    __slots__ = ("_sim",)
-
-    def __init__(self, sim: "Simulator") -> None:
-        self._sim = sim
-
-    def now_ns(self) -> int:
-        return self._sim.now
-
-
-__all__ = ["ClockLike", "ClockSource", "FixedClock", "SimClock", "as_now_fn"]
+__all__ = ["ClockLike", "ClockSource", "FixedClock", "as_now_fn"]

@@ -128,9 +128,8 @@ class SloMonitor:
     """Streaming multiwindow burn-rate detector over snapshots.
 
     Feed :meth:`observe` each ``(time_ns, snapshot)`` as it is sampled
-    or replay a recorded series with :meth:`replay` (post-mortem on a
-    live metrics log).  Every state transition is returned *and*
-    retained on :attr:`alerts`.
+    (or, post-mortem, as a recorded series is read back).  Every state
+    transition is returned *and* retained on :attr:`alerts`.
     """
 
     def __init__(
@@ -166,10 +165,6 @@ class SloMonitor:
             for level in slo_map.levels()
         ]
         return cls(targets, config)
-
-    @property
-    def config(self) -> BurnRateConfig:
-        return self._config
 
     def firing(self, qos: int) -> bool:
         """Whether the level is currently in the firing state."""
@@ -257,30 +252,6 @@ class SloMonitor:
                 emitted.append(alert)
         return emitted
 
-    def replay(
-        self, series: Sequence[Tuple[int, Snapshot]]
-    ) -> List[Alert]:
-        """Run the monitor over a recorded snapshot series (a parsed
-        live metrics JSONL)."""
-        for time_ns, snapshot in series:
-            self.observe(time_ns, snapshot)
-        return list(self.alerts)
-
-
-def quiet_after_convergence(
-    alerts: Sequence[Alert], settle_ns: int
-) -> bool:
-    """True when no level is firing past ``settle_ns`` — the assertion
-    fig08-style scenarios make: the initial overload may burn budget,
-    but once AIMD converges the alert must have resolved and stay
-    resolved."""
-    state: Dict[int, str] = {}
-    for alert in alerts:
-        if alert.time_ns >= settle_ns and alert.state == "firing":
-            return False
-        state[alert.qos] = alert.state
-    return all(s == "resolved" for s in state.values()) or not state
-
 
 __all__ = [
     "Alert",
@@ -288,5 +259,4 @@ __all__ = [
     "Snapshot",
     "SloMonitor",
     "SloTarget",
-    "quiet_after_convergence",
 ]

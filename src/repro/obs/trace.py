@@ -387,22 +387,3 @@ class Tracer:
     def rpc_spans(self) -> List["Rpc"]:
         """All RPC spans, in issue order."""
         return list(self._rpc_spans.values())
-
-    def rpc_span(self, rpc_id: int) -> Optional["Rpc"]:
-        return self._rpc_spans.get(rpc_id)
-
-    def orphan_spans(self) -> Tuple[List[QueueSpan], List[TxSpan]]:
-        """Queue/tx spans that do not resolve to exactly one RPC span.
-
-        A span is an orphan when its ``rpc_id`` is 0 (unbound packet)
-        or names an RPC the tracer has no span for.  With tracing armed
-        from t=0 over a reliable transport both lists are empty — the
-        join-coverage property the tests pin.
-        """
-        orphan_queues = [
-            s for s in self.queue_spans if s.rpc_id not in self._rpc_spans
-        ]
-        orphan_txs = [
-            s for s in self.tx_spans if s.rpc_id not in self._rpc_spans
-        ]
-        return orphan_queues, orphan_txs

@@ -14,7 +14,6 @@ from repro.rpc.workload import (
     BurstPattern,
     OpenLoopSource,
     PriorityMix,
-    all_to_all_sources,
     steady_pattern,
 )
 
@@ -29,7 +28,6 @@ __all__ = [
     "Rpc",
     "RpcStack",
     "SizeDistribution",
-    "all_to_all_sources",
     "production_mixture",
     "production_size_dist",
     "steady_pattern",

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Union
 
 from repro.core.qos import Priority
 from repro.rpc.sizes import SizeDistribution
@@ -201,41 +201,3 @@ def _poisson_draw(rng: random.Random, lam: float) -> int:
         if p <= threshold:
             return k
         k += 1
-
-
-def all_to_all_sources(
-    sim: Simulator,
-    stacks: Sequence[RpcStack],
-    priority_mix: PriorityMix,
-    size_dist: Union[SizeDistribution, Dict[Priority, SizeDistribution]],
-    pattern: BurstPattern,
-    line_rate_bps: float = 100e9,
-    seed: int = 7,
-    stop_ns: Optional[int] = None,
-) -> List[OpenLoopSource]:
-    """One source per host, sending to every other host uniformly.
-
-    This is the paper's 33/144-node communication pattern: each host
-    offers ``pattern.mu`` average load spread over all other hosts, so
-    every receiver's downlink also sees average load mu (balanced
-    all-to-all).
-    """
-    sources: List[OpenLoopSource] = []
-    host_ids = [stack.host.host_id for stack in stacks]
-    for stack in stacks:
-        dsts = [h for h in host_ids if h != stack.host.host_id]
-        rng = random.Random(seed * 7919 + stack.host.host_id)
-        sources.append(
-            OpenLoopSource(
-                sim,
-                stack,
-                dsts,
-                priority_mix,
-                size_dist,
-                pattern,
-                line_rate_bps=line_rate_bps,
-                rng=rng,
-                stop_ns=stop_ns,
-            )
-        )
-    return sources

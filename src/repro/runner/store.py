@@ -14,7 +14,7 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Union
 
 
 class ResultStore:
@@ -88,7 +88,3 @@ class ResultStore:
         if not exp_dir.is_dir():
             return []
         return sorted(p.stem for p in exp_dir.glob("*.json"))
-
-    def latest_run_id(self, experiment: str) -> Optional[str]:
-        runs = self.list_runs(experiment)
-        return runs[-1] if runs else None

@@ -8,9 +8,7 @@ from repro.sim.engine import (
     Event,
     Simulator,
     ns_from_ms,
-    ns_from_sec,
     ns_from_us,
-    us_from_ns,
 )
 from repro.sim.rng import make_rng, poisson_interarrivals_ns, substream
 from repro.sim.sanitize import (
@@ -30,8 +28,6 @@ __all__ = [
     "NS_PER_SEC",
     "ns_from_us",
     "ns_from_ms",
-    "ns_from_sec",
-    "us_from_ns",
     "make_rng",
     "substream",
     "poisson_interarrivals_ns",

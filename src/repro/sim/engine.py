@@ -19,7 +19,7 @@ characterization tests in ``tests/test_sim_engine.py`` pin it down:
 
 1. **Ordering.**  Events fire in ascending ``(time, seq)`` order.
    ``seq`` is one shared counter across :meth:`Simulator.schedule`,
-   :meth:`Simulator.post`, and :meth:`Simulator.schedule_at`, so
+   :meth:`Simulator.post` and :meth:`Simulator.post_run`, so
    same-timestamp events fire in submission order regardless of which
    API queued them.
 2. **Lazy cancellation.**  :meth:`Event.cancel` marks the handle; the
@@ -39,11 +39,9 @@ characterization tests in ``tests/test_sim_engine.py`` pin it down:
 4. **Budget.**  ``max_events=N`` fires at most ``N`` events; a run
    interrupted by the budget leaves every unfired (and every cancelled-
    but-unvisited) entry in the queue.
-5. **Scheduling into the past is an error.**  Relative delays must be
-   ``>= 0``; absolute timestamps must be ``>= now``.  The error message
-   reports what the caller passed (:meth:`Simulator.schedule_at` names
-   the absolute timestamp and the current clock, not the internal
-   relative delay).
+5. **Scheduling into the past is an error.**  Delays must be ``>= 0``
+   (an absolute time ``t`` is ``schedule(t - now, ...)``); the error
+   message reports the delay the caller passed.
 6. **Counters.**  ``events_processed`` counts fired events only, and is
    folded in on every exit path — including an exception escaping a
    callback — so interrupted runs stay accountable.
@@ -86,16 +84,6 @@ def ns_from_us(us: float) -> int:
 def ns_from_ms(ms: float) -> int:
     """Convert milliseconds to integer nanoseconds."""
     return int(round(ms * NS_PER_MS))
-
-
-def ns_from_sec(sec: float) -> int:
-    """Convert seconds to integer nanoseconds."""
-    return int(round(sec * NS_PER_SEC))
-
-
-def us_from_ns(ns: int) -> float:
-    """Convert integer nanoseconds to (float) microseconds."""
-    return ns / NS_PER_US
 
 
 class Event:
@@ -253,20 +241,6 @@ class Simulator:
             # (time, seq) is unique, so the sort never compares ``fn``.
             rest.sort(reverse=True)
             _heappush(self._heap, rest.pop())
-
-    def schedule_at(self, time_ns: int, fn: Callable[..., None], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` at absolute simulation time ``time_ns``.
-
-        A past timestamp is rejected with a message that names what the
-        caller actually passed — the absolute time and the current
-        clock — rather than the internal relative delay.
-        """
-        if time_ns < self._now:
-            raise ValueError(
-                f"cannot schedule at absolute time {time_ns}ns: "
-                f"it is in the past (now={self._now}ns)"
-            )
-        return self.schedule(time_ns - self._now, fn, *args)
 
     def stop(self) -> None:
         """Stop the run loop after the currently executing event returns."""

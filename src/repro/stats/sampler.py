@@ -29,21 +29,9 @@ class PeriodicSampler:
         self.interval_ns = interval_ns
         self.probe = probe
         self.samples: List[Tuple[int, float]] = []
-        self._stopped = False
         sim.post(start_ns - sim.now, self._tick)
 
-    def stop(self) -> None:
-        self._stopped = True
-
     def _tick(self) -> None:
-        if self._stopped:
-            return
         self.samples.append((self.sim.now, self.probe()))
         self.sim.post(self.interval_ns, self._tick)
-
-    def values(self) -> List[float]:
-        return [v for _, v in self.samples]
-
-    def times_ns(self) -> List[int]:
-        return [t for t, _ in self.samples]
 

@@ -437,20 +437,3 @@ class TransportEndpoint:
         )
         self.host.send(ack)
 
-    # ------------------------------------------------------------------
-    # Metrics
-    # ------------------------------------------------------------------
-    @property
-    def acked_payload_by_qos(self) -> Dict[int, int]:
-        """Acknowledged payload bytes of this endpoint's flows, per QoS."""
-        totals: Dict[int, int] = {}
-        for flow in self.flows.values():
-            totals[flow.qos] = totals.get(flow.qos, 0) + flow.acked_payload_bytes
-        return totals
-
-    def total_backlog_messages(self) -> int:
-        """Messages accepted by this endpoint's flows but not yet sent."""
-        return sum(flow.backlog_messages for flow in self.flows.values())
-
-    def total_inflight(self) -> int:
-        return sum(flow.inflight for flow in self.flows.values())

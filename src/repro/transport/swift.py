@@ -57,10 +57,6 @@ class SwiftCC(CongestionControl):
         self.acks = 0
         self.decreases = 0
 
-    @property
-    def last_rtt_ns(self) -> int:
-        return self._last_rtt_ns
-
     def on_ack(self, rtt_ns: int, now_ns: int, acked_packets: int = 1) -> None:
         p = self.params
         self._last_rtt_ns = rtt_ns

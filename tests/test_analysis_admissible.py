@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis.admissible import (
-    delay_vs_share_profile,
     guaranteed_admitted_share,
     inversion_free,
     is_admissible_mix,
@@ -73,17 +72,3 @@ def test_guaranteed_share_validation():
     with pytest.raises(ValueError):
         guaranteed_admitted_share([8, 4, 1], 0, mu=0.8, rho=0.5)
 
-
-def test_delay_profile_rows():
-    rows = delay_vs_share_profile([8, 4, 1], [0.2, 0.5, 0.8])
-    assert len(rows) == 3
-    for x, delays in rows:
-        assert len(delays) == 3
-        assert all(d >= 0 for d in delays)
-    # Higher QoS_h share -> more QoS_h delay (monotone over this range).
-    assert rows[0][1][0] <= rows[2][1][0] + 1e-9
-
-
-def test_delay_profile_two_qos():
-    rows = delay_vs_share_profile([4, 1], [0.3, 0.9])
-    assert all(len(delays) == 2 for _, delays in rows)

@@ -96,19 +96,6 @@ def test_empty_trace_raises():
         detect([])
 
 
-def test_as_dict_is_json_shaped():
-    d = detect(aimd_trace()).as_dict()
-    assert d["converged"] is True
-    assert isinstance(d["convergence_time_ns"], int)
-    assert set(d) == {
-        "converged",
-        "convergence_time_ns",
-        "settled_value",
-        "oscillation_band",
-        "samples",
-    }
-
-
 # ----------------------------------------------------------------------
 # detect_tracks / per_qos_convergence: the series rollup
 # ----------------------------------------------------------------------
@@ -151,5 +138,3 @@ def test_one_unsettled_channel_fails_the_whole_qos():
     assert qos2.channels == 2 and qos2.converged_channels == 1
     assert not qos2.converged
     assert qos2.convergence_time_ns is None
-    d = qos2.as_dict()
-    assert d["converged"] is False and d["convergence_time_ns"] is None

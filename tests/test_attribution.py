@@ -90,7 +90,6 @@ class TestSimAttribution:
 
     def test_every_packet_span_resolves_to_exactly_one_rpc(self, traced_fig08):
         tracer = traced_fig08.tracer
-        assert tracer.orphan_spans() == ([], [])
         rpc_ids = {span.rpc_id for span in tracer.rpc_spans}
         for span in tracer.queue_spans:
             assert span.rpc_id in rpc_ids

@@ -116,6 +116,26 @@ def test_run_rejects_a_zero_count_with_one_line(flag, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["trace", "fig08", "--top", "-1", "--results-dir"], "--top"),
+        (["trace", "fig08", "--top-k", "-1", "--results-dir"], "--top-k"),
+        (["report", "any-run", "--top", "-1", "--results-dir"], "--top"),
+        (["live", "--check-convergence", "--tolerance", "-1", "--log-dir"], "--tolerance"),
+    ],
+)
+def test_negative_count_is_a_usage_error(argv, flag, tmp_path, capsys):
+    """A negative list length or tolerance is rejected before any work:
+    ``--top -1`` used to slice off the last queue and ``--tolerance -1``
+    failed every live run."""
+    code = main(argv + [str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"{flag} must be >= 0") and err.count("\n") == 1
+    assert not any(tmp_path.iterdir())
+
+
 # ----------------------------------------------------------------------
 # The report subcommand
 # ----------------------------------------------------------------------

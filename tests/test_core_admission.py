@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.admission import AdmissionController, AdmissionParams
-from repro.core.qos import Priority
 from repro.core.slo import SLO, SLOMap
 from repro.sim.engine import ns_from_us
 
@@ -34,15 +33,13 @@ def test_initial_admit_probability_is_one():
 def test_full_probability_always_admits():
     ctrl = make_controller()
     for _ in range(200):
-        d = ctrl.on_rpc_issue(Priority.PC)
-        assert d.qos_run == 0 and not d.downgraded
+        assert ctrl.admit_qos(0) == 0
 
 
 def test_scavenger_requests_never_downgraded():
     ctrl = make_controller()
     for _ in range(50):
-        d = ctrl.on_rpc_issue(Priority.BE)
-        assert d.qos_run == 2 and not d.downgraded
+        assert ctrl.admit_qos(2) == 2
 
 
 def test_downgrade_goes_to_lowest_qos():
@@ -53,11 +50,10 @@ def test_downgrade_goes_to_lowest_qos():
     assert ctrl.p_admit(0) == pytest.approx(0.01)
     downgrades = 0
     for _ in range(500):
-        d = ctrl.on_rpc_issue(Priority.PC)
-        if d.downgraded:
+        qos_run = ctrl.admit_qos(0)
+        if qos_run != 0:
             downgrades += 1
-            assert d.qos_run == 2
-            assert d.qos_requested == 0
+            assert qos_run == 2
     assert downgrades > 400  # ~99% at the floor
 
 
@@ -132,27 +128,24 @@ def test_scavenger_completions_ignored():
 
 def test_normalized_slo_large_rpc_gets_larger_budget():
     ctrl = make_controller(high_us=15.0)
+    kinds = []
+    ctrl.on_adjust = lambda qos, p, kind, now: kinds.append(kind)
     # 100us absolute for an 8-MTU RPC is within 8*15=120us budget.
     ctrl.on_rpc_completion(ns_from_us(100), 8, 0)
-    assert ctrl.state_counters(0)[1] == 0  # no decrease
+    assert "decrease" not in kinds
     # The same 100us for a 1-MTU RPC is a miss.
     ctrl.on_rpc_completion(ns_from_us(100), 1, 0)
-    assert ctrl.state_counters(0)[1] == 1
+    assert kinds.count("decrease") == 1
 
 
 def test_trace_records_adjustments():
     ctrl = make_controller()
-    ctrl.enable_trace()
+    seen = []
+    ctrl.on_adjust = lambda *adjustment: seen.append(adjustment)
     ctrl.on_rpc_completion(ns_from_us(1000), 8, 0)
-    assert len(ctrl.trace) == 1
-    t, qos, p = ctrl.trace[0]
-    assert qos == 0 and p == pytest.approx(0.92)
-
-
-def test_trace_requires_enable():
-    ctrl = make_controller()
-    with pytest.raises(RuntimeError):
-        _ = ctrl.trace
+    assert len(seen) == 1
+    qos, p, kind, _ = seen[0]
+    assert qos == 0 and p == pytest.approx(0.92) and kind == "decrease"
 
 
 def test_params_validation():
@@ -196,6 +189,6 @@ def test_admission_rate_matches_probability(seed):
         ctrl.on_rpc_completion(ns_from_us(1000), 4, 0)
     p = ctrl.p_admit(0)
     admitted = sum(
-        1 for _ in range(2000) if not ctrl.on_rpc_issue(Priority.PC).downgraded
+        1 for _ in range(2000) if ctrl.admit_qos(0) == 0
     )
     assert abs(admitted / 2000 - p) < 0.06

@@ -2,7 +2,6 @@
 
 from repro.core.admission import AdmissionParams
 from repro.core.channel import ChannelRegistry
-from repro.core.qos import Priority
 from repro.core.slo import SLOMap
 from repro.sim.engine import ns_from_us
 
@@ -49,7 +48,7 @@ def test_substreams_independent_of_creation_order():
         ctrl = reg.controller("target")
         for _ in range(50):
             ctrl.on_rpc_completion(ns_from_us(10_000), 8, 0)
-        return [ctrl.on_rpc_issue(Priority.PC).downgraded for _ in range(100)]
+        return [ctrl.admit_qos(0) for _ in range(100)]
 
     assert flips(["target", "x"]) == flips(["x", "target"])
 

@@ -67,10 +67,11 @@ class TestSimClock:
         class FakeSim:
             now = 1234
 
-        from repro.obs import SimClock
-
-        clock = SimClock(FakeSim())
-        assert clock.now_ns() == 1234
+        sim = FakeSim()
+        now_fn = as_now_fn(lambda: sim.now)
+        assert now_fn() == 1234
+        sim.now = 5678
+        assert now_fn() == 5678
 
     def test_obs_reexports_clock_sources(self):
         from repro.obs import ClockSource, FixedClock as ObsFixedClock
@@ -98,14 +99,12 @@ class TestEngineParity:
         # probabilistic branch actually exercises the RNG on both sides.
         for step in range(400):
             outcome = engine.decide("dst", 0)
-            decision = registry.controller("dst").on_rpc_issue_qos(0)
-            assert outcome.qos_run == decision.qos_run
-            assert outcome.downgraded == decision.downgraded
+            qos_run = registry.controller("dst").admit_qos(0)
+            assert outcome.qos_run == qos_run
+            assert outcome.downgraded == (qos_run != 0)
             rnl = 50 * MS if step % 3 else 10 * MS  # mostly misses
             engine.complete("dst", rnl, 1, outcome.qos_run)
-            registry.controller("dst").on_rpc_completion(
-                rnl, 1, decision.qos_run
-            )
+            registry.controller("dst").on_rpc_completion(rnl, 1, qos_run)
             clock_a.advance(5 * MS)
             clock_b.advance(5 * MS)
             assert engine.p_admit("dst", 0) == pytest.approx(
@@ -164,19 +163,16 @@ class TestDisabledEngine:
 
 
 class TestSharedVerdictsAreImmutable:
-    """``decide`` hands every caller the same outcome objects, and the
-    controller's decisions may be kept by applications: neither may be
-    writable."""
+    """``decide`` hands every caller the same outcome objects, which
+    applications may keep: they must not be writable."""
 
     def test_outcome_and_decision_reject_assignment(self):
         engine = AdmissionEngine(two_level_slo_map(), seed=9)
         outcome = engine.decide("dst", 0)
-        decision = engine.channels.controller("dst").on_rpc_issue_qos(0)
-        for verdict in (outcome, decision):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                verdict.qos_run = 1
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                verdict.downgraded = True
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            outcome.qos_run = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            outcome.downgraded = True
 
     def test_equal_verdicts_are_one_object(self):
         engine = AdmissionEngine(two_level_slo_map(), seed=9, enabled=False)

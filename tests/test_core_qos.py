@@ -10,7 +10,6 @@ from repro.core.qos import (
     WEIGHTS_3_QOS,
     WEIGHTS_3_QOS_HEAVY,
     map_priority_to_qos,
-    map_qos_to_priority,
 )
 
 
@@ -18,17 +17,6 @@ def test_priority_to_qos_bijection():
     assert map_priority_to_qos(Priority.PC) == QoS.HIGH
     assert map_priority_to_qos(Priority.NC) == QoS.MEDIUM
     assert map_priority_to_qos(Priority.BE) == QoS.LOW
-
-
-def test_qos_to_priority_is_inverse():
-    for prio in Priority:
-        assert map_qos_to_priority(map_priority_to_qos(prio)) == prio
-
-
-def test_qos_short_names():
-    assert QoS.HIGH.short_name == "QoS_h"
-    assert QoS.MEDIUM.short_name == "QoS_m"
-    assert QoS.LOW.short_name == "QoS_l"
 
 
 def test_canonical_weight_vectors():
@@ -41,20 +29,6 @@ def test_default_config_three_levels():
     cfg = QoSConfig()
     assert cfg.num_levels == 3
     assert cfg.lowest == 2
-    assert list(cfg.slo_levels) == [0, 1]
-
-
-def test_guaranteed_share_sums_to_one():
-    cfg = QoSConfig((8, 4, 1))
-    total = sum(cfg.guaranteed_share(i) for i in range(3))
-    assert total == pytest.approx(1.0)
-    assert cfg.guaranteed_share(0) == pytest.approx(8 / 13)
-
-
-def test_guaranteed_rate_scales_with_line_rate():
-    cfg = QoSConfig((4, 1))
-    assert cfg.guaranteed_rate_bps(0, 100e9) == pytest.approx(80e9)
-    assert cfg.guaranteed_rate_bps(1, 100e9) == pytest.approx(20e9)
 
 
 def test_config_rejects_single_level():
@@ -78,4 +52,3 @@ def test_config_allows_many_levels():
     cfg = QoSConfig((32, 16, 8, 4, 2, 1))
     assert cfg.num_levels == 6
     assert cfg.lowest == 5
-    assert list(cfg.slo_levels) == [0, 1, 2, 3, 4]

@@ -62,7 +62,7 @@ def _run_program(sim, seed, n_driver_ops=80):
         elif roll < 0.60:
             sim.post(delay, busy, i, 0)
         elif roll < 0.70:
-            handles.append(sim.schedule_at(sim.now + delay, record, 10_000 + i))
+            handles.append(sim.schedule(delay, record, 10_000 + i))
         elif roll < 0.80 and handles:
             handles[rng.randrange(len(handles))].cancel()
         elif roll < 0.90:
@@ -111,7 +111,7 @@ def test_tie_heavy_program_is_submission_ordered(make_sim):
         elif i % 3 == 1:
             sim.schedule(10, fired.append, i)
         else:
-            sim.schedule_at(10, fired.append, i)
+            sim.schedule(10 - sim.now, fired.append, i)
     sim.run()
     assert fired == list(range(200))
     assert sim.now == 10

@@ -168,9 +168,3 @@ class TestSimReference:
         result = compare_tracks(tracks, tracks, workload.duration_ns)
         assert result.ok
         assert all(d.delta == 0.0 for d in result.deltas)
-
-    def test_horizon_scaling_changes_only_duration(self, workload):
-        scaled = workload.scaled(2.0)
-        assert scaled.duration_ns == 2 * SECOND
-        assert scaled.seed == workload.seed
-        assert scaled.queue_limit == workload.queue_limit

@@ -224,7 +224,7 @@ def test_fifo_port_timing_is_the_lindley_recursion(arrivals, prop, buffer_bytes)
     at = 0
     for gap, size in arrivals:
         at += gap
-        sim.schedule_at(at, offer, Packet(0, 1, size))
+        sim.schedule(at - sim.now, offer, Packet(0, 1, size))
     sim.run()
 
     expect_starts, expect_deliveries = [], []
@@ -239,4 +239,4 @@ def test_fifo_port_timing_is_the_lindley_recursion(arrivals, prop, buffer_bytes)
     assert port.packets_sent == len(accepted)
     assert port.bytes_sent == sum(pkt.size_bytes for _, pkt in accepted)
     assert port.packets_dropped == len(arrivals) - len(accepted)
-    assert port.queue_depth() == (0, 0)
+    assert (port.scheduler.packets_queued, port.scheduler.bytes_queued) == (0, 0)

@@ -88,10 +88,3 @@ def test_two_tier_validation():
     with pytest.raises(ValueError):
         build_two_tier(Simulator(), 2, 2, wfq_factory((4, 1)),
                        uplink_oversubscription=0)
-
-
-def test_egress_port_accessor():
-    sim = Simulator()
-    net = build_star(sim, 3, wfq_factory((4, 1)))
-    port = net.egress_port_to(1)
-    assert port.peer is net.hosts[1]

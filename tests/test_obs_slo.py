@@ -10,11 +10,9 @@ import pytest
 from repro.core.qos import QoSConfig, WEIGHTS_2_QOS
 from repro.core.slo import SLO, SLOMap
 from repro.obs.slo import (
-    Alert,
     BurnRateConfig,
     SloMonitor,
     SloTarget,
-    quiet_after_convergence,
 )
 
 S = 1_000_000_000
@@ -111,34 +109,3 @@ class TestConfig:
         mon = SloMonitor.from_slo_map(slo_map, CONFIG)
         target = mon._targets[0]
         assert target.allowed_miss_rate == pytest.approx(0.1)
-
-
-class TestReplayAndQuiet:
-    def test_replay_matches_streaming(self):
-        series = [
-            (t * S, counter_snapshot(t * 10, min(t, 5) * 10))
-            for t in range(16)
-        ]
-        streamed = monitor()
-        for t_ns, snap in series:
-            streamed.observe(t_ns, snap)
-        replayed = monitor().replay(series)
-        assert replayed == streamed.alerts
-
-    def _alert(self, t_ns, state):
-        return Alert(
-            time_ns=t_ns, qos=0, state=state, burn_short=3.0, burn_long=3.0,
-            miss_rate_short=0.3, miss_rate_long=0.3, allowed_miss_rate=0.1,
-            short_window_ns=S, long_window_ns=4 * S,
-        )
-
-    def test_quiet_after_convergence(self):
-        startup = [self._alert(1 * S, "firing"), self._alert(4 * S, "resolved")]
-        assert quiet_after_convergence(startup, settle_ns=5 * S)
-        # A fire past the settle point fails the assertion...
-        late = startup + [self._alert(8 * S, "firing")]
-        assert not quiet_after_convergence(late, settle_ns=5 * S)
-        # ...and so does firing *into* the settle point unresolved.
-        unresolved = [self._alert(1 * S, "firing")]
-        assert not quiet_after_convergence(unresolved, settle_ns=5 * S)
-        assert quiet_after_convergence([], settle_ns=5 * S)

@@ -157,7 +157,6 @@ def test_store_roundtrip_and_missing_run(tmp_path):
     assert path.exists()
     assert store.load("fig08", "r1") == doc
     assert store.list_runs("fig08") == ["r1"]
-    assert store.latest_run_id("fig08") == "r1"
     with pytest.raises(FileNotFoundError):
         store.load("fig08", "r2")
 

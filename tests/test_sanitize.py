@@ -215,7 +215,7 @@ def test_p_admit_bounds_trip_on_corruption():
     ac, high = _controller(sanitize=True)
     ac._state[high].p_admit = 1.5
     with pytest.raises(SanitizerError) as exc:
-        ac.on_rpc_issue_qos(high)
+        ac.admit_qos(high)
     assert exc.value.invariant == "admit-probability-bounds"
     assert exc.value.provenance["qos"] == high
     assert "1.5" in str(exc.value)
@@ -236,7 +236,7 @@ def test_p_admit_bounds_trip_after_update():
 def test_p_admit_clean_through_aimd_cycles():
     ac, high = _controller(sanitize=True)
     for i in range(500):
-        ac.on_rpc_issue_qos(high)
+        ac.admit_qos(high)
         rnl = 10**9 if i % 3 == 0 else 1_000
         ac.on_rpc_completion(rnl_ns=rnl, size_mtus=4, qos_run=high)
     assert 0.0 <= ac.p_admit(high) <= 1.0

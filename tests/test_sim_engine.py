@@ -11,17 +11,13 @@ from repro.sim.engine import (
     NS_PER_US,
     Simulator,
     ns_from_ms,
-    ns_from_sec,
     ns_from_us,
-    us_from_ns,
 )
 
 
 def test_unit_conversions():
     assert ns_from_us(1.5) == 1500
     assert ns_from_ms(2) == 2 * NS_PER_MS
-    assert ns_from_sec(0.001) == NS_PER_MS
-    assert us_from_ns(2500) == 2.5
     assert NS_PER_SEC == 1000 * NS_PER_MS == 10**6 * NS_PER_US
 
 
@@ -60,41 +56,6 @@ def test_clock_advances_to_event_time(make_sim):
 def test_negative_delay_rejected(make_sim):
     with pytest.raises(ValueError):
         make_sim().schedule(-1, lambda: None)
-
-
-def test_schedule_at_absolute_time(make_sim):
-    sim = make_sim()
-    seen = []
-    sim.schedule_at(500, lambda: seen.append(sim.now))
-    sim.run()
-    assert seen == [500]
-
-
-def test_schedule_at_past_time_reports_absolute_time_and_clock(make_sim):
-    """Regression: the error used to leak the internal relative delay
-    ("delay=-500ns"); callers passed an absolute timestamp and need to
-    see it alongside the current clock to make sense of the error."""
-    sim = make_sim()
-    sim.schedule(1000, lambda: None)
-    sim.run()
-    assert sim.now == 1000
-    with pytest.raises(ValueError) as excinfo:
-        sim.schedule_at(400, lambda: None)
-    message = str(excinfo.value)
-    assert "400" in message  # the absolute time the caller passed
-    assert "1000" in message  # the current clock
-    assert "delay=" not in message
-
-
-def test_schedule_at_now_is_allowed(make_sim):
-    sim = make_sim()
-    sim.schedule(100, lambda: None)
-    sim.run()
-    fired = []
-    sim.schedule_at(100, fired.append, "x")
-    sim.run()
-    assert fired == ["x"]
-    assert sim.now == 100
 
 
 def test_cancelled_event_does_not_fire(make_sim):

@@ -1,4 +1,4 @@
-"""Unit tests for statistics helpers (summaries, samplers, convergence)."""
+"""Unit tests for statistics helpers (percentiles, samplers, convergence)."""
 
 import math
 
@@ -7,44 +7,18 @@ import pytest
 from repro.analysis.convergence import convergence_time_ns, smooth, steady_value
 from repro.sim.engine import Simulator
 from repro.stats.sampler import PeriodicSampler
-from repro.stats.summary import (
-    cdf_points,
-    mean,
-    p99,
-    p999,
-    percentile,
-    relative_gap,
-    summarize,
-)
+from repro.stats.summary import percentile, relative_gap
 
 
 def test_percentile_basic():
     data = list(range(1, 101))
     assert percentile(data, 50) == pytest.approx(50.5)
-    assert p99(data) == pytest.approx(99.01)
-    assert p999(data) == pytest.approx(99.901)
+    assert percentile(data, 99) == pytest.approx(99.01)
+    assert percentile(data, 99.9) == pytest.approx(99.901)
 
 
 def test_percentile_empty_is_nan():
     assert math.isnan(percentile([], 99))
-    assert math.isnan(mean([]))
-
-
-def test_cdf_points_monotone():
-    pts = cdf_points([3.0, 1.0, 2.0])
-    assert pts == [(1.0, pytest.approx(1 / 3)), (2.0, pytest.approx(2 / 3)),
-                   (3.0, pytest.approx(1.0))]
-    assert cdf_points([]) == []
-
-
-def test_summarize_fields():
-    s = summarize([1.0, 2.0, 3.0, 4.0])
-    assert s["count"] == 4
-    assert s["mean"] == pytest.approx(2.5)
-    assert s["max"] == 4.0
-    empty = summarize([])
-    assert empty["count"] == 0
-    assert math.isnan(empty["mean"])
 
 
 def test_periodic_sampler_cadence():
@@ -52,17 +26,7 @@ def test_periodic_sampler_cadence():
     values = iter(range(100))
     sampler = PeriodicSampler(sim, 1000, lambda: next(values))
     sim.run(until=5500)
-    times = sampler.times_ns()
-    assert times == [0, 1000, 2000, 3000, 4000, 5000]
-    assert sampler.values() == [0, 1, 2, 3, 4, 5]
-
-
-def test_periodic_sampler_stop():
-    sim = Simulator()
-    sampler = PeriodicSampler(sim, 1000, lambda: 1.0)
-    sim.schedule(2500, sampler.stop)
-    sim.run(until=10_000)
-    assert len(sampler.samples) == 3
+    assert sampler.samples == [(t * 1000, t) for t in range(6)]
 
 
 def test_sampler_validation():

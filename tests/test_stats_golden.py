@@ -1,8 +1,7 @@
 """Literal goldens for the numeric helpers in ``repro.stats.summary`` and
 ``repro.analysis.convergence``.
 
-``percentile`` / ``p99`` / ``p999`` / ``mean`` / ``summarize`` /
-``cdf_points`` and ``steady_value`` / ``smooth`` / ``convergence_time_ns``
+``percentile`` and ``steady_value`` / ``smooth`` / ``convergence_time_ns``
 feed every figure row and every run digest, so a change to *how* they
 reach numpy (or to the banding arithmetic) must reproduce these values
 bit for bit.  Floats are pinned as ``float.hex()``; list-valued results
@@ -23,7 +22,7 @@ from typing import Any, Dict, List, Tuple
 import pytest
 
 from repro.analysis.convergence import convergence_time_ns, smooth, steady_value
-from repro.stats.summary import cdf_points, mean, p99, p999, percentile, summarize
+from repro.stats.summary import percentile
 
 _LENGTHS = (0, 1, 7, 8, 129, 1000)
 
@@ -59,13 +58,8 @@ def _observe_samples(n: int) -> Dict[str, Any]:
     return {
         "p1": percentile(x, 1.0).hex(),
         "p50": percentile(x, 50).hex(),
-        "p99": p99(x).hex(),
-        "p999": p999(x).hex(),
-        "mean": mean(x).hex(),
-        "summarize": {
-            k: v.hex() if isinstance(v, float) else v for k, v in summarize(x).items()
-        },
-        "cdf_points": _sha(cdf_points(x)),
+        "p99": percentile(x, 99.0).hex(),
+        "p999": percentile(x, 99.9).hex(),
     }
 
 
@@ -90,18 +84,7 @@ def _observe() -> Dict[str, Dict[str, Any]]:
     return out
 
 
-GOLDEN: Dict[str, Dict[str, Any]] = {'samples_0': {'p1': 'nan',
-               'p50': 'nan',
-               'p99': 'nan',
-               'p999': 'nan',
-               'mean': 'nan',
-               'summarize': {'count': 0,
-                             'mean': 'nan',
-                             'p50': 'nan',
-                             'p99': 'nan',
-                             'p999': 'nan',
-                             'max': 'nan'},
-               'cdf_points': '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945'},
+GOLDEN: Dict[str, Dict[str, Any]] = {'samples_0': {'p1': 'nan', 'p50': 'nan', 'p99': 'nan', 'p999': 'nan'},
  'trace_0': {'steady_value': None,
              'steady_value_half': None,
              'smooth5': '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945',
@@ -111,15 +94,7 @@ GOLDEN: Dict[str, Dict[str, Any]] = {'samples_0': {'p1': 'nan',
  'samples_1': {'p1': '0x1.8e5352eb09688p+9',
                'p50': '0x1.8e5352eb09688p+9',
                'p99': '0x1.8e5352eb09688p+9',
-               'p999': '0x1.8e5352eb09688p+9',
-               'mean': '0x1.8e5352eb09688p+9',
-               'summarize': {'count': 1,
-                             'mean': '0x1.8e5352eb09688p+9',
-                             'p50': '0x1.8e5352eb09688p+9',
-                             'p99': '0x1.8e5352eb09688p+9',
-                             'p999': '0x1.8e5352eb09688p+9',
-                             'max': '0x1.8e5352eb09688p+9'},
-               'cdf_points': '32ffc08454f94ee8a41c8c615b5db55b278c2c2483bbf768adcf47304b32c474'},
+               'p999': '0x1.8e5352eb09688p+9'},
  'trace_1': {'steady_value': '0x1.2c40c8c163090p-1',
              'steady_value_half': '0x1.2c40c8c163090p-1',
              'smooth5': '0f381abccab6f026476a5967e6eb521f88e6495bb985b4be6d74df6ebdf1c759',
@@ -129,15 +104,7 @@ GOLDEN: Dict[str, Dict[str, Any]] = {'samples_0': {'p1': 'nan',
  'samples_7': {'p1': '0x1.edc21506f9c2cp+7',
                'p50': '0x1.903df1c5ece93p+9',
                'p99': '0x1.ba9293cf28c45p+9',
-               'p999': '0x1.bb69553479e23p+9',
-               'mean': '0x1.5ef3d0a0e5372p+9',
-               'summarize': {'count': 7,
-                             'mean': '0x1.5ef3d0a0e5372p+9',
-                             'p50': '0x1.903df1c5ece93p+9',
-                             'p99': '0x1.ba9293cf28c45p+9',
-                             'p999': '0x1.bb69553479e23p+9',
-                             'max': '0x1.bb8131cdf4acap+9'},
-               'cdf_points': 'b5592d3ee66a79c37d6d87d6ba83ed645c11a4fd1d1866d30fd5394aab743c1c'},
+               'p999': '0x1.bb69553479e23p+9'},
  'trace_7': {'steady_value': '0x1.0c203f632cafdp-1',
              'steady_value_half': '0x1.1c14da14c5f5ep-1',
              'smooth5': '6284ecebed2a1a2177e1d5b2b9a7f4c8d69eeadc84f47df7ce7c785973804fa5',
@@ -147,15 +114,7 @@ GOLDEN: Dict[str, Dict[str, Any]] = {'samples_0': {'p1': 'nan',
  'samples_8': {'p1': '0x1.1a7f7ba7c5722p+6',
                'p50': '0x1.5660cd32b14e3p+9',
                'p99': '0x1.de09c38331da2p+9',
-               'p999': '0x1.df1553a31b3d0p+9',
-               'mean': '0x1.37eb0ca072064p+9',
-               'summarize': {'count': 8,
-                             'mean': '0x1.37eb0ca072064p+9',
-                             'p50': '0x1.5660cd32b14e3p+9',
-                             'p99': '0x1.de09c38331da2p+9',
-                             'p999': '0x1.df1553a31b3d0p+9',
-                             'max': '0x1.df330e51519d5p+9'},
-               'cdf_points': '6cf98e32e509a84ba85f71ce36c79bd19d75b1418f7992af3dc48210d07309cc'},
+               'p999': '0x1.df1553a31b3d0p+9'},
  'trace_8': {'steady_value': '0x1.18a50e83077abp-1',
              'steady_value_half': '0x1.103e6f1809ce8p-1',
              'smooth5': 'deeddab71aef863344a10595175aa2d3d3d0dcbd45c36da67619e4a73188db40',
@@ -165,15 +124,7 @@ GOLDEN: Dict[str, Dict[str, Any]] = {'samples_0': {'p1': 'nan',
  'samples_129': {'p1': '0x1.6b316abad84bfp+2',
                  'p50': '0x1.9a96498168458p+8',
                  'p99': '0x1.ebecbfa72e499p+9',
-                 'p999': '0x1.f263051c34101p+9',
-                 'mean': '0x1.c9e1bb68b57afp+8',
-                 'summarize': {'count': 129,
-                               'mean': '0x1.c9e1bb68b57afp+8',
-                               'p50': '0x1.9a96498168458p+8',
-                               'p99': '0x1.ebecbfa72e499p+9',
-                               'p999': '0x1.f263051c34101p+9',
-                               'max': '0x1.f337a1bc1414cp+9'},
-                 'cdf_points': '27c608dd66286caaa42759778cd8294737ec8ef1ea634d510ff7a58535e69275'},
+                 'p999': '0x1.f263051c34101p+9'},
  'trace_129': {'steady_value': '0x1.ff65ca915aa90p-2',
                'steady_value_half': '0x1.ff162ad74d784p-2',
                'smooth5': '91a33e262f87baea1351327576628630dd123b4d41d1b1cf730dd07a3da33379',
@@ -183,15 +134,7 @@ GOLDEN: Dict[str, Dict[str, Any]] = {'samples_0': {'p1': 'nan',
  'samples_1000': {'p1': '0x1.4b3c80a6e7813p+3',
                   'p50': '0x1.f18ad1dac311cp+8',
                   'p99': '0x1.f04e679fba990p+9',
-                  'p999': '0x1.f2c025153a0b4p+9',
-                  'mean': '0x1.f1c9ee1c546dcp+8',
-                  'summarize': {'count': 1000,
-                                'mean': '0x1.f1c9ee1c546dcp+8',
-                                'p50': '0x1.f18ad1dac311cp+8',
-                                'p99': '0x1.f04e679fba990p+9',
-                                'p999': '0x1.f2c025153a0b4p+9',
-                                'max': '0x1.f34e99adcb271p+9'},
-                  'cdf_points': '096db22a006aefe05725272e6fabf87fa4622b9a9090f2fa93ca79e6129fdd73'},
+                  'p999': '0x1.f2c025153a0b4p+9'},
  'trace_1000': {'steady_value': '0x1.00013e4525da6p-1',
                 'steady_value_half': '0x1.ffffdfd088741p-2',
                 'smooth5': 'e72d53370d03e10d9fa9416c05d89e9937240647569b68788e898a6ab01bb0e0',
@@ -235,11 +178,7 @@ def test_every_case_is_pinned(observed: Dict[str, Dict[str, Any]]) -> None:
 def test_empty_inputs_are_nan_or_none() -> None:
     nan = float("nan").hex()
     empty = GOLDEN["samples_0"]
-    assert empty["p99"] == empty["p999"] == empty["mean"] == nan
-    assert empty["summarize"] == {
-        "count": 0, "mean": nan, "p50": nan, "p99": nan, "p999": nan, "max": nan,
-    }
-    assert cdf_points([]) == []
+    assert empty["p1"] == empty["p50"] == empty["p99"] == empty["p999"] == nan
     assert GOLDEN["trace_0"]["convergence_time_ns"] is None
     with pytest.raises(ValueError):
         steady_value([])

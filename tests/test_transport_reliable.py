@@ -124,7 +124,6 @@ def test_acked_payload_accounting():
     sim.run()
     flow = eps[0].flow_to(1, 1)
     assert flow.acked_payload_bytes == 3 * MTU_BYTES
-    assert eps[0].acked_payload_by_qos[1] == 3 * MTU_BYTES
 
 
 def test_unacked_bytes_count_down_to_completion():
@@ -217,6 +216,5 @@ def test_backlog_counts_unsent_messages():
     for _ in range(10):
         flow.send_message(Message(dst=1, payload_bytes=64 * MTU_BYTES, qos=0))
     assert flow.backlog_messages > 0
-    assert eps[0].total_backlog_messages() == flow.backlog_messages
     sim.run()
     assert flow.backlog_messages == 0
