@@ -64,7 +64,9 @@ FIGURES = (
     "fig08 fig09 fig10 fig11 fig12 fig13 fig14 fig15 fig16 fig17 fig18 "
     "fig19 fig20 fig21 fig22 fig23 fig24 fig28 nqos"
 ).split()
-LEDGER_WORKLOADS = ("sim_incast_32k", "sim_small_rpc_1k", "sweep_fast_trio", "live_closed_8x1k")
+LEDGER_WORKLOADS = (
+    "sim_incast_32k", "sim_small_rpc_1k", "sweep_fast_trio", "live_closed_8x1k"
+)
 
 #: The hook every interpreter loads.  Kept free of repro imports.
 SITECUSTOMIZE = '''
@@ -127,7 +129,8 @@ def entry_points(work: Path) -> List[Tuple[List[str], Dict[str, str]]]:
         (run + ["fig17", "--no-cache"] + common, {"REPRO_SANITIZE": "1"}),
         (repro + ["fig10", "--quick"], {}),
         (repro + ["list"], {}),
-        (repro + ["trace", "fig08", "--profile", "fast", "--out", str(work / "traces")], {}),
+        (repro + ["trace", "fig08", "--profile", "fast",
+                  "--out", str(work / "traces")], {}),
         (repro + ["live", "--duration", "4", "--clients", "2", "--telemetry", "--trace",
                   "--check-convergence", "--log-dir", live_dir], {}),
         (repro + ["report", "@fig08", "--results-dir", results,
@@ -137,7 +140,8 @@ def entry_points(work: Path) -> List[Tuple[List[str], Dict[str, str]]]:
         (repro + ["report", live_dir, "--no-html"], {}),
         (repro + ["report", "--diff", str(work / "a.json"), str(work / "a.json")], {}),
         (repro + ["lint", "src", "tests"], {}),
-        (repro + ["lint", "src", "--format", "sarif", "--output", str(work / "lint.sarif")], {}),
+        (repro + ["lint", "src", "--format", "sarif",
+                  "--output", str(work / "lint.sarif")], {}),
         (repro + ["lint", "--explain"], {}),
     ]
     for workload in LEDGER_WORKLOADS:
@@ -151,7 +155,7 @@ def entry_points(work: Path) -> List[Tuple[List[str], Dict[str, str]]]:
 def _resolve(argv: List[str], results: Path) -> List[str]:
     """Replace ``@latest``/``@<fig>`` with the newest run id on disk."""
     out = []
-    for i, arg in enumerate(argv):
+    for arg in argv:
         if arg.startswith("@"):
             fig = argv[argv.index("run") + 1] if arg == "@latest" else arg[1:]
             docs = sorted((results / fig).glob("*.json"))
@@ -204,22 +208,34 @@ def main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--keep", default=None, help="keep the call logs here")
     args = parser.parse_args(argv)
-    work = Path(args.keep or tempfile.mkdtemp(prefix="repro-reach-"))
+    if args.keep:
+        return run(Path(args.keep))
+    with tempfile.TemporaryDirectory(prefix="repro-reach-") as work:
+        return run(Path(work))
+
+
+def run(work: Path) -> int:
+    """Run every entry point with the hook armed; print the unreached defs."""
     logs = work / "logs"
     hook = work / "hook"
     logs.mkdir(parents=True, exist_ok=True)
     hook.mkdir(exist_ok=True)
     (hook / "sitecustomize.py").write_text(SITECUSTOMIZE)
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([str(hook), str(ROOT / "src"), env.get("PYTHONPATH", "")])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(hook), str(ROOT / "src"), env.get("PYTHONPATH", "")]
+    )
     env["REPRO_REACH_ROOT"] = str(SRC)
     env["REPRO_REACH_LOG"] = str(logs)
 
     for cmd, extra in entry_points(work):
         cmd = _resolve(cmd, work / "results")
         proc = subprocess.run(cmd, cwd=ROOT, env={**env, **extra},
-                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                              text=True)
         print(f"[exit {proc.returncode}] {' '.join(cmd[1:])}", file=sys.stderr)
+        if proc.returncode:
+            print(proc.stderr[-2000:], file=sys.stderr)
 
     reached: Set[Tuple[str, int]] = set()
     for log in logs.glob("*.log"):
@@ -238,7 +254,8 @@ def main(argv: List[str]) -> int:
         path, _, name = ident.partition("::")
         row = f"{Path(path).relative_to(SRC.parent)}:{min(k[1] for k in keys)}  {name}"
         (ledger_only if name.rpartition(".")[2] in named else unreached).append(row)
-    print(f"# {len(by_def) - len(unreached) - len(ledger_only)} of {len(by_def)} defs reached")
+    reached_defs = len(by_def) - len(unreached) - len(ledger_only)
+    print(f"# {reached_defs} of {len(by_def)} defs reached")
     print(f"# named in benchmarks/ledger only ({len(ledger_only)}):")
     print("\n".join(ledger_only))
     print(f"# unreached ({len(unreached)}):")

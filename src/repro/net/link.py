@@ -11,11 +11,11 @@ The port is *busy-until*: starting a transmission records when the line
 frees (``busy_until_ns``) and tells the downstream node when the packet
 will arrive (``tx + propagation`` from now) — one event per hop.
 The line is busy while the clock has not reached ``busy_until_ns``; no
-event marks it going idle.  Only
-when something is queued behind the packet in service does the port post
-itself a wake at the line-free instant — when a transmission starts with
-backlog, or on the first ``send`` that finds the line mid-packet — so a
-backlogged hop costs two events per packet and an uncontended hop one.
+event marks it going idle.  Only when something is queued behind the
+packet in service does the port post itself a wake at the line-free
+instant — when a transmission starts with backlog, or on the first
+``send`` that finds the line mid-packet — so a backlogged hop costs two
+events per packet and an uncontended hop one.
 """
 
 from __future__ import annotations

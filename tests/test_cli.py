@@ -122,7 +122,8 @@ def test_run_rejects_a_zero_count_with_one_line(flag, tmp_path, capsys):
         (["trace", "fig08", "--top", "-1", "--results-dir"], "--top"),
         (["trace", "fig08", "--top-k", "-1", "--results-dir"], "--top-k"),
         (["report", "any-run", "--top", "-1", "--results-dir"], "--top"),
-        (["live", "--check-convergence", "--tolerance", "-1", "--log-dir"], "--tolerance"),
+        (["live", "--check-convergence", "--tolerance", "-1", "--log-dir"],
+         "--tolerance"),
     ],
 )
 def test_negative_count_is_a_usage_error(argv, flag, tmp_path, capsys):
