@@ -2,17 +2,15 @@
 
 Usage::
 
-    python ci/reachability.py            # run every entry point, print the list
-    python ci/reachability.py --keep DIR # keep the per-process call logs in DIR
+    python ci/reachability.py   # run every entry point, print the list
 
 The script writes a ``sitecustomize.py`` into a scratch directory and
 puts that directory first on ``PYTHONPATH``, so every interpreter the
 entry points start -- the CLI, the sweep's spawn workers, the live
 server and its client processes, the ledger's children -- installs a
 first-call hook before it runs anything.  The hook writes one line per
-code object the first time it is called (``sys.monitoring`` on Python
-3.12 and later, ``sys.setprofile`` in every thread before that).  The
-entry points are the ones a user or CI types:
+code object the first time it is called (``sys.setprofile`` and
+``threading.setprofile``, so every thread is covered).  The entry points are the ones a user or CI types:
 
 * all 19 ``repro run <fig> --profile fast`` sweeps (two workers), then
   fig08 inline, cached, with ``--replicates 2``, with ``--resume`` and
@@ -42,12 +40,11 @@ Blind spots:
 
 The script exits 0 whatever it finds: the list is information for a
 reader (docs/correctness.md, "Reachability"), not a gate.  It takes
-about 15 minutes on two cores under ``sys.setprofile``.
+about 15 minutes on two cores.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import json
 import os
@@ -70,7 +67,7 @@ LEDGER_WORKLOADS = (
 
 #: The hook every interpreter loads.  Kept free of repro imports.
 SITECUSTOMIZE = '''
-import os, sys
+import os, sys, threading
 
 _root = os.environ.get("REPRO_REACH_ROOT")
 _log_dir = os.environ.get("REPRO_REACH_LOG")
@@ -81,30 +78,17 @@ if _root and _log_dir:
         if code.co_filename.startswith(_root):
             _out.write("%s:%d\\n" % (code.co_filename, code.co_firstlineno))
 
-    if hasattr(sys, "monitoring"):
-        _mon = sys.monitoring
-        _mon.use_tool_id(_mon.PROFILER_ID, "repro-reach")
+    _seen = set()
 
-        def _start(code, offset):
-            _record(code)
-            return _mon.DISABLE
+    def _hook(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            if code not in _seen:
+                _seen.add(code)
+                _record(code)
 
-        _mon.register_callback(_mon.PROFILER_ID, _mon.events.PY_START, _start)
-        _mon.set_events(_mon.PROFILER_ID, _mon.events.PY_START)
-    else:
-        import threading
-
-        _seen = set()
-
-        def _hook(frame, event, arg):
-            if event == "call":
-                code = frame.f_code
-                if code not in _seen:
-                    _seen.add(code)
-                    _record(code)
-
-        sys.setprofile(_hook)
-        threading.setprofile(_hook)
+    sys.setprofile(_hook)
+    threading.setprofile(_hook)
 '''
 
 
@@ -204,12 +188,7 @@ def ledger_names() -> Set[str]:
     return names
 
 
-def main(argv: List[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--keep", default=None, help="keep the call logs here")
-    args = parser.parse_args(argv)
-    if args.keep:
-        return run(Path(args.keep))
+def main() -> int:
     with tempfile.TemporaryDirectory(prefix="repro-reach-") as work:
         return run(Path(work))
 
@@ -218,8 +197,8 @@ def run(work: Path) -> int:
     """Run every entry point with the hook armed; print the unreached defs."""
     logs = work / "logs"
     hook = work / "hook"
-    logs.mkdir(parents=True, exist_ok=True)
-    hook.mkdir(exist_ok=True)
+    logs.mkdir()
+    hook.mkdir()
     (hook / "sitecustomize.py").write_text(SITECUSTOMIZE)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -264,4 +243,4 @@ def run(work: Path) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
